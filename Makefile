@@ -53,7 +53,7 @@ test-flat:
 	$(GO) test -run='^$$' -fuzz=FuzzFlatDecode -fuzztime=10s ./internal/flat
 
 race:
-	$(GO) test -race ./internal/pram/... ./internal/parallel/... ./internal/buildpool/... ./internal/cascade/... ./internal/engine/... ./internal/obs/... ./internal/flat/...
+	$(GO) test -race ./internal/pram/... ./internal/parallel/... ./internal/workpool/... ./internal/cascade/... ./internal/engine/... ./internal/obs/... ./internal/flat/...
 
 # Coverage floor on the paper-critical packages: the core cascaded
 # structure, the batch engine, and the instrumentation they publish

@@ -34,7 +34,7 @@ func e23TimeMS(reps int, fn func()) float64 {
 // runE23 measures construction throughput: wall time to build the pointer
 // cascade (core.Build — catalog augmentation, bridges, skeleton blocks)
 // and to freeze it into the flat layout, sequential vs fanned out over the
-// build pool (internal/buildpool). The output is bit-identical for every
+// host executor (internal/workpool). The output is bit-identical for every
 // parallelism — pinned by the determinism property tests — so the only
 // thing allowed to move here is wall time. build_speedup is the row's
 // sequential build time over its parallel build time; on a single-core
@@ -43,7 +43,7 @@ func e23TimeMS(reps int, fn func()) float64 {
 func runE23(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	cores := runtime.GOMAXPROCS(0)
-	fmt.Printf("construction throughput: pointer build + flat freeze, sequential vs build-pool fan-out (%d host cores)\n", cores)
+	fmt.Printf("construction throughput: pointer build + flat freeze, sequential vs host-executor fan-out (%d host cores)\n", cores)
 	fmt.Printf("%9s %5s %12s %12s %14s\n", "n", "par", "build ms", "freeze ms", "build speedup")
 
 	for _, leaves := range []int{1 << 8, 1 << 10, 1 << 11} {

@@ -114,6 +114,6 @@ func runE20(seed int64) {
 		})
 	}
 	m := e.Metrics()
-	fmt.Printf("pool: %d workers, %d tasks, %d steals; shards: %d\n",
-		e.Pool().Workers(), m.Tasks, m.Steals, e.NumShards())
+	fmt.Printf("pool: %d workers, %d tasks; shards: %d\n",
+		e.Pool().Workers(), m.Tasks, e.NumShards())
 }

@@ -13,6 +13,7 @@ import (
 	"fraccascade/internal/pointloc"
 	"fraccascade/internal/subdivision"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // e22Query is one pre-generated (key, root path) pair; every timing loop
@@ -179,19 +180,14 @@ func runE22(seed int64) {
 	fmt.Println("flat/wall allocs columns must stay 0.000: the hot path never touches the heap (pinned by make bench-wall and the alloc guards).")
 }
 
-// e22Wall times the native wall executor: batches of e22BatchSize queries
-// fanned across min(p, GOMAXPROCS) worker goroutines, buffers reused so
-// the steady state is allocation-free. Warmup batches run first — the
-// pool's first rounds grow per-worker state that the guard test also
-// excludes.
+// e22Wall times the native wall executor: batches of e22BatchSize flat
+// searches run by one workpool.Pool.Run on min(p, GOMAXPROCS) goroutines.
+// The search closure and its buffers are built once, outside the timed
+// loop, so the steady state is allocation-free. Warmup batches run first —
+// the executor's first Run spawns its helper goroutines, which the guard
+// test also excludes.
 func e22Wall(f *flat.Structure, qs []e22Query, p int) (nsPerOp, allocsPerOp float64) {
-	procs := minInt(p, runtime.GOMAXPROCS(0))
-	w, err := flat.NewWall(f, procs)
-	if err != nil {
-		panic(err)
-	}
-	defer w.Close()
-
+	pool := workpool.New(minInt(p, runtime.GOMAXPROCS(0)))
 	ys := make([]catalog.Key, e22BatchSize)
 	paths := make([][]tree.NodeID, e22BatchSize)
 	out := make([][]cascade.Result, e22BatchSize)
@@ -201,10 +197,9 @@ func e22Wall(f *flat.Structure, qs []e22Query, p int) (nsPerOp, allocsPerOp floa
 		ys[i], paths[i] = q.y, q.path
 		out[i] = make([]cascade.Result, len(q.path))
 	}
+	search := func(i int) { errs[i] = f.SearchPathInto(ys[i], paths[i], out[i]) }
 	runBatch := func() {
-		if err := w.SearchBatch(ys, paths, out, errs); err != nil {
-			panic(err)
-		}
+		pool.Run(e22BatchSize, search)
 		for _, e := range errs {
 			if e != nil {
 				panic(e)

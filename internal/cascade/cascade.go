@@ -25,9 +25,9 @@ package cascade
 import (
 	"fmt"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // Structure is a fractional cascaded tree of catalogs.
@@ -128,7 +128,7 @@ func Build(t *tree.Tree, native []catalog.Catalog, opts Options) (*Structure, er
 	// Bottom-up rounds: children's augmented catalogs exist before parents'.
 	for d := len(levels) - 1; d >= 0; d-- {
 		nodes := levels[d]
-		buildpool.ForEach(par, len(nodes), grain, func(lo, hi int) {
+		workpool.ForEach(par, len(nodes), grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				s.buildBottomUp(nodes[i])
 			}
@@ -141,7 +141,7 @@ func Build(t *tree.Tree, native []catalog.Catalog, opts Options) (*Structure, er
 		// round all merges are independent.
 		for d := 1; d < len(levels); d++ {
 			nodes := levels[d]
-			buildpool.ForEach(par, len(nodes), grain, func(lo, hi int) {
+			workpool.ForEach(par, len(nodes), grain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := nodes[i]
 					// Stride is validated ≥ 2 in Build, so the error path
@@ -155,7 +155,7 @@ func Build(t *tree.Tree, native []catalog.Catalog, opts Options) (*Structure, er
 	}
 	// Bridge installation: one merge-walk per edge over the final catalogs.
 	all := t.LevelOrder()
-	buildpool.ForEach(par, len(all), grain, func(lo, hi int) {
+	workpool.ForEach(par, len(all), grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s.buildBridges(all[i])
 		}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sync"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // Parts is the complete built state of a Structure, exposed for
@@ -87,7 +87,7 @@ func FromPartsParallel(t *tree.Tree, p Parts, parallelism int) (*Structure, erro
 		}
 		errMu.Unlock()
 	}
-	buildpool.ForEach(parallelism, n, 64, func(lo, hi int) {
+	workpool.ForEach(parallelism, n, 64, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			if err := validateNode(t, p, v); err != nil {
 				report(v, err)

@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/cascade"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // Config controls preprocessing.
@@ -160,7 +160,7 @@ func (st *Structure) buildSubstructure(sub *Substructure) {
 	if st.cfg.Sequential {
 		par = 1
 	}
-	buildpool.ForEach(par, len(roots), 4, func(lo, hi int) {
+	workpool.ForEach(par, len(roots), 4, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			sub.blocks[bi] = st.buildBlock(roots[bi], sub.H, sub.TruncDepth, sub.S)
 		}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sync"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/cascade"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // ConfigState is the serializable subset of Config. HOverride is a
@@ -140,7 +140,7 @@ func FromPartsParallel(s *cascade.Structure, state State, parallelism int) (*Str
 			errVal   error
 		)
 		stored := state.Subs[i].Blocks
-		buildpool.ForEach(parallelism, len(roots), 4, func(lo, hi int) {
+		workpool.ForEach(parallelism, len(roots), 4, func(lo, hi int) {
 			for bi := lo; bi < hi; bi++ {
 				blk, err := st.importBlock(roots[bi], sub.H, sub.TruncDepth, sub.S, stored[bi])
 				if err != nil {

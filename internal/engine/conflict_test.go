@@ -8,11 +8,12 @@ import (
 	"fraccascade/internal/core"
 	"fraccascade/internal/pram"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // TestSharedPoolIntroducesNoConflicts executes whole cooperative searches
-// as conflict-checked PRAM programs (core.SearchExplicitPRAM) as tasks of
-// the shared work-stealing pool, with per-query CREW machines running their
+// as conflict-checked PRAM programs (core.SearchExplicitPRAM) as indices of
+// one shared-executor Run, with per-query CREW machines running their
 // processors on goroutines. The machines' conflict detectors mechanically
 // verify the claim of the batching design: sharing the host pool across
 // queries introduces no concurrent memory access the single-query path did
@@ -38,39 +39,34 @@ func TestSharedPoolIntroducesNoConflicts(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job{y: catalog.Key(rng.Int63n(9600)), path: randomPath(bt, rng)}
 	}
-	run := func(pool *Pool) ([][]int64, []core.PRAMSearchReport, []error) {
+	run := func(pool *workpool.Pool) ([][]int64, []core.PRAMSearchReport, []error) {
 		mems := make([][]int64, b)
 		reps := make([]core.PRAMSearchReport, b)
 		errs := make([]error, b)
-		tasks := make([]func(), b)
-		for i := range jobs {
-			i := i
-			tasks[i] = func() {
-				m := pram.MustNew(pram.CREW, 1<<16)
-				m.SetConcurrent(true)
-				results, rep, err := st.SearchExplicitPRAM(m, jobs[i].y, jobs[i].path, p)
-				if err == nil {
-					want, oerr := st.Cascade().SearchPath(jobs[i].y, jobs[i].path)
-					if oerr != nil {
-						err = oerr
-					} else {
-						for k := range want {
-							if results[k].Key != want[k].Key {
-								err = fmt.Errorf("node %d: machine answer %d != oracle %d", jobs[i].path[k], results[k].Key, want[k].Key)
-							}
+		pool.Run(b, func(i int) {
+			m := pram.MustNew(pram.CREW, 1<<16)
+			m.SetConcurrent(true)
+			results, rep, err := st.SearchExplicitPRAM(m, jobs[i].y, jobs[i].path, p)
+			if err == nil {
+				want, oerr := st.Cascade().SearchPath(jobs[i].y, jobs[i].path)
+				if oerr != nil {
+					err = oerr
+				} else {
+					for k := range want {
+						if results[k].Key != want[k].Key {
+							err = fmt.Errorf("node %d: machine answer %d != oracle %d", jobs[i].path[k], results[k].Key, want[k].Key)
 						}
 					}
 				}
-				mems[i] = m.LoadSlice(0, m.MemWords())
-				reps[i] = rep
-				errs[i] = err
 			}
-		}
-		pool.Run(tasks)
+			mems[i] = m.LoadSlice(0, m.MemWords())
+			reps[i] = rep
+			errs[i] = err
+		})
 		return mems, reps, errs
 	}
-	pooledMems, pooledReps, pooledErrs := run(NewPool(8))
-	soloMems, soloReps, soloErrs := run(NewPool(1))
+	pooledMems, pooledReps, pooledErrs := run(workpool.New(8))
+	soloMems, soloReps, soloErrs := run(workpool.New(1))
 	for i := range jobs {
 		if pooledErrs[i] != nil {
 			t.Fatalf("query %d under the shared pool: %v", i, pooledErrs[i])
@@ -109,22 +105,20 @@ func TestPoolPreservesModelRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(4)
 	const b = 12
 	errs := make([]error, b)
 	steps := make([]int, b)
-	tasks := make([]func(), b)
+	ys := make([]catalog.Key, b)
+	paths := make([][]tree.NodeID, b)
 	for i := 0; i < b; i++ {
-		i := i
-		y := catalog.Key(rng.Int63n(3200))
-		path := randomPath(bt, rng)
-		tasks[i] = func() {
-			m := pram.MustNew(pram.EREW, 1<<12)
-			_, _, errs[i] = st.SearchExplicitPRAM(m, y, path, 16)
-			steps[i] = m.Time()
-		}
+		ys[i] = catalog.Key(rng.Int63n(3200))
+		paths[i] = randomPath(bt, rng)
 	}
-	pool.Run(tasks)
+	workpool.New(4).Run(b, func(i int) {
+		m := pram.MustNew(pram.EREW, 1<<12)
+		_, _, errs[i] = st.SearchExplicitPRAM(m, ys[i], paths[i], 16)
+		steps[i] = m.Time()
+	})
 	for i := 0; i < b; i++ {
 		if errs[i] == nil {
 			t.Fatalf("query %d: EREW machine accepted a CREW program", i)

@@ -13,11 +13,12 @@ import (
 // TestExecuteBatchContextMatchesPlain: with a live background context the
 // context path must be answer-identical to ExecuteBatch — same results,
 // steps, phase decomposition, and cache behaviour. Two engines over the
-// same fixture isolate the entry caches.
+// same fixture isolate the entry caches; one worker per batch makes their
+// cache fills happen in the same (query) order.
 func TestExecuteBatchContextMatchesPlain(t *testing.T) {
 	fx := buildFixture(t, 71, 16, 600)
-	plain := fx.newEngine(t, Config{Procs: 256})
-	ctxEng := fx.newEngine(t, Config{Procs: 256})
+	plain := fx.newEngine(t, Config{Procs: 256, Workers: 1})
+	ctxEng := fx.newEngine(t, Config{Procs: 256, Workers: 1})
 	rng := seededRNG(t, 72)
 	for batch := 0; batch < 4; batch++ {
 		qs := make([]Query, 12)

@@ -3,7 +3,7 @@
 // iterative catalog-graph searches (internal/core, internal/dynamic),
 // planar point location (internal/pointloc), and spatial point location
 // (internal/spatial) — groups them into batches, and executes each batch
-// over a shared work-stealing pool.
+// as one index-claim loop on the shared host executor (internal/workpool).
 //
 // The paper (Theorems 1–5) prices a *single* search with p processors.
 // Under concurrent traffic the p processors are the contended resource, so
@@ -43,6 +43,7 @@ import (
 	"fraccascade/internal/pointloc"
 	"fraccascade/internal/spatial"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // Kind identifies a query's target structure.
@@ -185,7 +186,8 @@ type Config struct {
 	// CacheSize is the per-shard entry-point cache capacity: 0 selects
 	// the default (256), negative disables caching.
 	CacheSize int
-	// Workers is the host pool size (default GOMAXPROCS).
+	// Workers caps the host goroutines running one batch (default
+	// GOMAXPROCS); 1 runs each batch inline in query order.
 	Workers int
 	// Obs, when non-nil, mirrors engine, pool, and cache counters into
 	// the registry (see Metrics for the authoritative per-engine view and
@@ -243,7 +245,7 @@ type Engine struct {
 	caches []*entryCache
 	pl     *pointloc.Locator
 	sp     spatialBackend
-	pool   *Pool
+	pool   *workpool.Pool
 
 	mu      sync.Mutex
 	pending []Query
@@ -342,12 +344,12 @@ func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.
 		}
 	}
 	e := &Engine{
-		cfg:    cfg,
-		shards: shards,
-		caches: make([]*entryCache, len(shards)),
-		pl:     pl,
-		sp:     spb,
-		pool:     NewPool(cfg.Workers),
+		cfg:      cfg,
+		shards:   shards,
+		caches:   make([]*entryCache, len(shards)),
+		pl:       pl,
+		sp:       spb,
+		pool:     workpool.New(cfg.Workers),
 		tracer:   cfg.Tracer,
 		recorder: cfg.Recorder,
 	}
@@ -377,8 +379,6 @@ func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.
 		// truth and the batch hot path is untouched.
 		r.RegisterFunc("engine.pool.workers", func() int64 { return int64(e.pool.Workers()) })
 		r.RegisterFunc("engine.pool.tasks", e.pool.Tasks)
-		r.RegisterFunc("engine.pool.steals", e.pool.Steals)
-		r.RegisterFunc("engine.pool.idle", e.pool.Idle)
 		r.RegisterFunc("engine.pending", func() int64 { return int64(e.Pending()) })
 	}
 	return e, nil
@@ -387,8 +387,8 @@ func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.
 // NumShards returns the number of catalog shards.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
-// Pool exposes the engine's work-stealing pool (for metrics).
-func (e *Engine) Pool() *Pool { return e.pool }
+// Pool exposes the engine's executor handle (for metrics).
+func (e *Engine) Pool() *workpool.Pool { return e.pool }
 
 // ExecuteBatch runs the queries as one batch: each gets a disjoint group of
 // max(1, Procs/len(qs)) simulated processors and all run concurrently on
@@ -424,12 +424,7 @@ func (e *Engine) execute(ctx context.Context, qs []Query) ([]Answer, BatchReport
 		pShare = 1
 	}
 	answers := make([]Answer, len(qs))
-	tasks := make([]func(), len(qs))
-	for i := range qs {
-		i := i
-		tasks[i] = func() { answers[i] = e.runQuery(ctx, qs[i], pShare, true) }
-	}
-	e.pool.Run(tasks)
+	e.pool.Run(len(qs), func(i int) { answers[i] = e.runQuery(ctx, qs[i], pShare, true) })
 	if reqID := obs.RequestIDFrom(ctx); reqID != "" {
 		for i := range answers {
 			answers[i].RequestID = reqID
@@ -844,8 +839,8 @@ type Metrics struct {
 	Queries, Batches, Errors, StepsTotal uint64
 	// Cache holds one snapshot per shard.
 	Cache []CacheStats
-	// Steals, Tasks, and Idle are pool counters.
-	Steals, Tasks, Idle int64
+	// Tasks counts the queries the executor has run.
+	Tasks int64
 }
 
 // Metrics returns current counters.
@@ -856,9 +851,7 @@ func (e *Engine) Metrics() Metrics {
 	for _, c := range e.caches {
 		m.Cache = append(m.Cache, c.statsSnapshot())
 	}
-	m.Steals = e.pool.Steals()
 	m.Tasks = e.pool.Tasks()
-	m.Idle = e.pool.Idle()
 	return m
 }
 

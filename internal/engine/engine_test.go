@@ -3,8 +3,8 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"fraccascade/internal/catalog"
@@ -190,54 +190,38 @@ func (fx *fixture) checkAnswer(tb testing.TB, label string, q Query, a Answer) {
 	}
 }
 
+// TestPoolRunsEveryTaskOnce: at every worker count each query of a batch
+// lands in its own answer slot with the oracle's answer, and the
+// executor's task counter (engine.pool.tasks) advances by the batch size.
 func TestPoolRunsEveryTaskOnce(t *testing.T) {
+	fx := buildFixture(t, 5, 8, 200)
+	rng := seededRNG(t, 5)
 	for _, workers := range []int{1, 2, 8, 32} {
-		pool := NewPool(workers)
-		const n = 200
-		var counts [n]atomic.Int32
-		tasks := make([]func(), n)
-		for i := range tasks {
-			i := i
-			tasks[i] = func() { counts[i].Add(1) }
+		e := fx.newEngine(t, Config{Procs: 256, Workers: workers})
+		if got := e.Pool().Workers(); got != workers {
+			t.Fatalf("Workers=%d: pool reports %d workers", workers, got)
 		}
-		pool.Run(tasks)
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, got)
+		var tasks int64
+		for _, n := range []int{1, 7, 64} {
+			qs := make([]Query, n)
+			for i := range qs {
+				qs[i] = fx.randomQuery(rng)
 			}
-		}
-		if pool.Tasks() != n {
-			t.Errorf("workers=%d: pool counted %d tasks, want %d", workers, pool.Tasks(), n)
-		}
-	}
-}
-
-func TestPoolStealsUnderSkew(t *testing.T) {
-	pool := NewPool(4)
-	// Worker 0's deque gets a long stall plus a pile of quick tasks (64
-	// tasks round-robin over 4 deques: indices ≡ 0 mod 4 land on worker
-	// 0); other workers drain fast and must steal worker 0's backlog.
-	var mu sync.Mutex
-	order := 0
-	block := make(chan struct{})
-	tasks := make([]func(), 64)
-	for i := range tasks {
-		if i == 0 {
-			tasks[i] = func() { <-block }
-			continue
-		}
-		tasks[i] = func() {
-			mu.Lock()
-			order++
-			if order == 62 {
-				close(block) // release the staller once the rest drained
+			answers, _, err := e.ExecuteBatch(qs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			mu.Unlock()
+			for i := range qs {
+				if !reflect.DeepEqual(answers[i].Query, qs[i]) {
+					t.Fatalf("workers=%d n=%d: answer %d echoes %+v, want %+v", workers, n, i, answers[i].Query, qs[i])
+				}
+				fx.checkAnswer(t, fmt.Sprintf("workers=%d n=%d query=%d", workers, n, i), qs[i], answers[i])
+			}
+			tasks += int64(n)
 		}
-	}
-	pool.Run(tasks)
-	if pool.Steals() == 0 {
-		t.Errorf("no steals recorded under a skewed load")
+		if got := e.Metrics().Tasks; got != tasks {
+			t.Errorf("workers=%d: pool counted %d tasks, want %d", workers, got, tasks)
+		}
 	}
 }
 

@@ -31,11 +31,13 @@ func TestFlatEngineMatchesPointer(t *testing.T) {
 	shards := func() []CatalogBackend {
 		return []CatalogBackend{StaticShard{St: fx.static}, DynamicShard{D: fx.dyn}}
 	}
-	ptr, err := New(Config{Procs: 256}, shards(), fx.pl, fx.sp)
+	// One worker per batch: cache fills then happen in query order, so the
+	// two engines' hit/miss outcomes are comparable query for query.
+	ptr, err := New(Config{Procs: 256, Workers: 1}, shards(), fx.pl, fx.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flt, err := New(Config{Procs: 256, Flat: true}, shards(), fx.pl, fx.sp)
+	flt, err := New(Config{Procs: 256, Workers: 1, Flat: true}, shards(), fx.pl, fx.sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,12 +94,17 @@ func TestObsCountersMatchEngineGroundTruth(t *testing.T) {
 		}
 	}
 
-	// Pool pull-gauges read the pool's own atomics.
-	if got := snap.Funcs["engine.pool.tasks"]; got != m.Tasks {
-		t.Fatalf("engine.pool.tasks = %d, want %d", got, m.Tasks)
+	// Pool pull-gauges read the pool's own atomics: one task per query.
+	if got := snap.Funcs["engine.pool.tasks"]; got != m.Tasks || got != wantQueries {
+		t.Fatalf("engine.pool.tasks = %d, Metrics %d, want %d", got, m.Tasks, wantQueries)
 	}
-	if got := snap.Funcs["engine.pool.steals"]; got != m.Steals {
-		t.Fatalf("engine.pool.steals = %d, want %d", got, m.Steals)
+	if got := snap.Funcs["engine.pool.workers"]; got != int64(e.Pool().Workers()) {
+		t.Fatalf("engine.pool.workers = %d, want %d", got, e.Pool().Workers())
+	}
+	for _, gone := range []string{"engine.pool.steals", "engine.pool.idle"} {
+		if _, ok := snap.Funcs[gone]; ok {
+			t.Fatalf("%s is still exported; the index-claim executor has no deques", gone)
+		}
 	}
 
 	// One query span (Parent == 0) per query, plus per-phase children; all

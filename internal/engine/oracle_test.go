@@ -49,8 +49,8 @@ func TestOracleDifferential1000Batches(t *testing.T) {
 		fx.churnDynamic(t, churn)
 	}
 	m := e.Metrics()
-	t.Logf("served %d queries in %d batches; cache: static %+v dynamic %+v; pool steals %d",
-		m.Queries, m.Batches, m.Cache[0], m.Cache[1], m.Steals)
+	t.Logf("served %d queries in %d batches; cache: static %+v dynamic %+v; pool tasks %d",
+		m.Queries, m.Batches, m.Cache[0], m.Cache[1], m.Tasks)
 	if m.Cache[0].Hits == 0 {
 		t.Errorf("static shard cache never hit across %d batches", batches)
 	}

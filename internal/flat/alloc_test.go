@@ -10,6 +10,7 @@ import (
 	"fraccascade/internal/core"
 	"fraccascade/internal/flat"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // skipIfGuardDisabled honours the repo-wide performance-guard escape hatch
@@ -65,9 +66,10 @@ func TestSearchExplicitIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWallBatchZeroAllocs asserts the Wall executor's steady state: after
-// the pool has warmed up, dispatching a whole batch allocates nothing (all
-// batch state lives in caller-provided slices; workers park on channels).
+// TestWallBatchZeroAllocs asserts the wall executor's steady state: after
+// the executor has warmed up, one workpool Run over a batch of flat
+// searches allocates nothing (the search closure and all batch state are
+// built once up front; helpers park between batches).
 func TestWallBatchZeroAllocs(t *testing.T) {
 	skipIfGuardDisabled(t)
 	st, f, rng := buildFrozen(t, 1<<6, 6000, 42)
@@ -82,24 +84,21 @@ func TestWallBatchZeroAllocs(t *testing.T) {
 		paths[i] = bt.RootPath(tree.NodeID(bt.N() - 1 - rng.Intn(1<<6)))
 		out[i] = make([]cascade.Result, len(paths[i]))
 	}
-	w, err := flat.NewWall(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	// Warm up the scheduler (sudog pools, stack growth) before measuring.
+	pool := workpool.New(4)
+	search := func(i int) { errs[i] = f.SearchPathInto(ys[i], paths[i], out[i]) }
+	// Warm up the scheduler (helper spawn, sudog pools, stack growth)
+	// before measuring.
 	for i := 0; i < 8; i++ {
-		if err := w.SearchBatch(ys, paths, out, errs); err != nil {
-			t.Fatal(err)
+		pool.Run(batch, search)
+	}
+	allocs := testing.AllocsPerRun(100, func() { pool.Run(batch, search) })
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := w.SearchBatch(ys, paths, out, errs); err != nil {
-			t.Fatal(err)
-		}
-	})
 	if allocs != 0 {
-		t.Errorf("Wall.SearchBatch allocates %.1f per batch, want 0", allocs)
+		t.Errorf("a wall batch allocates %.1f per batch, want 0", allocs)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fraccascade/internal/core"
 	"fraccascade/internal/flat"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // differentialBaseSeed anchors the harness: case c runs with seed
@@ -18,8 +19,8 @@ const differentialBaseSeed = int64(0x0F1A7_0000)
 // TestDifferentialFlatVsPointer is the oracle harness pinning the tentpole:
 // 1000 seeded random catalog/tree shapes (balanced binary and random
 // bounded-degree), and for every query the flat sequential walk, the flat
-// explicit search, the entry-hinted variants, and the Wall batch executor
-// are cross-checked against cascade.SearchPath and core.SearchExplicit —
+// explicit search, the entry-hinted variants, and a wall batch on the host
+// executor are cross-checked against cascade.SearchPath and core.SearchExplicit —
 // results field for field, Stats bit for bit. Failures print the case seed.
 func TestDifferentialFlatVsPointer(t *testing.T) {
 	cases := 1000
@@ -146,19 +147,12 @@ func runDifferentialCase(t *testing.T, c int, caseSeed int64) {
 
 	// Wall batch: every answer bit-identical to the pointer oracle.
 	procs := 1 + rng.Intn(8)
-	w, err := flat.NewWall(f, procs)
-	if err != nil {
-		t.Fatalf("case seed %d: NewWall: %v", caseSeed, err)
-	}
-	defer w.Close()
 	out := make([][]cascade.Result, len(ys))
 	errs := make([]error, len(ys))
 	for i := range out {
 		out[i] = make([]cascade.Result, len(paths[i]))
 	}
-	if err := w.SearchBatch(ys, paths, out, errs); err != nil {
-		t.Fatalf("case seed %d: SearchBatch: %v", caseSeed, err)
-	}
+	workpool.New(procs).Run(len(ys), func(i int) { errs[i] = f.SearchPathInto(ys[i], paths[i], out[i]) })
 	for i := range ys {
 		if errs[i] != nil {
 			t.Fatalf("case seed %d: wall query %d: %v", caseSeed, i, errs[i])
@@ -167,7 +161,7 @@ func runDifferentialCase(t *testing.T, c int, caseSeed int64) {
 		if err != nil {
 			t.Fatalf("case seed %d: pointer SearchPath: %v", caseSeed, err)
 		}
-		diffResults(t, caseSeed, "Wall.SearchBatch", out[i], want)
+		diffResults(t, caseSeed, "wall batch", out[i], want)
 	}
 }
 

@@ -19,8 +19,8 @@
 // bounds-validated decoder (corrupt input yields an error, never a panic),
 // which is the substrate for the snapshot sidecar of internal/snapshot.
 //
-// Wall (wall.go) runs real goroutines over the flat layout — the native
-// "executor" counterpart to the simulated PRAM executors of internal/pram.
+// The native "executor" counterpart to the simulated PRAM executors of
+// internal/pram is a workpool.Pool running batches of SearchPathInto.
 package flat
 
 import (

@@ -222,28 +222,3 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		}
 	}
 }
-
-func TestWallLifecycle(t *testing.T) {
-	_, f, _ := buildFrozen(t, 1<<4, 1200, 6)
-	if _, err := flat.NewWall(nil, 1); err == nil {
-		t.Error("nil structure should fail")
-	}
-	if _, err := flat.NewWall(f, 0); err == nil {
-		t.Error("zero procs should fail")
-	}
-	w, err := flat.NewWall(f, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Procs() != 3 {
-		t.Errorf("Procs = %d, want 3", w.Procs())
-	}
-	if err := w.SearchBatch(make([]catalog.Key, 2), nil, nil, nil); err == nil {
-		t.Error("mismatched batch slice lengths should fail")
-	}
-	w.Close()
-	w.Close() // idempotent
-	if err := w.SearchBatch(nil, nil, nil, nil); err == nil {
-		t.Error("closed wall should reject batches")
-	}
-}

@@ -5,9 +5,9 @@ import (
 	"math"
 	"sync"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/core"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // Freeze re-encodes a built cooperative search structure into the flat
@@ -84,7 +84,7 @@ func freeze(st *core.Structure, par int) (*Structure, error) {
 		off += s.Aug(tree.NodeID(v)).Len()
 	}
 	f.catStart[n] = int32(off)
-	buildpool.ForEach(par, n, 64, func(lo, hi int) {
+	workpool.ForEach(par, n, 64, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			o := int(f.catStart[v])
 			for _, e := range s.Aug(tree.NodeID(v)).Entries() {
@@ -116,7 +116,7 @@ func freeze(st *core.Structure, par int) (*Structure, error) {
 		}
 	}
 	f.bridgeStart[totalChildren] = int32(off)
-	buildpool.ForEach(par, n, 16, func(lo, hi int) {
+	workpool.ForEach(par, n, 16, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			catLen := s.Aug(tree.NodeID(v)).Len()
 			for ci := range t.Children(tree.NodeID(v)) {
@@ -137,7 +137,7 @@ func freeze(st *core.Structure, par int) (*Structure, error) {
 		errIdx = len(f.subs)
 		errVal error
 	)
-	buildpool.ForEach(par, len(f.subs), 1, func(lo, hi int) {
+	workpool.ForEach(par, len(f.subs), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if err := freezeSub(&f.subs[i], st.Substructure(i), n); err != nil {
 				errMu.Lock()

@@ -48,7 +48,7 @@ func (f *Structure) SearchPath(y catalog.Key, path []tree.NodeID) ([]cascade.Res
 // layout (cascade.SearchPath): one successor search at the root, then a
 // constant-time bridge descent per level. out must have len(path) slots.
 // The walk performs zero heap allocations — this is the wall-clock hot
-// path the Wall executor and the engine's flat backend run on.
+// path the wall executor (E22) and the engine's flat backend run on.
 func (f *Structure) SearchPathInto(y catalog.Key, path []tree.NodeID, out []cascade.Result) error {
 	if err := f.validatePath(path); err != nil {
 		return err

@@ -32,12 +32,12 @@ package pointloc
 import (
 	"fmt"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/geom"
 	"fraccascade/internal/subdivision"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // Locator is a preprocessed monotone subdivision supporting sequential and
@@ -116,7 +116,7 @@ func Build(s *subdivision.Subdivision, cfg core.Config) (*Locator, error) {
 		perNode[home] = append(perNode[home], ei)
 	}
 	// Per-separator catalogs are independent (each iteration writes only
-	// cats[v]), so the loop fans out over the build pool; errors are
+	// cats[v]), so the loop fans out over the host executor; errors are
 	// recorded per node and reported in node order, keeping the failure
 	// deterministic too.
 	cats := make([]catalog.Catalog, t.N())
@@ -125,7 +125,7 @@ func Build(s *subdivision.Subdivision, cfg core.Config) (*Locator, error) {
 	if cfg.Sequential {
 		par = 1
 	}
-	buildpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
+	workpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
 		for v := loI; v < hiI; v++ {
 			idxs := perNode[v]
 			if len(idxs) == 0 {

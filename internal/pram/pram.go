@@ -572,11 +572,11 @@ const (
 	// KindUncosted is the tracing-free Uncosted executor.
 	KindUncosted
 	// KindWall is the native wall-clock executor over the flat layout
-	// (internal/flat.Wall): real goroutines, host nanoseconds instead of
-	// simulated steps. It parses like the simulated kinds so front ends
-	// (coopbench -executor wall) can select it, but it is not a simulated
-	// PRAM — NewExecutor rejects it; callers construct flat.NewWall
-	// directly.
+	// (internal/workpool.Pool running flat searches): real goroutines,
+	// host nanoseconds instead of simulated steps. It parses like the
+	// simulated kinds so front ends (coopbench -executor wall) can select
+	// it, but it is not a simulated PRAM — NewExecutor rejects it; callers
+	// run their searches through workpool.Pool.Run directly.
 	KindWall
 )
 
@@ -631,7 +631,7 @@ func NewExecutor(kind ExecutorKind, model Model, procs int) (Executor, error) {
 	case KindUncosted:
 		return NewUncosted(model, procs)
 	case KindWall:
-		return nil, fmt.Errorf("pram: the wall executor is native, not a simulated PRAM; construct flat.NewWall directly")
+		return nil, fmt.Errorf("pram: the wall executor is native, not a simulated PRAM; run the searches through workpool.Pool.Run directly")
 	default:
 		return nil, fmt.Errorf("pram: unknown executor kind %d", int(kind))
 	}

@@ -22,11 +22,11 @@ import (
 	"fmt"
 	"sort"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/parallel"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 const idBits = 21
@@ -124,7 +124,7 @@ func new2D(pts []Point2, ids []int32, cfg core.Config) (*Tree2D, error) {
 	// sorted by (Y, id) — the construction the EREW preprocessing does
 	// level by level. Within a level the merges are independent (node v
 	// writes only perNode[v], reading its two already-finished children),
-	// so each level fans out over the build pool; the level barrier
+	// so each level fans out over the host executor; the level barrier
 	// preserves the bottom-up dependency.
 	par := cfg.Parallelism
 	if cfg.Sequential {
@@ -155,7 +155,7 @@ func new2D(pts []Point2, ids []int32, cfg core.Config) (*Tree2D, error) {
 	}
 	for levelSize := pad / 2; levelSize >= 1; levelSize /= 2 {
 		base := levelSize - 1 // level nodes are [base, base+levelSize)
-		buildpool.ForEach(par, levelSize, 4, func(loI, hiI int) {
+		workpool.ForEach(par, levelSize, 4, func(loI, hiI int) {
 			for i := loI; i < hiI; i++ {
 				mergeNode(base + i)
 			}
@@ -163,7 +163,7 @@ func new2D(pts []Point2, ids []int32, cfg core.Config) (*Tree2D, error) {
 	}
 	cats := make([]catalog.Catalog, t.N())
 	catErrs := make([]error, t.N())
-	buildpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
+	workpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
 		for v := loI; v < hiI; v++ {
 			list := perNode[v]
 			if len(list) == 0 {
@@ -190,7 +190,7 @@ func new2D(pts []Point2, ids []int32, cfg core.Config) (*Tree2D, error) {
 	}
 	rt.st = st
 	rt.rank = make([][]int32, t.N())
-	buildpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
+	workpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
 		for v := loI; v < hiI; v++ {
 			cat := st.Cascade().Aug(tree.NodeID(v))
 			rk := make([]int32, cat.Len()+1)

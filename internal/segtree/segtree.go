@@ -21,12 +21,12 @@ import (
 	"fmt"
 	"sort"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/parallel"
 	"fraccascade/internal/pram"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // idBits is the width of the id part of composite catalog keys.
@@ -114,7 +114,7 @@ func NewIntersector(segs []VSegment, cfg core.Config) (*Intersector, error) {
 	}
 	// Node catalogs are independent of each other once the canonical
 	// decomposition is fixed (each iteration writes only cats[v]), so
-	// the builds fan out over the build pool with errors surfaced in
+	// the builds fan out over the host executor with errors surfaced in
 	// node order.
 	cats := make([]catalog.Catalog, t.N())
 	catErrs := make([]error, t.N())
@@ -122,7 +122,7 @@ func NewIntersector(segs []VSegment, cfg core.Config) (*Intersector, error) {
 	if cfg.Sequential {
 		par = 1
 	}
-	buildpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
+	workpool.ForEach(par, t.N(), 32, func(loI, hiI int) {
 		for v := loI; v < hiI; v++ {
 			ids := perNode[v]
 			if len(ids) == 0 {

@@ -3,8 +3,8 @@ package spatial
 import (
 	"fmt"
 
-	"fraccascade/internal/buildpool"
 	"fraccascade/internal/tree"
+	"fraccascade/internal/workpool"
 )
 
 // Stats reports the simulated parallel cost of a spatial location.
@@ -106,9 +106,9 @@ func NewLocatorParallel(c *Complex, parallelism int) (*Locator, error) {
 	}
 	// Each surface's planar structure depends only on its own facet list
 	// (writes confined to l.locs[v]), so the builds fan out over the
-	// work-stealing build pool.
+	// shared host executor.
 	l.locs = make([]nodeLocator, t.N())
-	buildpool.ForEach(parallelism, t.N(), 16, func(loI, hiI int) {
+	workpool.ForEach(parallelism, t.N(), 16, func(loI, hiI int) {
 		for v := loI; v < hiI; v++ {
 			l.locs[v] = buildNodeLocator(c.Facets, perNode[v])
 		}
