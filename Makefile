@@ -27,12 +27,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Engine-specific gate: race-check the batched engine and smoke both fuzz
-# targets (oracle-differential batch replay and entry-cache invalidation).
+# Engine-specific gate: race-check the batched engine and smoke its fuzz
+# targets (oracle-differential batch replay, entry-cache invalidation, and
+# the POST /query decoder against encoding/json).
 test-engine:
 	$(GO) test -race ./internal/engine/...
 	$(GO) test -run='^$$' -fuzz=FuzzBatchSearch -fuzztime=10s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzEntryCache -fuzztime=10s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=10s ./cmd/coopserve
 
 # Persistence gate: the snapshot round-trip/corruption suite and the disk
 # fault injector's own tests, plus a short fuzz smoke of the snapshot

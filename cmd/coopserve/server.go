@@ -681,67 +681,11 @@ func (s *server) routes() *http.ServeMux {
 	return mux
 }
 
-// wireQuery is the POST /query request item. Kind selects the fields read:
-// "catalog" uses shard/key/leaf (the server resolves the root path to the
-// leaf), "point" uses x/y, "spatial" uses x/y/z.
-type wireQuery struct {
-	Kind  string `json:"kind"`
-	Shard int    `json:"shard"`
-	Key   int64  `json:"key"`
-	Leaf  int64  `json:"leaf"`
-	X     int64  `json:"x"`
-	Y     int64  `json:"y"`
-	Z     int64  `json:"z"`
-}
-
-// wireResult is one per-node catalog answer.
-type wireResult struct {
-	Node    int64 `json:"node"`
-	Key     int64 `json:"key"`
-	Payload int64 `json:"payload"`
-}
-
-// wireAnswer is one query's response entry.
-type wireAnswer struct {
-	Kind       string         `json:"kind"`
-	P          int            `json:"p"`
-	Steps      int            `json:"steps"`
-	Rounds     int            `json:"rounds"`
-	Cache      string         `json:"cache,omitempty"`
-	PhaseSteps map[string]int `json:"phase_steps,omitempty"`
-	Results    []wireResult   `json:"results,omitempty"`
-	Region     int            `json:"region,omitempty"`
-	Cell       int            `json:"cell,omitempty"`
-	Err        string         `json:"err,omitempty"`
-}
-
-// wireBatchReport mirrors engine.BatchReport plus throughput.
-type wireBatchReport struct {
-	B           int     `json:"b"`
-	PShare      int     `json:"p_share"`
-	Steps       int     `json:"steps"`
-	CacheHits   int     `json:"cache_hits"`
-	CacheMisses int     `json:"cache_misses"`
-	Errors      int     `json:"errors"`
-	Throughput  float64 `json:"queries_per_step"`
-}
-
-type queryRequest struct {
-	Queries []wireQuery `json:"queries"`
-}
-
-type queryResponse struct {
-	// RequestID is the correlation id (inbound X-Request-ID honored,
-	// minted otherwise) — also echoed as the X-Request-ID response header
-	// and stamped on every span and flight record of the request.
-	RequestID string            `json:"request_id"`
-	Batches   []wireBatchReport `json:"batches"`
-	Answers   []wireAnswer      `json:"answers"`
-}
-
 // handleQuery executes a batch of queries. The request body is a
-// queryRequest; queries are executed through the engine's batched path in
-// groups of the configured batch size.
+// queryRequest of at most maxQueryBody bytes; queries are executed through
+// the engine's batched path in groups of the configured batch size, and
+// the response (wire.go) carries the correlation id, one report per
+// engine batch and one answer per query.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -764,24 +708,36 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		unavailable(w, "overloaded")
 		return
 	}
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sc := getQueryScratch()
+	defer putQueryScratch(sc)
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBody)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxQueryBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Queries) == 0 {
+	var err error
+	sc.queries, err = decodeQueries(sc.queries, sc.body.Bytes())
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(sc.queries) == 0 {
 		http.Error(w, "empty query list", http.StatusBadRequest)
 		return
 	}
-	qs := make([]engine.Query, 0, len(req.Queries))
-	for i, wq := range req.Queries {
+	for i, wq := range sc.queries {
 		q, err := s.toEngineQuery(wq)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("query %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		qs = append(qs, q)
+		sc.qs = append(sc.qs, q)
 	}
+	qs := sc.qs
 	// The request context carries the client disconnect; the configured
 	// per-request deadline stacks on top. Both propagate into the engine's
 	// context-aware search path, as does the correlation id (inbound
@@ -795,7 +751,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	resp := queryResponse{RequestID: reqID}
 	for lo := 0; lo < len(qs); lo += s.cfg.BatchSize {
 		hi := min(lo+s.cfg.BatchSize, len(qs))
 		answers, rep, err := s.eng.ExecuteBatchContext(ctx, qs[lo:hi])
@@ -819,20 +774,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		resp.Batches = append(resp.Batches, wireBatchReport{
-			B: rep.B, PShare: rep.PShare, Steps: rep.Steps,
-			CacheHits: rep.CacheHits, CacheMisses: rep.CacheMisses,
-			Errors: rep.Errors, Throughput: rep.Throughput(),
-		})
-		for i := range answers {
-			resp.Answers = append(resp.Answers, toWireAnswer(&answers[i]))
-		}
+		sc.reports = append(sc.reports, rep)
+		sc.answers = append(sc.answers, answers)
 	}
+	sc.out = appendQueryResponse(sc.out[:0], reqID, sc.reports, sc.answers)
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// Too late for an error status; the client sees the broken body.
-		return
-	}
+	// A failed write means the client is gone; there is nobody to tell.
+	_, _ = w.Write(sc.out)
 }
 
 // toEngineQuery validates and converts one wire query.
@@ -854,35 +802,6 @@ func (s *server) toEngineQuery(wq wireQuery) (engine.Query, error) {
 	default:
 		return engine.Query{}, fmt.Errorf("unknown kind %q (want catalog, point, or spatial)", wq.Kind)
 	}
-}
-
-func toWireAnswer(a *engine.Answer) wireAnswer {
-	wa := wireAnswer{
-		Kind:       a.Query.Kind.String(),
-		P:          a.P,
-		Steps:      a.Steps,
-		Rounds:     a.Rounds,
-		PhaseSteps: a.PhaseSteps,
-		Region:     a.Region,
-		Cell:       a.Cell,
-	}
-	if a.Query.Kind == engine.KindCatalog && a.Err == nil {
-		switch {
-		case a.CacheHit:
-			wa.Cache = "hit"
-		case a.CacheStale:
-			wa.Cache = "stale"
-		default:
-			wa.Cache = "miss"
-		}
-	}
-	for _, r := range a.Results {
-		wa.Results = append(wa.Results, wireResult{Node: int64(r.Node), Key: int64(r.Key), Payload: int64(r.Payload)})
-	}
-	if a.Err != nil {
-		wa.Err = a.Err.Error()
-	}
-	return wa
 }
 
 // handleMetrics serves the registry snapshot in the Prometheus text

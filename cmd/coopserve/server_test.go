@@ -17,7 +17,7 @@ import (
 )
 
 // testServer builds a small server so the httptest suite stays fast.
-func testServer(t *testing.T) *server {
+func testServer(t testing.TB) *server {
 	t.Helper()
 	cfg := serverConfig{
 		Seed: 7, Procs: 512, BatchSize: 8,

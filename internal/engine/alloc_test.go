@@ -7,10 +7,10 @@ import (
 
 // executeBatchAllocsBound is the measured allocation count of one warm
 // 32-query catalog batch with nothing attached: the answer slice and the
-// one Run closure per batch, then three per query for the result slice and
-// the PhaseSteps map. The executor's index-claim loop adds nothing per
-// query.
-const executeBatchAllocsBound = 98
+// one Run closure per batch, then one result slice per query. The phase
+// decomposition is a fixed array in the answer and the executor's
+// index-claim loop adds nothing per query.
+const executeBatchAllocsBound = 34
 
 // TestExecuteBatchAllocs pins the engine's disabled-telemetry hot path: a
 // warm 32-query catalog batch over a static and a dynamic shard (every

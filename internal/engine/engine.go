@@ -119,12 +119,13 @@ type Answer struct {
 	// false — the finger makes the miss path cheap, it is not a hit.
 	FingerHit bool
 	// PhaseSteps decomposes Steps by algorithm phase per the Stats cost
-	// model — catalog and planar queries: "root-coop" (Step-1 cooperative
-	// rounds), "hop-descent" (block-jump steps), "seq-tail" (sequential
-	// levels); spatial queries: "discrim" (per-node discrimination rounds)
-	// and "descent" (the rest). Values sum to Steps; zero phases are
-	// omitted. Nil on error.
-	PhaseSteps map[string]int
+	// model, one slot per PhaseLabels entry — catalog and planar queries:
+	// "root-coop" (Step-1 cooperative rounds), "hop-descent" (block-jump
+	// steps), "seq-tail" (sequential levels); spatial queries: "discrim"
+	// (per-node discrimination rounds) and "descent" (the rest). Slots are
+	// non-negative and sum to Steps; phases a query does not have stay 0.
+	// All zero on error.
+	PhaseSteps [len(PhaseLabels)]int
 	// Rounds is the query's cooperative root-search round count (catalog
 	// and planar queries: Stats.RootRounds; spatial: the summed per-node
 	// discrimination rounds) — the quantity the entry cache absorbs.
@@ -267,13 +268,22 @@ type Engine struct {
 	obsSteps  *obs.Histogram  // batch parallel time
 	obsSize   *obs.Histogram  // batch size
 	obsWall   *obs.Histogram  // host wall time per batch, ns
-	obsPhase  map[string]*obs.Counter
+	obsPhase  []*obs.Counter  // indexed like PhaseLabels
 }
 
-// phaseOrder fixes the emission order of per-phase child spans and the
-// counter set created in New: first the catalog/planar decomposition, then
-// the spatial one.
-var phaseOrder = [...]string{"root-coop", "hop-descent", "seq-tail", "discrim", "descent"}
+// PhaseLabels names the slots of Answer.PhaseSteps. Its order fixes the
+// emission order of per-phase child spans and the counter set created in
+// New: first the catalog/planar decomposition, then the spatial one.
+var PhaseLabels = [...]string{"root-coop", "hop-descent", "seq-tail", "discrim", "descent"}
+
+// Slots of Answer.PhaseSteps.
+const (
+	phaseRootCoop = iota
+	phaseHopDescent
+	phaseSeqTail
+	phaseDiscrim
+	phaseDescent
+)
 
 // New builds an engine over the given shards and locators. Any backend may
 // be absent (nil locators, empty shard list); queries of an unserved kind
@@ -370,9 +380,9 @@ func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.
 		e.obsSteps = r.Histogram("engine.batch.steps")
 		e.obsSize = r.Histogram("engine.batch.size")
 		e.obsWall = r.Histogram("engine.batch.wall_ns")
-		e.obsPhase = make(map[string]*obs.Counter, len(phaseOrder))
-		for _, label := range phaseOrder {
-			e.obsPhase[label] = r.Counter("engine.phase." + label + ".steps")
+		e.obsPhase = make([]*obs.Counter, len(PhaseLabels))
+		for i, label := range PhaseLabels {
+			e.obsPhase[i] = r.Counter("engine.phase." + label + ".steps")
 		}
 		// Pool and queue depths are pulled at snapshot time rather than
 		// mirrored per event — the pool's own atomics stay the ground
@@ -480,8 +490,10 @@ func (e *Engine) observeBatch(answers []Answer, rep BatchReport, stepBase uint64
 			e.obsShardQ[q.Shard].Inc()
 		}
 		if e.obsPhase != nil {
-			for label, n := range answers[i].PhaseSteps {
-				e.obsPhase[label].Add(int64(n))
+			for slot, n := range answers[i].PhaseSteps {
+				if n > 0 {
+					e.obsPhase[slot].Add(int64(n))
+				}
 			}
 		}
 	}
@@ -529,8 +541,8 @@ func (e *Engine) observeBatch(answers []Answer, rep BatchReport, stepBase uint64
 				Err:       errText,
 			}
 			pi := 0
-			for _, label := range phaseOrder {
-				if n := a.PhaseSteps[label]; n > 0 && pi < len(rec.Phases) {
+			for slot, label := range PhaseLabels {
+				if n := a.PhaseSteps[slot]; n > 0 && pi < len(rec.Phases) {
 					rec.Phases[pi] = obs.PhaseCount{Label: label, Steps: n}
 					pi++
 				}
@@ -559,8 +571,8 @@ func (e *Engine) observeBatch(answers []Answer, rep BatchReport, stepBase uint64
 		// Per-phase child spans partition the parent's window in the fixed
 		// phase order, each carrying the parent's id.
 		off := s.StepLo
-		for _, label := range phaseOrder {
-			n := a.PhaseSteps[label]
+		for slot, label := range PhaseLabels {
+			n := a.PhaseSteps[slot]
 			if n == 0 {
 				continue
 			}
@@ -639,41 +651,22 @@ func (e *Engine) Flush() ([]Answer, []BatchReport, error) {
 
 // catalogPhases decomposes a catalog/planar search's step count by the
 // Stats identity Steps = RootRounds + hop steps + SeqLevels (checked by
-// the cost-model tests); zero phases are omitted so empty components don't
-// clutter spans.
-func catalogPhases(s core.Stats) map[string]int {
-	hop := s.Steps - s.RootRounds - s.SeqLevels
-	if hop < 0 {
-		hop = 0
-	}
-	m := make(map[string]int, 3)
-	if s.RootRounds > 0 {
-		m["root-coop"] = s.RootRounds
-	}
-	if hop > 0 {
-		m["hop-descent"] = hop
-	}
-	if s.SeqLevels > 0 {
-		m["seq-tail"] = s.SeqLevels
-	}
-	return m
+// the cost-model tests); negative components clamp to 0, the slot value
+// that spans, records and the wire all read as "phase absent".
+func catalogPhases(s core.Stats) (ph [len(PhaseLabels)]int) {
+	ph[phaseRootCoop] = max(s.RootRounds, 0)
+	ph[phaseHopDescent] = max(s.Steps-s.RootRounds-s.SeqLevels, 0)
+	ph[phaseSeqTail] = max(s.SeqLevels, 0)
+	return ph
 }
 
 // spatialPhases decomposes a spatial location into the per-node planar
 // discrimination rounds and the remaining descent steps.
-func spatialPhases(s spatial.Stats) map[string]int {
-	discrim := s.DiscrimRounds
-	if discrim > s.Steps {
-		discrim = s.Steps
-	}
-	m := make(map[string]int, 2)
-	if discrim > 0 {
-		m["discrim"] = discrim
-	}
-	if rest := s.Steps - discrim; rest > 0 {
-		m["descent"] = rest
-	}
-	return m
+func spatialPhases(s spatial.Stats) (ph [len(PhaseLabels)]int) {
+	discrim := min(s.DiscrimRounds, s.Steps)
+	ph[phaseDiscrim] = max(discrim, 0)
+	ph[phaseDescent] = max(s.Steps-discrim, 0)
+	return ph
 }
 
 // runQuery executes one query with processor share p. useCache gates the

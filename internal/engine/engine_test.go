@@ -149,6 +149,16 @@ func (fx *fixture) checkAnswer(tb testing.TB, label string, q Query, a Answer) {
 	if a.Err != nil {
 		tb.Fatalf("%s: query %v failed: %v", label, q.Kind, a.Err)
 	}
+	phased := 0
+	for slot, n := range a.PhaseSteps {
+		if n < 0 {
+			tb.Fatalf("%s: phase %s has %d steps", label, PhaseLabels[slot], n)
+		}
+		phased += n
+	}
+	if phased != a.Steps {
+		tb.Fatalf("%s: phase steps %v sum to %d, steps = %d", label, a.PhaseSteps, phased, a.Steps)
+	}
 	switch q.Kind {
 	case KindCatalog:
 		if q.Shard == 0 {

@@ -216,14 +216,11 @@ func (t *Tree) LevelNodes() [][]NodeID {
 
 // RootPath returns the node sequence from the root to v, inclusive.
 func (t *Tree) RootPath(v NodeID) []NodeID {
-	var rev []NodeID
-	for x := v; x != Nil; x = t.parent[x] {
-		rev = append(rev, x)
+	path := make([]NodeID, t.depth[v]+1)
+	for x, i := v, len(path)-1; x != Nil; x, i = t.parent[x], i-1 {
+		path[i] = x
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return path
 }
 
 // ValidatePath checks that path is a downward parent→child chain.
