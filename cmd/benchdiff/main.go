@@ -1,87 +1,75 @@
 // Command benchdiff gates benchmark regressions: it compares candidate
 // BENCH_<EXP>.json files (written by `coopbench -json`) against committed
-// baselines and exits non-zero when a metric regressed beyond tolerance.
+// baselines and exits non-zero when a metric regressed beyond its bound.
 //
-// Step-class metrics (simulated machine steps, phase step counts, peak
-// processors) are deterministic for a fixed seed, so their tolerance
-// defaults to exact; throughput-class metrics (queries/step, cache hit
-// rate) depend on concurrent cache-fill order and get generous slack.
-// Host-clock latency metrics (E22's ns/op columns) get the widest slack
-// of all (-wall-tol, default 3.0 = 4x) since the gate may run on a very
-// different machine than the baseline; allocs/op columns, by contrast,
-// are machine-independent and diff exact — the zero-alloc hot path may
-// never grow a malloc.
+// Every baseline declares its own keys and metrics (internal/benchfmt),
+// and benchdiff applies one rule to whatever it declares, so a new
+// experiment or column needs no edit here. A candidate whose declarations
+// differ from its baseline's fails until the baseline is regenerated.
 //
 // Usage:
 //
 //	benchdiff -baseline bench/baselines -candidate bench/out
-//	benchdiff -baseline bench/baselines -candidate bench/out e17 e20
-//	benchdiff -step-tol 0.02 -throughput-tol 0.5 -wall-tol 3.0 ...
 //
-// `make bench-diff` regenerates the candidate files and runs this.
+// `make bench-gate` regenerates the candidate files and runs this.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
+
+	"fraccascade/internal/benchfmt"
 )
 
 func main() {
-	baseDir := flag.String("baseline", "bench/baselines", "directory holding baseline BENCH_<EXP>.json files")
-	candDir := flag.String("candidate", ".", "directory holding freshly generated BENCH_<EXP>.json files")
-	stepTol := flag.Float64("step-tol", 0, "relative tolerance for deterministic step metrics (0 = exact)")
-	thrTol := flag.Float64("throughput-tol", 0.35, "relative tolerance for throughput metrics")
-	wallTol := flag.Float64("wall-tol", 3.0, "relative tolerance for host-clock ns/op metrics (3.0 = candidate may be 4x the baseline)")
-	buildTol := flag.Float64("build-tol", 3.0, "relative tolerance for host-clock construction metrics (E23's build/freeze ms)")
-	restoreTol := flag.Float64("restore-tol", 3.0, "relative tolerance for snapshot cold-start metrics (E24's restore ms and pinned-heap KB)")
-	telemetryTol := flag.Float64("telemetry-tol", 0.5, "relative tolerance for the serving-telemetry overhead ratio (E25's enabled/disabled ns per query)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	names := flag.Args() // e.g. "e17" — empty means every baseline present
-	var files []string
-	if len(names) == 0 {
-		matches, err := filepath.Glob(filepath.Join(*baseDir, "BENCH_*.json"))
-		if err != nil || len(matches) == 0 {
-			fmt.Fprintf(os.Stderr, "benchdiff: no baselines in %s\n", *baseDir)
-			os.Exit(2)
-		}
-		files = matches
-	} else {
-		for _, n := range names {
-			files = append(files, filepath.Join(*baseDir, "BENCH_"+strings.ToUpper(n)+".json"))
-		}
+// run diffs every baseline against its candidate and returns the exit
+// code: 0 when all pass, 1 on any regression or missing candidate, 2 on
+// bad usage or an unreadable baseline.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseDir := fs.String("baseline", "bench/baselines", "directory holding baseline BENCH_<EXP>.json files")
+	candDir := fs.String("candidate", ".", "directory holding freshly generated BENCH_<EXP>.json files")
+	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "usage: benchdiff [-baseline dir] [-candidate dir] (every baseline in dir is compared)")
+		return 2
 	}
-
-	tol := tolerance{Steps: *stepTol, Throughput: *thrTol, Latency: *wallTol, Build: *buildTol, Restore: *restoreTol, Telemetry: *telemetryTol}
-	failed := false
+	files, err := filepath.Glob(filepath.Join(*baseDir, "BENCH_*.json"))
+	if err != nil || len(files) == 0 {
+		fmt.Fprintf(stderr, "benchdiff: no baselines in %s\n", *baseDir)
+		return 2
+	}
+	code := 0
 	for _, bf := range files {
-		base, err := loadBench(bf)
+		base, err := benchfmt.Load(bf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+			return 2
 		}
-		cf := filepath.Join(*candDir, filepath.Base(bf))
-		cand, err := loadBench(cf)
+		cand, err := benchfmt.Load(filepath.Join(*candDir, filepath.Base(bf)))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: candidate for %s: %v\n", base.Experiment, err)
-			failed = true
+			fmt.Fprintf(stderr, "benchdiff: candidate for %s: %v\n", base.Experiment, err)
+			code = 1
 			continue
 		}
-		regs := compare(base, cand, tol)
+		if base.Host.String() != cand.Host.String() {
+			fmt.Fprintf(stdout, "benchdiff: %s hosts differ: baseline %v; candidate %v\n", base.Experiment, base.Host, cand.Host)
+		}
+		regs := benchfmt.Compare(base, cand)
 		if len(regs) == 0 {
-			fmt.Printf("benchdiff: %s ok (%d rows, step tol %.0f%%, throughput tol %.0f%%)\n",
-				base.Experiment, len(base.Rows), 100*tol.Steps, 100*tol.Throughput)
+			fmt.Fprintf(stdout, "benchdiff: %s ok (%d rows; bounds: %s)\n", base.Experiment, len(base.Rows), base.Bounds())
 			continue
 		}
-		failed = true
+		code = 1
 		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "benchdiff: REGRESSION "+r)
+			fmt.Fprintln(stderr, "benchdiff: REGRESSION "+r)
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"fraccascade/internal/benchfmt"
 	"fraccascade/internal/core"
 	"fraccascade/internal/flat"
 	"fraccascade/internal/tree"
@@ -31,6 +32,15 @@ func e23TimeMS(reps int, fn func()) float64 {
 	return best
 }
 
+// e23Columns: build and freeze wall clocks get E22's 4x machine slack, the
+// speedup the 35% throughput slack.
+var e23Columns = benchfmt.Columns{Keys: []string{"n", "par"}, Metrics: []benchfmt.Metric{
+	benchfmt.Gated("build_ms", "ms", benchfmt.Lower, 3),
+	benchfmt.Gated("freeze_ms", "ms", benchfmt.Lower, 3),
+	benchfmt.Gated("build_speedup", "x", benchfmt.Higher, 0.35),
+	{Name: "host_cores", Unit: "cores", Better: benchfmt.Exact},
+}}
+
 // runE23 measures construction throughput: wall time to build the pointer
 // cascade (core.Build — catalog augmentation, bridges, skeleton blocks)
 // and to freeze it into the flat layout, sequential vs fanned out over the
@@ -39,7 +49,7 @@ func e23TimeMS(reps int, fn func()) float64 {
 // thing allowed to move here is wall time. build_speedup is the row's
 // sequential build time over its parallel build time; on a single-core
 // host it stays ~1.0, while 4+ host cores should clear 2x on the largest
-// tree (the informational claim `make bench-build` tracks).
+// tree (the informational claim `make bench-gate` tracks).
 func runE23(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	cores := runtime.GOMAXPROCS(0)
@@ -73,7 +83,7 @@ func runE23(seed int64) {
 			}
 			speedup := seqMS / buildMS
 			fmt.Printf("%9d %5d %12.2f %12.2f %14.2f\n", total, par, buildMS, freezeMS, speedup)
-			record(map[string]any{
+			record(e23Columns, map[string]any{
 				"n": total, "par": par,
 				"build_ms":      buildMS,
 				"freeze_ms":     freezeMS,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"fraccascade/internal/benchfmt"
 	"fraccascade/internal/cascade"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
@@ -61,6 +62,13 @@ func buildTree(leaves, total int, rng *rand.Rand, cfg core.Config) (*core.Struct
 
 var e1Procs = []int{1, 4, 16, 256, 65536, 1 << 20}
 
+// e1Columns: the cost model's average steps beside the (log n)/log p
+// prediction; E17 gates the machine-measured steps.
+var e1Columns = benchfmt.Columns{Keys: []string{"n", "p"}, Metrics: []benchfmt.Metric{
+	{Name: "steps", Unit: "steps", Better: benchfmt.Lower},
+	{Name: "predicted", Unit: "steps", Better: benchfmt.Exact},
+}}
+
 func runE1(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	fmt.Println("paper: explicit search in O((log n)/log p) CREW steps, any 1 <= p <= n")
@@ -89,7 +97,7 @@ func runE1(seed int64) {
 			fmt.Printf("%10d %8d %5d(%d) %6d %6d %6d %6d %10.1f\n",
 				total, p, agg.Sub, st.Substructure(agg.Sub).H,
 				agg.Steps/reps, agg.RootRounds/reps, agg.Hops/reps, agg.SeqLevels/reps, pred)
-			record(map[string]any{"n": total, "p": p, "steps": agg.Steps / reps, "predicted": pred})
+			record(e1Columns, map[string]any{"n": total, "p": p, "steps": agg.Steps / reps, "predicted": pred})
 		}
 	}
 	fmt.Println("\n-- large n (~1M entries): the default constants reach h=3 and beat sequential --")
@@ -606,6 +614,11 @@ func runE13(seed int64) {
 	}
 }
 
+var e14Columns = benchfmt.Columns{Keys: []string{"n", "p"}, Metrics: []benchfmt.Metric{
+	{Name: "worst_rounds", Unit: "rounds", Better: benchfmt.Lower},
+	{Name: "predicted", Unit: "rounds", Better: benchfmt.Exact},
+}}
+
 func runE14(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	fmt.Println("paper: p-processor CREW search of n sorted keys in ceil(log(n+1)/log(p+1)) rounds (Snir-optimal)")
@@ -630,7 +643,7 @@ func runE14(seed int64) {
 				}
 			}
 			fmt.Printf("%10d %8d %10d %10d\n", n, p, worst, parallel.CoopSearchSteps(n, p))
-			record(map[string]any{"n": n, "p": p, "worst_rounds": worst, "predicted": parallel.CoopSearchSteps(n, p)})
+			record(e14Columns, map[string]any{"n": n, "p": p, "worst_rounds": worst, "predicted": parallel.CoopSearchSteps(n, p)})
 		}
 	}
 }

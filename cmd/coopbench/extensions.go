@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"fraccascade/internal/benchfmt"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/dynamic"
@@ -41,6 +42,17 @@ func runE15(seed int64) {
 	}
 }
 
+// e17Columns: machine steps are deterministic for a fixed seed (and
+// executor-independent by the differential tests), so every column is
+// gated exactly: one more step is a regression.
+var e17Columns = benchfmt.Columns{Keys: []string{"n", "p"}, Metrics: []benchfmt.Metric{
+	benchfmt.Gated("machine_steps", "steps", benchfmt.Lower, 0),
+	benchfmt.Gated("root_steps", "steps", benchfmt.Lower, 0),
+	benchfmt.Gated("hop_steps", "steps", benchfmt.Lower, 0),
+	benchfmt.Gated("seq_steps", "steps", benchfmt.Lower, 0),
+	benchfmt.Gated("peak_procs", "procs", benchfmt.Lower, 0),
+}}
+
 // runE17 executes complete explicit searches as programs on the CREW PRAM
 // simulator: real conflict-checked machine steps, not the cost model. The
 // -executor flag picks the machine (virtual by default); the executor
@@ -77,7 +89,7 @@ func runE17(seed int64) {
 			}
 			fmt.Printf("%10d %8d %12d %6d %6d %6d %10d\n",
 				total, p, agg.MachineSteps/reps, agg.RootSteps/reps, agg.HopSteps/reps, agg.SeqSteps/reps, agg.PeakProcs)
-			record(map[string]any{
+			record(e17Columns, map[string]any{
 				"n": total, "p": p,
 				"machine_steps": agg.MachineSteps / reps,
 				"root_steps":    agg.RootSteps / reps,
@@ -88,6 +100,14 @@ func runE17(seed int64) {
 		}
 	}
 }
+
+// e18Columns: the Snir bound is a statement, not a measurement, so it may
+// not move in either direction; the strategies' rounds may only improve.
+var e18Columns = benchfmt.Columns{Keys: []string{"n", "p"}, Metrics: []benchfmt.Metric{
+	benchfmt.Gated("lower_bound", "rounds", benchfmt.Exact, 0),
+	benchfmt.Gated("uniform", "rounds", benchfmt.Lower, 0),
+	benchfmt.Gated("binary", "rounds", benchfmt.Lower, 0),
+}}
 
 // runE18 plays the Snir lower-bound adversary game: no strategy beats
 // ⌈log(n+1)/log(p+1)⌉ rounds, and the cooperative (p+1)-ary split matches
@@ -102,7 +122,7 @@ func runE18(seed int64) {
 			bin, _ := parallel.PlayGame(n, p, parallel.BinaryStrategy, 10000)
 			lb := parallel.LowerBoundRounds(n, p)
 			fmt.Printf("%10d %8d %12d %10d %10d\n", n, p, lb, uni, bin)
-			record(map[string]any{"n": n, "p": p, "lower_bound": lb, "uniform": uni, "binary": bin})
+			record(e18Columns, map[string]any{"n": n, "p": p, "lower_bound": lb, "uniform": uni, "binary": bin})
 		}
 	}
 	fmt.Println("uniform (the CoopSearch split) meets the bound; the p-oblivious binary split stays at log n.")

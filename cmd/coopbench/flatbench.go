@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"fraccascade/internal/benchfmt"
 	"fraccascade/internal/cascade"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
@@ -77,22 +78,35 @@ func e22PlanarWorkload(rng *rand.Rand) e22Workload {
 	return e22Workload{name: "planar", n: bt.N(), st: st, queries: qs}
 }
 
-// e22Time runs fn over the query set ops times and returns host ns/op and
-// heap allocations/op (runtime mallocs delta — exact, not sampled). The
-// loop repeats e22TimeReps times and keeps the fastest pass — min-of-reps
-// discards GC pauses and scheduler noise, which the regression gate would
-// otherwise see as 4x spikes — while allocations take the worst pass, so
-// a malloc cannot hide behind a lucky repeat. A forced GC up front drains
-// the debt left by whatever allocated before the measurement.
+// e22Time runs fn over the query set ops times per pass; see e22Measure.
 func e22Time(ops int, qs []e22Query, fn func(q e22Query)) (nsPerOp, allocsPerOp float64) {
+	return e22Measure(ops, func() {
+		for i := 0; i < ops; i++ {
+			fn(qs[i%len(qs)])
+		}
+	})
+}
+
+// e22Measure times pass, which performs ops operations, and returns host
+// ns/op and heap allocations/op (runtime mallocs delta — exact, not
+// sampled). A forced GC drains the debt left by whatever allocated before
+// the measurement; one untimed warm-up pass then refills the runtime
+// caches the GC emptied. Of e22TimeReps timed passes, the fastest gives
+// ns/op — min-of-reps discards GC pauses and scheduler noise, which the
+// regression gate would otherwise see as 4x spikes — and the fewest
+// mallocs give allocs/op. MemStats.Mallocs is process-wide, so a pass can
+// also count the runtime's own one-off allocations (a sudog for a parked
+// WaitGroup waiter, a new M, the GC's and scavenger's bookkeeping); those
+// land in some passes only, while an allocation in the measured code
+// repeats in every pass and so survives the minimum.
+func e22Measure(ops int, pass func()) (nsPerOp, allocsPerOp float64) {
 	runtime.GC()
+	pass()
 	var before, after runtime.MemStats
 	for rep := 0; rep < e22TimeReps; rep++ {
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		for i := 0; i < ops; i++ {
-			fn(qs[i%len(qs)])
-		}
+		pass()
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		ns := float64(elapsed.Nanoseconds()) / float64(ops)
@@ -100,12 +114,26 @@ func e22Time(ops int, qs []e22Query, fn func(q e22Query)) (nsPerOp, allocsPerOp 
 		if rep == 0 || ns < nsPerOp {
 			nsPerOp = ns
 		}
-		if allocs > allocsPerOp {
+		if rep == 0 || allocs < allocsPerOp {
 			allocsPerOp = allocs
 		}
 	}
 	return nsPerOp, allocsPerOp
 }
+
+// e22Columns: steps and allocations are machine-independent and gated
+// exactly (the hot path may never grow a malloc); host-clock ns/op may
+// reach 4x the baseline's, since the gate may run on a very different
+// machine.
+var e22Columns = benchfmt.Columns{Keys: []string{"n", "p"}, Metrics: []benchfmt.Metric{
+	benchfmt.Gated("machine_steps", "steps", benchfmt.Lower, 0),
+	benchfmt.Gated("pointer_ns_per_op", "ns/op", benchfmt.Lower, 3),
+	benchfmt.Gated("flat_ns_per_op", "ns/op", benchfmt.Lower, 3),
+	benchfmt.Gated("wall_ns_per_op", "ns/op", benchfmt.Lower, 3),
+	benchfmt.Gated("flat_allocs_per_op", "allocs/op", benchfmt.Lower, 0),
+	benchfmt.Gated("wall_allocs_per_op", "allocs/op", benchfmt.Lower, 0),
+	{Name: "wall_procs", Unit: "procs", Better: benchfmt.Exact},
+}}
 
 // runE22 times the frozen flat layout against the pointer structure on the
 // host clock — the tentpole claim that the simulated-step tables (E17)
@@ -165,7 +193,7 @@ func runE22(seed int64) {
 
 			fmt.Printf("%-8s %9d %8d %7d %12.1f %12.1f %12.1f %11.3f %11.3f\n",
 				w.name, w.n, p, avgSteps, ptrNS, flatNS, wallNS, flatAllocs, wallAllocs)
-			record(map[string]any{
+			record(e22Columns, map[string]any{
 				"workload": w.name, "n": w.n, "p": p,
 				"machine_steps":      avgSteps,
 				"pointer_ns_per_op":  ptrNS,
@@ -173,7 +201,7 @@ func runE22(seed int64) {
 				"wall_ns_per_op":     wallNS,
 				"flat_allocs_per_op": flatAllocs,
 				"wall_allocs_per_op": wallAllocs,
-				"wall_procs":         minInt(p, runtime.GOMAXPROCS(0)),
+				"wall_procs":         min(p, runtime.GOMAXPROCS(0)),
 			})
 		}
 	}
@@ -183,11 +211,10 @@ func runE22(seed int64) {
 // e22Wall times the native wall executor: batches of e22BatchSize flat
 // searches run by one workpool.Pool.Run on min(p, GOMAXPROCS) goroutines.
 // The search closure and its buffers are built once, outside the timed
-// loop, so the steady state is allocation-free. Warmup batches run first —
-// the executor's first Run spawns its helper goroutines, which the guard
-// test also excludes.
+// loop, so the steady state is allocation-free; e22Measure's warm-up pass
+// covers the executor's first Run, which spawns its helper goroutines.
 func e22Wall(f *flat.Structure, qs []e22Query, p int) (nsPerOp, allocsPerOp float64) {
-	pool := workpool.New(minInt(p, runtime.GOMAXPROCS(0)))
+	pool := workpool.New(min(p, runtime.GOMAXPROCS(0)))
 	ys := make([]catalog.Key, e22BatchSize)
 	paths := make([][]tree.NodeID, e22BatchSize)
 	out := make([][]cascade.Result, e22BatchSize)
@@ -198,43 +225,14 @@ func e22Wall(f *flat.Structure, qs []e22Query, p int) (nsPerOp, allocsPerOp floa
 		out[i] = make([]cascade.Result, len(q.path))
 	}
 	search := func(i int) { errs[i] = f.SearchPathInto(ys[i], paths[i], out[i]) }
-	runBatch := func() {
-		pool.Run(e22BatchSize, search)
-		for _, e := range errs {
-			if e != nil {
-				panic(e)
+	return e22Measure(e22BatchReps*e22BatchSize, func() {
+		for i := 0; i < e22BatchReps; i++ {
+			pool.Run(e22BatchSize, search)
+			for _, e := range errs {
+				if e != nil {
+					panic(e)
+				}
 			}
 		}
-	}
-	for i := 0; i < 4; i++ {
-		runBatch()
-	}
-	runtime.GC()
-	ops := float64(e22BatchReps * e22BatchSize)
-	var before, after runtime.MemStats
-	for rep := 0; rep < e22TimeReps; rep++ {
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < e22BatchReps; i++ {
-			runBatch()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		ns := float64(elapsed.Nanoseconds()) / ops
-		allocs := float64(after.Mallocs-before.Mallocs) / ops
-		if rep == 0 || ns < nsPerOp {
-			nsPerOp = ns
-		}
-		if allocs > allocsPerOp {
-			allocsPerOp = allocs
-		}
-	}
-	return nsPerOp, allocsPerOp
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	})
 }

@@ -1,53 +1,47 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
 	"time"
+
+	"fraccascade/internal/benchfmt"
 )
 
-// benchRecorder accumulates machine-readable benchmark rows for one
-// experiment run and writes them (plus the run's wall-clock time) to
-// BENCH_<EXP>.json when -json is set. Experiments call record() next to
-// every table line they print; experiments that only print prose still get
-// a file with the wall time, so a -json sweep over -experiment=all leaves
-// a complete performance trajectory on disk.
-type benchRecorder struct {
-	Experiment string           `json:"experiment"`
-	Seed       int64            `json:"seed"`
-	Executor   string           `json:"executor"`
-	WallMS     float64          `json:"wall_ms"`
-	Rows       []map[string]any `json:"rows"`
-}
+// benchOut is non-nil only while an experiment runs under -json. It
+// collects the rows experiments record next to every table line they
+// print; experiments that only print prose still get a file with the wall
+// time, so a -json sweep over -experiment=all leaves a complete
+// performance trajectory on disk.
+var benchOut *benchfmt.File
 
-// benchOut is non-nil only while an experiment runs under -json.
-var benchOut *benchRecorder
-
-func newBenchRecorder(exp string, seed int64, executor string) *benchRecorder {
-	return &benchRecorder{Experiment: exp, Seed: seed, Executor: executor, Rows: []map[string]any{}}
-}
-
-// record appends one row to the active recorder; a no-op without -json, so
-// experiments can call it unconditionally.
-func record(row map[string]any) {
+// record appends one row, declared by cols, to the active recorder; a
+// no-op without -json, so experiments can call it unconditionally.
+func record(cols benchfmt.Columns, row map[string]any) {
 	if benchOut == nil {
 		return
 	}
+	benchOut.Columns = cols
 	benchOut.Rows = append(benchOut.Rows, row)
 }
 
-func (r *benchRecorder) flush(wall time.Duration) error {
-	r.WallMS = float64(wall.Microseconds()) / 1000
-	data, err := json.MarshalIndent(r, "", "  ")
+// runExperiment runs e and, when jsonDir is set, writes its
+// BENCH_<EXP>.json there.
+func runExperiment(e experiment, seed int64, executor, jsonDir string) error {
+	fmt.Printf("\n=== %s ===\n", e.title)
+	if jsonDir != "" {
+		benchOut = &benchfmt.File{Experiment: e.name, Seed: seed, Executor: executor, Host: benchfmt.ThisHost(), Rows: []map[string]any{}}
+		defer func() { benchOut = nil }()
+	}
+	start := time.Now()
+	e.run(seed)
+	if benchOut == nil {
+		return nil
+	}
+	benchOut.WallMS = float64(time.Since(start).Microseconds()) / 1000
+	path, err := benchOut.Write(jsonDir)
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf("BENCH_%s.json", strings.ToUpper(r.Experiment))
-	if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d rows, %.1f ms)\n", name, len(r.Rows), r.WallMS)
+	fmt.Printf("wrote %s (%d rows, %.1f ms)\n", path, len(benchOut.Rows), benchOut.WallMS)
 	return nil
 }

@@ -26,7 +26,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"fraccascade/internal/obs"
 	"fraccascade/internal/pram"
@@ -75,6 +74,35 @@ type experiment struct {
 	run   func(seed int64)
 }
 
+var experiments = []experiment{
+	{"e1", "E1 (Theorem 1): explicit cooperative search, steps vs (log n)/log p", runE1},
+	{"e2", "E2 (Theorem 1): implicit cooperative search", runE2},
+	{"e3", "E3 (Theorem 1): preprocessing rounds and work", runE3},
+	{"e4", "E4 (Lemma 2): space of T' is O(n)", runE4},
+	{"e5", "E5 (Theorem 2): long-path search in bounded-degree trees", runE5},
+	{"e6", "E6 (Theorem 3): degree-d trees, log d factor", runE6},
+	{"e7", "E7 (Theorem 4): cooperative planar point location", runE7},
+	{"e8", "E8 (Theorem 5 / Corollary 1): spatial point location", runE8},
+	{"e9", "E9 (Theorem 6): retrieval — segment intersection, enclosure, range search", runE9},
+	{"e10", "E10 (Corollary 2): d-dimensional range search", runE10},
+	{"e11", "E11 (Lemma 1): skeleton forest disjointness", runE11},
+	{"e12", "E12 (Lemma 3): window containment", runE12},
+	{"e13", "E13 (Section 2.2/2.3): per-hop processor demand", runE13},
+	{"e14", "E14 (Snir bound): cooperative binary search rounds", runE14},
+	{"fig5", "Fig. 5: branch-function inconsistency on the separator tree", runFig5},
+	{"e15", "E15 (extension, open problem 3): generalized search paths (subtrees)", runE15},
+	{"e16", "E16 (extension, open problem 4): dynamic updates, amortized rebuilds", runE16},
+	{"e17", "E17: whole searches executed on the conflict-checked CREW simulator", runE17},
+	{"e18", "E18: Snir lower-bound adversary game (optimality)", runE18},
+	{"e19", "E19 (chaos mode): fault-injected degrading cooperative search", runE19},
+	{"e20", "E20 (extension): batched multi-query engine throughput", runE20},
+	{"e21", "E21 (robustness): crash-safe snapshot persistence under disk faults", runE21},
+	{"e22", "E22 (extension): flat-layout hot path, host ns/op and allocs/op vs the pointer structure", runE22},
+	{"e23", "E23 (extension): construction throughput, sequential vs parallel build and flat freeze", runE23},
+	{"e24", "E24 (extension): snapshot cold-start, mmap vs deserialized vs refrozen restore per backend kind", runE24},
+	{"e25", "E25 (extension): serving-telemetry overhead, flight recorder and latency windows on vs off", runE25},
+}
+
 func main() {
 	expFlag := flag.String("experiment", "all", "experiment id (e1..e25, fig5, all)")
 	seed := flag.Int64("seed", 1, "workload seed")
@@ -119,49 +147,16 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	experiments := []experiment{
-		{"e1", "E1 (Theorem 1): explicit cooperative search, steps vs (log n)/log p", runE1},
-		{"e2", "E2 (Theorem 1): implicit cooperative search", runE2},
-		{"e3", "E3 (Theorem 1): preprocessing rounds and work", runE3},
-		{"e4", "E4 (Lemma 2): space of T' is O(n)", runE4},
-		{"e5", "E5 (Theorem 2): long-path search in bounded-degree trees", runE5},
-		{"e6", "E6 (Theorem 3): degree-d trees, log d factor", runE6},
-		{"e7", "E7 (Theorem 4): cooperative planar point location", runE7},
-		{"e8", "E8 (Theorem 5 / Corollary 1): spatial point location", runE8},
-		{"e9", "E9 (Theorem 6): retrieval — segment intersection, enclosure, range search", runE9},
-		{"e10", "E10 (Corollary 2): d-dimensional range search", runE10},
-		{"e11", "E11 (Lemma 1): skeleton forest disjointness", runE11},
-		{"e12", "E12 (Lemma 3): window containment", runE12},
-		{"e13", "E13 (Section 2.2/2.3): per-hop processor demand", runE13},
-		{"e14", "E14 (Snir bound): cooperative binary search rounds", runE14},
-		{"fig5", "Fig. 5: branch-function inconsistency on the separator tree", runFig5},
-		{"e15", "E15 (extension, open problem 3): generalized search paths (subtrees)", runE15},
-		{"e16", "E16 (extension, open problem 4): dynamic updates, amortized rebuilds", runE16},
-		{"e17", "E17: whole searches executed on the conflict-checked CREW simulator", runE17},
-		{"e18", "E18: Snir lower-bound adversary game (optimality)", runE18},
-		{"e19", "E19 (chaos mode): fault-injected degrading cooperative search", runE19},
-		{"e20", "E20 (extension): batched multi-query engine throughput", runE20},
-		{"e21", "E21 (robustness): crash-safe snapshot persistence under disk faults", runE21},
-		{"e22", "E22 (extension): flat-layout hot path, host ns/op and allocs/op vs the pointer structure", runE22},
-		{"e23", "E23 (extension): construction throughput, sequential vs parallel build and flat freeze", runE23},
-		{"e24", "E24 (extension): snapshot cold-start, mmap vs deserialized vs refrozen restore per backend kind", runE24},
-		{"e25", "E25 (extension): serving-telemetry overhead, flight recorder and latency windows on vs off", runE25},
+	jsonDir := ""
+	if *jsonOut {
+		jsonDir = "."
 	}
 	want := strings.ToLower(*expFlag)
 	ran := 0
 	for _, e := range experiments {
 		if want == "all" || want == e.name {
-			fmt.Printf("\n=== %s ===\n", e.title)
-			if *jsonOut {
-				benchOut = newBenchRecorder(e.name, *seed, kind.String())
-			}
-			start := time.Now()
-			e.run(*seed)
-			if benchOut != nil {
-				if err := benchOut.flush(time.Since(start)); err != nil {
-					log.Fatal(err)
-				}
-				benchOut = nil
+			if err := runExperiment(e, *seed, kind.String(), jsonDir); err != nil {
+				log.Fatal(err)
 			}
 			ran++
 		}
