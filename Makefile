@@ -47,15 +47,17 @@ test-snapshot:
 
 # Flat-layout gate: the 1000-case flat-vs-pointer differential and the
 # zero-alloc guards under the race detector, plus short fuzz smokes of the
-# freeze round-trip and the bounds-validated blob decoder (hostile bytes:
-# typed error or a queryable structure, never a panic).
+# freeze round-trip, the bounds-validated blob decoder (hostile bytes:
+# typed error or a queryable structure, never a panic), and the frozen
+# planar locator against the pointer one.
 test-flat:
 	$(GO) test -race ./internal/flat
 	$(GO) test -run='^$$' -fuzz=FuzzFlatFreeze -fuzztime=10s ./internal/flat
 	$(GO) test -run='^$$' -fuzz=FuzzFlatDecode -fuzztime=10s ./internal/flat
+	$(GO) test -run='^$$' -fuzz=FuzzFrozenLocate -fuzztime=10s ./internal/pointloc
 
 race:
-	$(GO) test -race ./internal/pram/... ./internal/parallel/... ./internal/workpool/... ./internal/cascade/... ./internal/engine/... ./internal/obs/... ./internal/flat/...
+	$(GO) test -race ./internal/pram/... ./internal/parallel/... ./internal/workpool/... ./internal/cascade/... ./internal/engine/... ./internal/obs/... ./internal/flat/... ./internal/pointloc/...
 
 # Coverage floor on the paper-critical packages: the core cascaded
 # structure, the batch engine, and the instrumentation they publish

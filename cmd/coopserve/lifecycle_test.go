@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"fraccascade/internal/flat"
 	"fraccascade/internal/snapshot"
 )
 
@@ -325,8 +326,11 @@ func TestSnapshotShapeMismatchRebuilds(t *testing.T) {
 }
 
 // TestFlatServingLifecycle: -flat serves the same answers as the pointer
-// engine, persists a frozen-layout sidecar next to the snapshot, and
-// preloads it on restart (refreezing zero times when the sidecar is good).
+// catalog shards, persists a sidecar of the catalog shards' frozen layouts
+// next to the snapshot, and preloads it on restart (refreezing zero times
+// when the sidecar is good). A corrupt sidecar, one truncated to its
+// header, and one that still carries a spatial blob (as older sidecars
+// did) each boot refrozen and serve the same answers.
 func TestFlatServingLifecycle(t *testing.T) {
 	for _, dynamic := range []bool{false, true} {
 		dir := t.TempDir()
@@ -338,6 +342,7 @@ func TestFlatServingLifecycle(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			req.Queries = append(req.Queries, wireQuery{Kind: "catalog", Shard: i % 2, Key: int64(131 * i), Leaf: int64(i)})
 		}
+		req.Queries = append(req.Queries, wireQuery{Kind: "point", X: 11, Y: 7}, wireQuery{Kind: "spatial", X: 2, Y: 3, Z: 1})
 
 		// Pointer baseline.
 		ptrCfg := cfg
@@ -373,19 +378,24 @@ func TestFlatServingLifecycle(t *testing.T) {
 		}
 
 		// Save-on-build wrote the sidecar next to the snapshot: one blob
-		// per catalog shard plus the spatial locator's.
+		// per catalog shard and nothing else.
 		sidecar := cfg.SnapshotPath + ".flat"
 		if _, err := os.Stat(sidecar); err != nil {
 			t.Fatalf("dynamic=%v: sidecar missing: %v", dynamic, err)
 		}
 		gen, blobs, err := snapshot.LoadFlat(sidecar)
-		if err != nil || len(blobs) != cfg.Shards+1 {
+		if err != nil || len(blobs) != cfg.Shards {
 			t.Fatalf("dynamic=%v: sidecar unreadable: gen=%d blobs=%d err=%v (want %d blobs)",
-				dynamic, gen, len(blobs), err, cfg.Shards+1)
+				dynamic, gen, len(blobs), err, cfg.Shards)
+		}
+		for i, b := range blobs {
+			if b.Kind != flat.StoreKindCatalog {
+				t.Fatalf("dynamic=%v: sidecar blob %d has kind %d, want catalog", dynamic, i, b.Kind)
+			}
 		}
 
-		// Restart: shards restore from the snapshot, every frozen layout —
-		// catalog and spatial — from the sidecar, with no refreeze on boot.
+		// Restart: shards restore from the snapshot, their frozen layouts
+		// from the sidecar, with no refreeze on boot.
 		second, err := newServer(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -394,8 +404,8 @@ func TestFlatServingLifecycle(t *testing.T) {
 			t.Fatalf("dynamic=%v: restart rebuilt instead of restoring", dynamic)
 		}
 		fbs := second.eng.FrozenBackends()
-		if len(fbs) != cfg.Shards+1 {
-			t.Fatalf("dynamic=%v: %d frozen backends, want %d", dynamic, len(fbs), cfg.Shards+1)
+		if len(fbs) != cfg.Shards {
+			t.Fatalf("dynamic=%v: %d frozen backends, want %d", dynamic, len(fbs), cfg.Shards)
 		}
 		for i, fb := range fbs {
 			if fb.Refreezes() != 0 {
@@ -429,37 +439,56 @@ func TestFlatServingLifecycle(t *testing.T) {
 			t.Fatalf("dynamic=%v: restored flat answers diverge", dynamic)
 		}
 
-		// Corrupt the sidecar: the next boot logs, refreezes, and still
-		// serves correct answers.
-		data, err := os.ReadFile(sidecar)
+		// Defective sidecars: each boot logs, refreezes, and still serves
+		// correct answers.
+		good, err := os.ReadFile(sidecar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)/2] ^= 0x20
-		if err := os.WriteFile(sidecar, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		third, err := newServer(cfg)
-		if err != nil {
-			t.Fatalf("dynamic=%v: corrupt sidecar aborted startup: %v", dynamic, err)
-		}
-		refroze := false
-		for _, fb := range third.eng.FrozenBackends() {
-			if fb.Refreezes() > 0 {
-				refroze = true
+		flipped := append([]byte(nil), good...)
+		flipped[len(flipped)/2] ^= 0x20
+		// The header is the 24 fixed bytes, one 24-byte table row per blob
+		// and the 4-byte CRC; its CRC still matches, so the decoder must
+		// catch the missing blobs by their offsets.
+		headerOnly := good[:24+24*len(blobs)+4]
+		legacy := snapshot.EncodeFlat(gen, append(blobs, snapshot.FlatBlob{Kind: flat.StoreKindSpatial, Data: blobs[0].Data}))
+		for _, bad := range []struct {
+			name string
+			data []byte
+			// whole: the sidecar is rejected as a whole, so every shard
+			// refreezes; otherwise only the shard with the flipped blob.
+			whole bool
+		}{{"corrupt", flipped, false}, {"header-only", headerOnly, true}, {"spatial-blob", legacy, true}} {
+			if err := os.WriteFile(sidecar, bad.data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !refroze {
-			t.Fatalf("dynamic=%v: corrupt sidecar served without a refreeze", dynamic)
-		}
-		if third.restoreMode != "refrozen" {
-			t.Fatalf("dynamic=%v: post-corruption restore mode %q, want refrozen", dynamic, third.restoreMode)
-		}
-		ts3 := httptest.NewServer(third.handler())
-		resp3, got3 := postQuery(t, ts3, req)
-		ts3.Close()
-		if resp3.StatusCode != http.StatusOK || !reflect.DeepEqual(want.Answers, got3.Answers) {
-			t.Fatalf("dynamic=%v: post-corruption flat answers diverge (status %d)", dynamic, resp3.StatusCode)
+			third, err := newServer(cfg)
+			if err != nil {
+				t.Fatalf("dynamic=%v: %s sidecar aborted startup: %v", dynamic, bad.name, err)
+			}
+			refrozen := 0
+			for _, fb := range third.eng.FrozenBackends() {
+				if fb.Refreezes() > 0 {
+					refrozen++
+				}
+			}
+			if refrozen == 0 || (bad.whole && (refrozen != cfg.Shards || third.flatView != nil)) {
+				t.Fatalf("dynamic=%v: %s sidecar: %d of %d shards refroze (view kept: %v)",
+					dynamic, bad.name, refrozen, cfg.Shards, third.flatView != nil)
+			}
+			if third.restoreMode != "refrozen" {
+				t.Fatalf("dynamic=%v: %s sidecar: restore mode %q, want refrozen", dynamic, bad.name, third.restoreMode)
+			}
+			ts3 := httptest.NewServer(third.handler())
+			code, readyBody := getStatus(t, ts3, "/readyz")
+			resp3, got3 := postQuery(t, ts3, req)
+			ts3.Close()
+			if code != http.StatusOK || !strings.Contains(readyBody, "restore_mode=refrozen") {
+				t.Fatalf("dynamic=%v: %s sidecar: /readyz = %d %q, want ready restore_mode=refrozen", dynamic, bad.name, code, readyBody)
+			}
+			if resp3.StatusCode != http.StatusOK || !reflect.DeepEqual(want.Answers, got3.Answers) {
+				t.Fatalf("dynamic=%v: %s sidecar: flat answers diverge (status %d)", dynamic, bad.name, resp3.StatusCode)
+			}
 		}
 	}
 }

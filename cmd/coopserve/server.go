@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -118,8 +120,10 @@ type server struct {
 	// cfg.Flat is set; s.shards keeps the inner (snapshotable) backends.
 	flatShards []*engine.FlatShard
 	trees      []*tree.Tree
-	sub        *subdivision.Subdivision
-	cx         *spatial.Complex
+	// geomBuilt, when set before build, is handed every pointer geometry
+	// object build creates (subdivision, complex, both locators). Tests
+	// attach finalizers through it to prove none outlives the freeze.
+	geomBuilt func(obj any)
 
 	state    atomic.Int32
 	inflight atomic.Int64
@@ -131,10 +135,10 @@ type server struct {
 	// so it stays open for the server's lifetime; nil when the layouts
 	// were refrozen or read into private memory.
 	flatView *snapshot.FlatView
-	// restoreMode records how the frozen layouts came to be under flat
-	// serving: "mmap", "deserialized", or "refrozen" (empty without
-	// -flat). Written before the ready flip; surfaced on /readyz and as
-	// the serve.restore_mode gauge.
+	// restoreMode records how the catalog shards' frozen layouts came to
+	// be under flat serving: "mmap", "deserialized", or "refrozen" (empty
+	// without -flat). Written before the ready flip; surfaced on /readyz
+	// and as the serve.restore_mode gauge.
 	restoreMode string
 
 	obsShed        *obs.Counter // admission-control 503s
@@ -191,15 +195,20 @@ func newServer(cfg serverConfig) (*server, error) {
 	return s, nil
 }
 
-// build constructs or restores the catalog shards, builds the geometric
-// locators, wires the engine, and flips the server to ready. The catalog
-// shards and the geometry draw from independently seeded streams so a
-// snapshot restore (which skips shard generation) serves the exact same
-// subdivision and complex as a from-scratch build.
+// build builds and freezes the geometric locators, constructs or restores
+// the catalog shards, wires the engine, and flips the server to ready. The
+// geometry comes first, while the heap holds nothing else (see
+// buildGeometry). The catalog shards and the geometry draw from
+// independently seeded streams so a snapshot restore (which skips shard
+// generation) serves the exact same subdivision and complex as a
+// from-scratch build.
 func (s *server) build() error {
+	pl, sp, err := s.buildGeometry()
+	if err != nil {
+		return err
+	}
 	shards, trees, loaded := s.restoreShards()
 	if !loaded {
-		var err error
 		shards, trees, err = buildShards(s.cfg)
 		if err != nil {
 			return err
@@ -211,43 +220,17 @@ func (s *server) build() error {
 	// inner backends so the snapshot path is unchanged. The sidecar — when
 	// the shards were just restored and one of the matching generation sits
 	// next to the snapshot — is opened once (memory-mapped where the
-	// platform allows) and its blobs routed to the backends by kind.
+	// platform allows) and its blobs routed to the shards.
 	engineShards := shards
-	var catBlobs [][]byte
-	var spatialBlob []byte
 	if s.cfg.Flat {
-		catBlobs, spatialBlob = s.openFlatSidecar(loaded, len(shards))
-		wrapped, err := s.wrapFlat(shards, catBlobs)
+		wrapped, err := s.wrapFlat(shards, s.openFlatSidecar(loaded, len(shards)))
 		if err != nil {
 			return err
 		}
 		engineShards = wrapped
 	}
 
-	geomRNG := rand.New(rand.NewSource(s.cfg.Seed ^ 0x67656f6d)) // "geom"
-	sub, err := subdivision.Generate(s.cfg.Regions, 24, geomRNG)
-	if err != nil {
-		return err
-	}
-	pl, err := pointloc.Build(sub, core.Config{Parallelism: s.cfg.BuildParallelism})
-	if err != nil {
-		return err
-	}
-	s.sub = sub
-	cx, err := spatial.Generate(s.cfg.Tiles, 4, geomRNG)
-	if err != nil {
-		return err
-	}
-	sp, err := spatial.NewLocatorParallel(cx, s.cfg.BuildParallelism)
-	if err != nil {
-		return err
-	}
-	s.cx = cx
-	var frozenSp *spatial.Frozen
-	if s.cfg.Flat && spatialBlob != nil {
-		frozenSp = preloadFlatSpatial(sp, cx, spatialBlob)
-	}
-	s.eng, err = engine.New(engine.Config{
+	s.eng, err = engine.NewFrozen(engine.Config{
 		Procs:            s.cfg.Procs,
 		BatchSize:        s.cfg.BatchSize,
 		BuildParallelism: s.cfg.BuildParallelism,
@@ -256,7 +239,6 @@ func (s *server) build() error {
 		Tracer:           obs.Fanout(s.ring, s.stream),
 		Recorder:         s.recorder,
 		Flat:             s.cfg.Flat,
-		FrozenSpatial:    frozenSp,
 	}, engineShards, pl, sp)
 	if err != nil {
 		return err
@@ -272,9 +254,91 @@ func (s *server) build() error {
 	return nil
 }
 
-// setRestoreMode classifies how the frozen layouts were restored and
-// publishes it ("mmap" > "deserialized" > "refrozen": any backend that had
-// to refreeze demotes the whole restore). A no-op without flat serving.
+// buildGeometry builds the served locators one at a time — subdivision,
+// pointer planar locator, freeze; then complex, pointer spatial locator,
+// freeze — and returns only the frozen layouts, so no pointer geometry
+// outlives the call. Both inputs come from one stream seeded
+// seed ^ "geom", the subdivision drawn first; bench/e2e's oracle
+// regenerates the geometry the same way.
+func (s *server) buildGeometry() (*pointloc.Frozen, *spatial.Frozen, error) {
+	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x67656f6d)) // "geom"
+	allocated := heapAllocBytes()
+	pl, err := s.freezePlanar(rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The pointer planar structures are garbage now. Left to the pacer,
+	// whose goal was set while they were live, the spatial build grows the
+	// heap on top of them. A collection here marks only the frozen planar
+	// layout, because build runs it before the catalog shards exist.
+	if heapAllocBytes()-allocated >= collectAfterPlanarBytes {
+		runtime.GC()
+	}
+	sp, err := s.freezeSpatial(rng)
+	return pl, sp, err
+}
+
+// collectAfterPlanarBytes is the planar build allocation above which
+// buildGeometry collects the dead pointer planar structures before the
+// spatial build. Measured on a 2-vCPU host: at 8192 regions the build
+// allocates about 70 MB, and the collection takes peak RSS at ready on the
+// geo-mixed shape from 58–86 MB down to 54–68 MB; at coopserve's default
+// 64 regions it allocates under 1 MB, and a forced collection (1–5 ms)
+// would add up to a quarter to a 16 ms boot.
+const collectAfterPlanarBytes = 16 << 20
+
+// heapAllocBytes returns the bytes allocated on the heap since the process
+// started.
+func heapAllocBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// freezePlanar draws the subdivision from rng and returns its frozen
+// planar locator.
+func (s *server) freezePlanar(rng *rand.Rand) (*pointloc.Frozen, error) {
+	sub, err := subdivision.Generate(s.cfg.Regions, 24, rng)
+	if err != nil {
+		return nil, err
+	}
+	loc, err := pointloc.Build(sub, core.Config{Parallelism: s.cfg.BuildParallelism})
+	if err != nil {
+		return nil, err
+	}
+	s.noteGeometry(sub, loc)
+	return loc.Freeze(s.cfg.BuildParallelism)
+}
+
+// freezeSpatial draws the complex from rng and returns its frozen spatial
+// locator.
+func (s *server) freezeSpatial(rng *rand.Rand) (*spatial.Frozen, error) {
+	cx, err := spatial.Generate(s.cfg.Tiles, 4, rng)
+	if err != nil {
+		return nil, err
+	}
+	loc, err := spatial.NewLocatorParallel(cx, s.cfg.BuildParallelism)
+	if err != nil {
+		return nil, err
+	}
+	s.noteGeometry(cx, loc)
+	return loc.Freeze()
+}
+
+// noteGeometry hands pointer geometry objects to the geomBuilt hook.
+func (s *server) noteGeometry(objs ...any) {
+	if s.geomBuilt == nil {
+		return
+	}
+	for _, o := range objs {
+		s.geomBuilt(o)
+	}
+}
+
+// setRestoreMode classifies how the catalog shards' frozen layouts were
+// restored and publishes it ("mmap" > "deserialized" > "refrozen": any
+// shard that had to refreeze demotes the whole restore). A no-op without
+// flat serving.
 func (s *server) setRestoreMode() {
 	if !s.cfg.Flat {
 		return
@@ -443,46 +507,44 @@ func shardsGeneration(shards []engine.CatalogBackend) uint64 {
 }
 
 // openFlatSidecar opens the sidecar next to the snapshot — memory-mapped
-// where the platform allows — and splits its blobs by kind: the catalog
-// shard blobs in shard order plus the spatial locator's blob. Any defect
-// (missing, corrupt, generation skew, wrong shard count, unknown kinds)
-// logs, discards the view, and returns nils: every backend then refreezes
-// from its pointer structure. On success the view is retained on s for the
-// server's lifetime, because zero-copy layouts serve straight out of it.
-func (s *server) openFlatSidecar(fromSnapshot bool, nShards int) (catBlobs [][]byte, spatialBlob []byte) {
+// where the platform allows — and returns its catalog shard blobs in shard
+// order. Any defect (missing, corrupt, generation skew, wrong shard count,
+// a blob of another kind — such as the spatial blob older sidecars
+// carried) logs, discards the view, and returns nil: every shard then
+// refreezes from its pointer structure. On success the view is retained on
+// s for the server's lifetime, because zero-copy layouts serve straight
+// out of it.
+func (s *server) openFlatSidecar(fromSnapshot bool, nShards int) [][]byte {
 	path := s.flatSidecarPath()
 	if path == "" || !fromSnapshot {
-		return nil, nil
+		return nil
 	}
 	v, err := snapshot.OpenFlat(path)
 	if err != nil {
 		log.Printf("coopserve: flat sidecar %s unusable, refreezing: %v", path, err)
-		return nil, nil
+		return nil
 	}
 	if v.Generation != shardsGeneration(s.shards) {
 		log.Printf("coopserve: flat sidecar %s is for another snapshot (generation %d); refreezing", path, v.Generation)
 		_ = v.Close()
-		return nil, nil
+		return nil
 	}
+	var catBlobs [][]byte
 	for _, b := range v.Blobs {
-		switch b.Kind {
-		case flat.StoreKindCatalog:
-			catBlobs = append(catBlobs, b.Data)
-		case flat.StoreKindSpatial:
-			spatialBlob = b.Data
-		default:
+		if b.Kind != flat.StoreKindCatalog {
 			log.Printf("coopserve: flat sidecar %s has a blob of unknown kind %d; refreezing", path, b.Kind)
 			_ = v.Close()
-			return nil, nil
+			return nil
 		}
+		catBlobs = append(catBlobs, b.Data)
 	}
 	if len(catBlobs) != nShards {
 		log.Printf("coopserve: flat sidecar %s has %d catalog blobs, want %d; refreezing", path, len(catBlobs), nShards)
 		_ = v.Close()
-		return nil, nil
+		return nil
 	}
 	s.flatView = v
-	return catBlobs, spatialBlob
+	return catBlobs
 }
 
 // wrapFlat wraps every shard for flat serving, preloading the frozen
@@ -536,37 +598,9 @@ func preloadFlatShard(i int, be engine.CatalogBackend, blob []byte) *engine.Flat
 	return fs
 }
 
-// preloadFlatSpatial decodes the sidecar's spatial blob — zero-copy, like
-// the catalog shards — and spot-checks a few located cells against the
-// freshly built locator so a sidecar from a different complex is rejected.
-// Any failure returns nil and the engine freezes the locator itself.
-func preloadFlatSpatial(sp *spatial.Locator, cx *spatial.Complex, blob []byte) *spatial.Frozen {
-	f, _, err := spatial.OpenFrozen(blob)
-	if err != nil {
-		log.Printf("coopserve: flat sidecar spatial blob undecodable, refreezing: %v", err)
-		return nil
-	}
-	if f.Cells() != sp.Cells() {
-		log.Printf("coopserve: flat sidecar spatial blob has %d cells, locator has %d; refreezing", f.Cells(), sp.Cells())
-		return nil
-	}
-	rng := rand.New(rand.NewSource(0x73706f74)) // "spot"
-	sc := f.NewScratch()
-	for i := 0; i < 5; i++ {
-		x, y, z, _ := cx.RandomInteriorPoint(rng)
-		wantCell, wantStats, wantErr := sp.LocateCoop(x, y, z, 64)
-		gotCell, gotStats, gotErr := f.LocateCoopInto(x, y, z, 64, sc)
-		if gotCell != wantCell || gotStats != wantStats || (gotErr == nil) != (wantErr == nil) {
-			log.Printf("coopserve: flat sidecar spatial blob disagrees with the locator at (%d,%d,%d), refreezing", x, y, z)
-			return nil
-		}
-	}
-	return f
-}
-
-// saveFlatSidecar persists the current frozen layouts — every backend the
-// engine serves flat, catalog shards and spatial locator alike — next to
-// the snapshot; a no-op unless flat serving and snapshotting are both on.
+// saveFlatSidecar persists the catalog shards' current frozen layouts next
+// to the snapshot; a no-op unless flat serving and snapshotting are both
+// on.
 func (s *server) saveFlatSidecar() error {
 	path := s.flatSidecarPath()
 	if path == "" || s.eng == nil {

@@ -5,15 +5,21 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fraccascade/internal/obs"
+	"fraccascade/internal/spatial"
+	"fraccascade/internal/subdivision"
 )
 
 // testServer builds a small server so the httptest suite stays fast.
@@ -361,4 +367,78 @@ func TestStepsProfileEndpoint(t *testing.T) {
 	if !bytes.Contains(out, []byte("root-coop")) || !bytes.Contains(out, []byte("steps")) {
 		t.Fatalf("pprof -top output does not break down phases:\n%s", out)
 	}
+}
+
+// TestNoPointerGeometryAfterBuild pins the memory property of serving
+// point location from frozen layouts only: once build returns, no
+// subdivision, complex or pointer locator it created is reachable. Each
+// gets a finalizer that must run after a few GCs while the server stays
+// live, so an edit that keeps one (a server field, an engine reference, a
+// closure) fails here. The server must still answer every planar and
+// spatial query like the brute-force oracle over the same seeded geometry.
+func TestNoPointerGeometryAfterBuild(t *testing.T) {
+	cfg := lifecycleConfig()
+	s := newServerShell(cfg)
+	var built, freed atomic.Int32
+	s.geomBuilt = func(obj any) {
+		built.Add(1)
+		runtime.SetFinalizer(obj, func(any) { freed.Add(1) })
+	}
+	if err := s.build(); err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Load(); n != 4 {
+		t.Fatalf("build reported %d pointer geometry objects, want 4 (subdivision, complex, two locators)", n)
+	}
+	// Finalizers of objects that point at each other run one GC apart.
+	for i := 0; i < 50 && freed.Load() < built.Load(); i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if freed.Load() != built.Load() {
+		t.Fatalf("%d of %d pointer geometry objects still reachable after build", built.Load()-freed.Load(), built.Load())
+	}
+
+	sub, cx := servedGeometry(t, cfg)
+	var req queryRequest
+	var want []int
+	qrng := rand.New(rand.NewSource(99))
+	for i := 0; i < 40; i++ {
+		pt, region := sub.RandomInteriorPoint(qrng)
+		x, y, z, _ := cx.RandomInteriorPoint(qrng)
+		cell, err := cx.LocateBrute(x, y, z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Queries = append(req.Queries, wireQuery{Kind: "point", X: pt.X, Y: pt.Y}, wireQuery{Kind: "spatial", X: x, Y: y, Z: z})
+		want = append(want, region, cell)
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	resp, out := postQuery(t, ts, req)
+	if resp.StatusCode != http.StatusOK || len(out.Answers) != len(want) {
+		t.Fatalf("POST /query = %d with %d answers, want 200 with %d", resp.StatusCode, len(out.Answers), len(want))
+	}
+	for i, a := range out.Answers {
+		if got := a.Region + a.Cell; a.Err != "" || got != want[i] {
+			t.Fatalf("answer %d (%s): %d err %q, oracle %d", i, a.Kind, got, a.Err, want[i])
+		}
+	}
+	runtime.KeepAlive(s)
+}
+
+// servedGeometry regenerates the subdivision and complex a server with cfg
+// serves, with build's seed derivation and draw order.
+func servedGeometry(tb testing.TB, cfg serverConfig) (*subdivision.Subdivision, *spatial.Complex) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x67656f6d)) // "geom"
+	sub, err := subdivision.Generate(cfg.Regions, 24, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cx, err := spatial.Generate(cfg.Tiles, 4, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sub, cx
 }

@@ -457,6 +457,13 @@ func TestQueryBodyTooLarge(t *testing.T) {
 // decoding and encoding, and the per-query phase map, made it 574.
 const queryHandlerAllocsBound = 98
 
+// queryHandlerGeometryAllocsBound is the measured allocation count of one
+// warm POST /query of 16 planar and 16 spatial queries through the same
+// handler: the per-request allocations of the catalog case and nothing per
+// query, since the frozen locators allocate nothing. Served from the
+// pointer locators, the same request made 515.
+const queryHandlerGeometryAllocsBound = 35
+
 // TestQueryHandlerAllocs pins the serving path's allocations per warm
 // 32-query catalog request.
 func TestQueryHandlerAllocs(t *testing.T) {
@@ -491,5 +498,30 @@ func TestQueryHandlerAllocs(t *testing.T) {
 	t.Logf("POST /query (32 catalog queries): %.0f allocs/request", allocs)
 	if allocs > queryHandlerAllocsBound {
 		t.Errorf("POST /query allocates %.0f per warm 32-query request, want <= %d", allocs, queryHandlerAllocsBound)
+	}
+
+	// Geometry: 16 planar and 16 spatial queries inside the served
+	// subdivision and complex.
+	sub, cx := servedGeometry(t, cfg)
+	rng := rand.New(rand.NewSource(5))
+	req.Queries = req.Queries[:0]
+	for i := 0; i < 16; i++ {
+		pt, _ := sub.RandomInteriorPoint(rng)
+		x, y, z, _ := cx.RandomInteriorPoint(rng)
+		req.Queries = append(req.Queries, wireQuery{Kind: "point", X: pt.X, Y: pt.Y}, wireQuery{Kind: "spatial", X: x, Y: y, Z: z})
+	}
+	if body, err = json.Marshal(req); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"err"`) {
+			t.Fatalf("POST /query = %d: %s", w.Code, w.Body)
+		}
+	})
+	t.Logf("POST /query (32 geometry queries): %.0f allocs/request", allocs)
+	if allocs > queryHandlerGeometryAllocsBound {
+		t.Errorf("POST /query allocates %.0f per warm 32-query geometry request, want <= %d", allocs, queryHandlerGeometryAllocsBound)
 	}
 }

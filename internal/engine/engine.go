@@ -2,8 +2,9 @@
 // search structures: it accepts a stream of heterogeneous queries —
 // iterative catalog-graph searches (internal/core, internal/dynamic),
 // planar point location (internal/pointloc), and spatial point location
-// (internal/spatial) — groups them into batches, and executes each batch
-// as one index-claim loop on the shared host executor (internal/workpool).
+// (internal/spatial), both served from their frozen twins — groups them
+// into batches, and executes each batch as one index-claim loop on the
+// shared host executor (internal/workpool).
 //
 // The paper (Theorems 1–5) prices a *single* search with p processors.
 // Under concurrent traffic the p processors are the contended resource, so
@@ -208,11 +209,13 @@ type Config struct {
 	// (internal/flat) instead of the pointer structures: each shard is
 	// wrapped in a FlatShard at construction, so answers and Stats stay
 	// bit-identical while the hot path runs allocation-free on index
-	// arrays. Requires every shard to implement FlatSource.
+	// arrays. Requires every shard to implement FlatSource. It covers the
+	// catalog shards only: point location is always served frozen.
 	Flat bool
 	// BuildParallelism bounds the host workers used when Flat shards freeze
-	// or refreeze the pointer structure (0 = all cores, 1 = sequential).
-	// The frozen layout is bit-identical for every value.
+	// or refreeze the pointer structure, and when New freezes the planar
+	// locator (0 = all cores, 1 = sequential). The frozen layout is
+	// bit-identical for every value.
 	BuildParallelism int
 	// FingerCache upgrades the entry cache to distance-sensitive finger
 	// search: when a lookup misses exactly but a cached entry exists near
@@ -221,13 +224,6 @@ type Config struct {
 	// full O(log n) cooperative root search. Answers stay oracle-exact;
 	// only the charged entry rounds shrink. Off by default.
 	FingerCache bool
-	// FrozenSpatial, under Flat, preloads the spatial locator's frozen
-	// layout (a decoded snapshot-sidecar blob) instead of freezing at
-	// construction. A shape mismatch with the locator fails New — callers
-	// restoring from an untrusted sidecar should validate first and fall
-	// back to a nil FrozenSpatial. Ignored unless Flat is set and a
-	// locator is supplied.
-	FrozenSpatial *spatial.Frozen
 }
 
 // defaultCacheSize is the per-shard entry cache capacity when unset.
@@ -244,9 +240,13 @@ type Engine struct {
 	cfg    Config
 	shards []CatalogBackend
 	caches []*entryCache
-	pl     *pointloc.Locator
-	sp     spatialBackend
+	pl     *pointloc.Frozen
+	sp     *spatial.Frozen
 	pool   *workpool.Pool
+	// plScratch and spScratch pool the per-query scratch of the frozen
+	// locators across the executor's workers.
+	plScratch sync.Pool // *pointloc.Scratch
+	spScratch sync.Pool // *spatial.Scratch
 
 	mu      sync.Mutex
 	pending []Query
@@ -285,10 +285,35 @@ const (
 	phaseDescent
 )
 
-// New builds an engine over the given shards and locators. Any backend may
-// be absent (nil locators, empty shard list); queries of an unserved kind
-// fail individually with a routing error.
+// New builds an engine over the given shards and pointer locators: it
+// freezes each locator it is given and delegates to NewFrozen, so the
+// locators themselves are not retained. Any backend may be absent (nil
+// locators, empty shard list); queries of an unserved kind fail
+// individually with a routing error.
 func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.Locator) (*Engine, error) {
+	var (
+		fpl *pointloc.Frozen
+		fsp *spatial.Frozen
+		err error
+	)
+	if pl != nil {
+		if fpl, err = pl.Freeze(cfg.BuildParallelism); err != nil {
+			return nil, fmt.Errorf("engine: freeze planar locator: %w", err)
+		}
+	}
+	if sp != nil {
+		if fsp, err = sp.Freeze(); err != nil {
+			return nil, fmt.Errorf("engine: freeze spatial locator: %w", err)
+		}
+	}
+	return NewFrozen(cfg, shards, fpl, fsp)
+}
+
+// NewFrozen builds an engine over the given shards and frozen locators,
+// the only layout point location is served from. Any backend may be absent
+// (nil locators, empty shard list); queries of an unserved kind fail
+// individually with a routing error.
+func NewFrozen(cfg Config, shards []CatalogBackend, pl *pointloc.Frozen, sp *spatial.Frozen) (*Engine, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("engine: processor budget must be positive, got %d", cfg.Procs)
 	}
@@ -333,35 +358,21 @@ func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.
 			}
 		}
 	}
-	// The spatial locator goes through the same flat unification as the
-	// catalog shards: under Config.Flat it is served from its frozen twin,
-	// preloaded from a sidecar when the caller provides one.
-	var spb spatialBackend
-	if sp != nil {
-		spb = sp
-		if cfg.Flat {
-			var fsp *FlatSpatial
-			var err error
-			if cfg.FrozenSpatial != nil {
-				fsp, err = NewFlatSpatialFrom(sp, cfg.FrozenSpatial)
-			} else {
-				fsp, err = NewFlatSpatial(sp)
-			}
-			if err != nil {
-				return nil, err
-			}
-			spb = fsp
-		}
-	}
 	e := &Engine{
 		cfg:      cfg,
 		shards:   shards,
 		caches:   make([]*entryCache, len(shards)),
 		pl:       pl,
-		sp:       spb,
+		sp:       sp,
 		pool:     workpool.New(cfg.Workers),
 		tracer:   cfg.Tracer,
 		recorder: cfg.Recorder,
+	}
+	if pl != nil {
+		e.plScratch.New = func() any { return pl.NewScratch() }
+	}
+	if sp != nil {
+		e.spScratch.New = func() any { return sp.NewScratch() }
 	}
 	for i := range e.caches {
 		e.caches[i] = newEntryCache(cfg.CacheSize, cfg.Obs, i)
@@ -409,13 +420,13 @@ func (e *Engine) ExecuteBatch(qs []Query) ([]Answer, BatchReport, error) {
 }
 
 // ExecuteBatchContext is ExecuteBatch honouring cancellation and deadlines:
-// ctx is checked before each query starts and threaded into the
-// context-aware search paths of every backend kind, so a fired context
-// surfaces promptly as per-query errors (counted in the report) rather
-// than hanging the batch. A nil ctx runs the plain uncancellable path and
-// is behaviourally identical to ExecuteBatch. Cache-hit catalog entries
-// stay uncancellable — the hinted search skips the expensive cooperative
-// rounds the context guard exists to bound.
+// ctx is checked before each query starts and threaded into the catalog
+// backends' context-aware search, so a fired context surfaces promptly as
+// per-query errors (counted in the report) rather than hanging the batch.
+// A nil ctx runs the plain uncancellable path and is behaviourally
+// identical to ExecuteBatch. Cache-hit catalog entries stay uncancellable
+// — the hinted search skips the expensive cooperative rounds the context
+// guard exists to bound.
 func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query) ([]Answer, BatchReport, error) {
 	return e.execute(ctx, qs)
 }
@@ -672,7 +683,9 @@ func spatialPhases(s spatial.Stats) (ph [len(PhaseLabels)]int) {
 // runQuery executes one query with processor share p. useCache gates the
 // entry-point cache (the sequential baseline runs without it). A nil ctx
 // selects the plain uncancellable search paths; a non-nil ctx is checked
-// up front and threaded into each backend's context-aware variant.
+// up front, and threaded into the catalog backends' context-aware search.
+// A frozen locate runs in microseconds host-side, so the up-front check is
+// its only one.
 func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a Answer) {
 	a = Answer{Query: q, P: p}
 	// Per-query clock readings are paid only when a flight recorder wants
@@ -695,16 +708,9 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 			a.Err = fmt.Errorf("engine: no point-location backend configured")
 			return a
 		}
-		var (
-			region int
-			stats  core.Stats
-			err    error
-		)
-		if ctx != nil {
-			region, stats, err = e.pl.LocateCoopContext(ctx, q.Point, p)
-		} else {
-			region, stats, err = e.pl.LocateCoop(q.Point, p)
-		}
+		sc := e.plScratch.Get().(*pointloc.Scratch)
+		region, stats, err := e.pl.LocateCoopInto(q.Point, p, sc)
+		e.plScratch.Put(sc)
 		a.Region, a.Steps, a.Rounds, a.Err = region, stats.Steps, stats.RootRounds, err
 		if err == nil {
 			a.PhaseSteps = catalogPhases(stats)
@@ -714,16 +720,9 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 			a.Err = fmt.Errorf("engine: no spatial backend configured")
 			return a
 		}
-		var (
-			cell  int
-			stats spatial.Stats
-			err   error
-		)
-		if ctx != nil {
-			cell, stats, err = e.sp.LocateCoopContext(ctx, q.SX, q.SY, q.SZ, p)
-		} else {
-			cell, stats, err = e.sp.LocateCoop(q.SX, q.SY, q.SZ, p)
-		}
+		sc := e.spScratch.Get().(*spatial.Scratch)
+		cell, stats, err := e.sp.LocateCoopInto(q.SX, q.SY, q.SZ, p, sc)
+		e.spScratch.Put(sc)
 		a.Cell, a.Steps, a.Rounds, a.Err = cell, stats.Steps, stats.DiscrimRounds, err
 		if err == nil {
 			a.PhaseSteps = spatialPhases(stats)

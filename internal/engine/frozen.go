@@ -1,21 +1,14 @@
 package engine
 
 import (
-	"context"
-	"fmt"
-	"sync"
-
 	"fraccascade/internal/flat"
-	"fraccascade/internal/spatial"
 )
 
-// FrozenBackend is the engine's uniform view over every backend served
-// from a frozen flat layout, whatever the structure kind. It is what the
-// snapshot sidecar path programs against: save iterates FrozenBackends and
-// writes one (kind, blob) pair per backend; restore routes each sidecar
-// blob back to the matching backend by kind. The per-kind special-casing
-// this replaces lived in coopserve, which knew that "flat" meant exactly
-// the catalog shards.
+// FrozenBackend is the engine's view over a persistable backend served
+// from a frozen flat layout: a catalog shard under Config.Flat. It is what
+// the snapshot sidecar path programs against: save iterates FrozenBackends
+// and writes one (kind, blob) pair per backend; restore routes each
+// sidecar blob back to the matching backend by kind.
 type FrozenBackend interface {
 	// FrozenKind returns the flat store kind of the backend's blob
 	// (flat.StoreKindCatalog and friends).
@@ -43,110 +36,18 @@ func (fs *FlatShard) FrozenBlob() ([]byte, error) {
 	return f.MarshalBinary()
 }
 
-// spatialBackend is the engine's routing view over spatial locators; the
-// pointer Locator and FlatSpatial satisfy it with identical answers and
-// stats.
-type spatialBackend interface {
-	LocateCoop(x, y, z int64, p int) (int, spatial.Stats, error)
-	LocateCoopContext(ctx context.Context, x, y, z int64, p int) (int, spatial.Stats, error)
-}
-
-// FlatSpatial serves spatial point-location from the frozen flat layout of
-// an inner locator: a drop-in spatial backend with bit-identical cells and
-// Stats, running on the SoA arrays with zero allocations per query (the
-// scratch is pooled across goroutines). The locator is static — there is
-// no generation to track and never a refreeze after construction — so the
-// FrozenBackend surface reports generation 0 and a freeze count of 0 or 1.
-type FlatSpatial struct {
-	inner *spatial.Locator
-	f     *spatial.Frozen
-	froze uint64
-	pool  sync.Pool // *spatial.Scratch
-}
-
-// NewFlatSpatial freezes the locator and wraps it.
-func NewFlatSpatial(sp *spatial.Locator) (*FlatSpatial, error) {
-	f, err := sp.Freeze()
-	if err != nil {
-		return nil, fmt.Errorf("engine: freeze spatial locator: %w", err)
-	}
-	return newFlatSpatial(sp, f, 1), nil
-}
-
-// NewFlatSpatialFrom wraps the locator around an already-decoded frozen
-// layout (a snapshot sidecar), skipping the freeze when the preloaded
-// layout matches the locator's shape. A mismatch is rejected — the caller
-// should fall back to NewFlatSpatial.
-func NewFlatSpatialFrom(sp *spatial.Locator, f *spatial.Frozen) (*FlatSpatial, error) {
-	if f == nil {
-		return nil, fmt.Errorf("engine: nil preloaded frozen spatial layout")
-	}
-	if f.Cells() != sp.Cells() {
-		return nil, fmt.Errorf("engine: preloaded spatial layout has %d cells, locator has %d", f.Cells(), sp.Cells())
-	}
-	return newFlatSpatial(sp, f, 0), nil
-}
-
-func newFlatSpatial(sp *spatial.Locator, f *spatial.Frozen, froze uint64) *FlatSpatial {
-	fsp := &FlatSpatial{inner: sp, f: f, froze: froze}
-	fsp.pool.New = func() any { return f.NewScratch() }
-	return fsp
-}
-
-// LocateCoop implements spatialBackend on the frozen layout.
-func (fsp *FlatSpatial) LocateCoop(x, y, z int64, p int) (int, spatial.Stats, error) {
-	sc := fsp.pool.Get().(*spatial.Scratch)
-	cell, stats, err := fsp.f.LocateCoopInto(x, y, z, p, sc)
-	fsp.pool.Put(sc)
-	return cell, stats, err
-}
-
-// LocateCoopContext implements spatialBackend. The flat locate runs in
-// microseconds host-side, so cancellation is checked once up front (with
-// the pointer path's error shape) rather than between hops.
-func (fsp *FlatSpatial) LocateCoopContext(ctx context.Context, x, y, z int64, p int) (int, spatial.Stats, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, spatial.Stats{}, fmt.Errorf("spatial: locate cancelled: %w", err)
-		}
-	}
-	return fsp.LocateCoop(x, y, z, p)
-}
-
-// Frozen returns the served frozen layout, for tests and sidecar export.
-func (fsp *FlatSpatial) Frozen() *spatial.Frozen { return fsp.f }
-
-// FrozenKind implements FrozenBackend.
-func (fsp *FlatSpatial) FrozenKind() uint32 { return flat.StoreKindSpatial }
-
-// Generation implements FrozenBackend; the locator is static.
-func (fsp *FlatSpatial) Generation() uint64 { return 0 }
-
-// Refreezes implements FrozenBackend: 1 when construction froze the
-// locator, 0 when a preloaded layout is serving.
-func (fsp *FlatSpatial) Refreezes() uint64 { return fsp.froze }
-
-// FrozenBlob implements FrozenBackend.
-func (fsp *FlatSpatial) FrozenBlob() ([]byte, error) { return fsp.f.MarshalBinary() }
-
 var _ FrozenBackend = (*FlatShard)(nil)
-var _ FrozenBackend = (*FlatSpatial)(nil)
-var _ spatialBackend = (*spatial.Locator)(nil)
-var _ spatialBackend = (*FlatSpatial)(nil)
 
-// FrozenBackends returns every backend the engine serves from a frozen
-// layout, in a deterministic order: the catalog shards in shard order,
-// then the spatial locator. Empty unless the engine was built with
-// Config.Flat (or pre-wrapped flat shards).
+// FrozenBackends returns the catalog shards the engine serves from a frozen
+// layout, in shard order. Empty unless the engine was built with
+// Config.Flat (or pre-wrapped flat shards). The frozen locators are not
+// listed: they are rebuilt from the seed on every boot, never persisted.
 func (e *Engine) FrozenBackends() []FrozenBackend {
 	var out []FrozenBackend
 	for _, s := range e.shards {
 		if fb, ok := s.(FrozenBackend); ok {
 			out = append(out, fb)
 		}
-	}
-	if fsp, ok := e.sp.(*FlatSpatial); ok {
-		out = append(out, fsp)
 	}
 	return out
 }

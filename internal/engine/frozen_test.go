@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"fraccascade/internal/flat"
-	"fraccascade/internal/spatial"
 )
 
-// TestFrozenBackendsInventory pins the unified frozen surface: a Flat
-// engine exposes one FrozenBackend per catalog shard plus one for the
-// spatial locator, in that order, each exporting a decodable blob of its
-// declared kind.
+// TestFrozenBackendsInventory pins the persistable frozen surface: a Flat
+// engine exposes one FrozenBackend per catalog shard, in shard order, each
+// exporting a decodable catalog blob. The frozen locators are served but
+// never listed: geometry is rebuilt from the seed, not persisted.
 func TestFrozenBackendsInventory(t *testing.T) {
 	fx := buildFixture(t, 610, 1<<4, 900)
 	shards := []CatalogBackend{StaticShard{St: fx.static}, DynamicShard{D: fx.dyn}}
@@ -19,89 +18,31 @@ func TestFrozenBackendsInventory(t *testing.T) {
 		t.Fatal(err)
 	}
 	fbs := e.FrozenBackends()
-	if len(fbs) != len(shards)+1 {
-		t.Fatalf("%d frozen backends, want %d", len(fbs), len(shards)+1)
+	if len(fbs) != len(shards) {
+		t.Fatalf("%d frozen backends, want %d", len(fbs), len(shards))
 	}
-	wantKinds := []uint32{flat.StoreKindCatalog, flat.StoreKindCatalog, flat.StoreKindSpatial}
 	for i, fb := range fbs {
-		if fb.FrozenKind() != wantKinds[i] {
-			t.Fatalf("backend %d kind %d, want %d", i, fb.FrozenKind(), wantKinds[i])
+		if fb.FrozenKind() != flat.StoreKindCatalog {
+			t.Fatalf("backend %d kind %d, want catalog (%d)", i, fb.FrozenKind(), flat.StoreKindCatalog)
 		}
 		blob, err := fb.FrozenBlob()
 		if err != nil {
 			t.Fatalf("backend %d blob: %v", i, err)
 		}
-		switch fb.FrozenKind() {
-		case flat.StoreKindCatalog:
-			if _, _, err := flat.OpenStructure(blob); err != nil {
-				t.Fatalf("backend %d catalog blob undecodable: %v", i, err)
-			}
-		case flat.StoreKindSpatial:
-			if _, _, err := spatial.OpenFrozen(blob); err != nil {
-				t.Fatalf("backend %d spatial blob undecodable: %v", i, err)
-			}
+		if _, _, err := flat.OpenStructure(blob); err != nil {
+			t.Fatalf("backend %d catalog blob undecodable: %v", i, err)
 		}
 		if fb.Refreezes() == 0 {
 			t.Fatalf("backend %d reports 0 freezes after a non-preloaded build", i)
 		}
 	}
 
-	// A pointer engine exposes none.
+	// An engine over pointer catalog shards exposes none.
 	ptr, err := New(Config{Procs: 128}, []CatalogBackend{StaticShard{St: fx.static}}, fx.pl, fx.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(ptr.FrozenBackends()); n != 0 {
-		t.Fatalf("pointer engine exposes %d frozen backends", n)
-	}
-}
-
-// TestFlatSpatialPreload pins the sidecar restore path for the spatial
-// backend: a matching frozen layout is adopted without freezing, answers
-// stay bit-identical, and a mismatched layout is rejected.
-func TestFlatSpatialPreload(t *testing.T) {
-	fx := buildFixture(t, 611, 1<<4, 900)
-	f, err := fx.sp.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{Procs: 128, Flat: true, FrozenSpatial: f},
-		[]CatalogBackend{StaticShard{St: fx.static}}, fx.pl, fx.sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fbs := e.FrozenBackends()
-	sp := fbs[len(fbs)-1]
-	if sp.FrozenKind() != flat.StoreKindSpatial || sp.Refreezes() != 0 {
-		t.Fatalf("preloaded spatial backend: kind %d, %d freezes; want spatial kind, 0 freezes", sp.FrozenKind(), sp.Refreezes())
-	}
-	rng := seededRNG(t, 611)
-	for i := 0; i < 50; i++ {
-		x, y, z, _ := fx.cx.RandomInteriorPoint(rng)
-		q := SpatialQuery(x, y, z)
-		wantCell, wantStats, wantErr := fx.sp.LocateCoop(x, y, z, 128)
-		ans, _, err := e.ExecuteBatch([]Query{q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (ans[0].Err == nil) != (wantErr == nil) {
-			t.Fatalf("query %d err %v, want %v", i, ans[0].Err, wantErr)
-		}
-		if ans[0].Cell != wantCell || ans[0].Steps != wantStats.Steps {
-			t.Fatalf("query %d: cell/steps (%d, %d), want (%d, %d)", i, ans[0].Cell, ans[0].Steps, wantCell, wantStats.Steps)
-		}
-	}
-
-	// Mismatched preload: frozen layout from a different complex.
-	other := buildFixture(t, 612, 1<<4, 900)
-	wrong, err := other.sp.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrong.Cells() != fx.sp.Cells() {
-		if _, err := New(Config{Procs: 128, Flat: true, FrozenSpatial: wrong},
-			[]CatalogBackend{StaticShard{St: fx.static}}, fx.pl, fx.sp); err == nil {
-			t.Fatal("mismatched frozen spatial layout accepted")
-		}
+		t.Fatalf("engine over pointer shards exposes %d frozen backends", n)
 	}
 }

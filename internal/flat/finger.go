@@ -89,7 +89,7 @@ func (f *Structure) SearchExplicitFromFinger(y catalog.Key, path []tree.NodeID, 
 	if p < 1 {
 		p = 1
 	}
-	si := f.selectSub(p)
+	si := f.SelectSub(p)
 	stats := core.Stats{Sub: si, P: p}
 	out := make([]cascade.Result, len(path))
 	if finger < 0 || finger >= f.catLen(path[0]) {

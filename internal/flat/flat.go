@@ -15,6 +15,10 @@
 //     structure can stand in for the pointer structure anywhere the
 //     simulated PRAM cost model is observed (the engine, the benchmarks).
 //
+// FindAllInBlock exposes one hop's find(y, ·) over a whole block, the
+// primitive the frozen planar locator (pointloc.Frozen) builds its
+// point-location hop on, as core.FindAllInBlock is for the pointer one.
+//
 // The encoding round-trips through MarshalBinary/UnmarshalBinary with a
 // bounds-validated decoder (corrupt input yields an error, never a panic),
 // which is the substrate for the snapshot sidecar of internal/snapshot.

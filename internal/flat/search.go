@@ -99,7 +99,7 @@ func (f *Structure) SearchExplicitInto(y catalog.Key, path []tree.NodeID, p int,
 	if p < 1 {
 		p = 1
 	}
-	si := f.selectSub(p)
+	si := f.SelectSub(p)
 	stats := core.Stats{Sub: si, P: p}
 	pos := f.succ(path[0], y)
 	rounds := parallel.CoopSearchSteps(f.catLen(path[0]), p)
@@ -125,7 +125,7 @@ func (f *Structure) SearchExplicitWithEntry(y catalog.Key, path []tree.NodeID, p
 	if p < 1 {
 		p = 1
 	}
-	si := f.selectSub(p)
+	si := f.SelectSub(p)
 	stats := core.Stats{Sub: si, P: p}
 	out := make([]cascade.Result, len(path))
 	if !f.ValidEntry(path[0], entryPos, y) {
@@ -148,8 +148,9 @@ func (f *Structure) SearchExplicitWithEntry(y catalog.Key, path []tree.NodeID, p
 	return out, stats, true, nil
 }
 
-// selectSub is core.Structure.SelectSub on the flat layout.
-func (f *Structure) selectSub(p int) int {
+// SelectSub is core.Structure.SelectSub on the flat layout: the index of
+// the substructure serving p processors, clamped to the frozen range.
+func (f *Structure) SelectSub(p int) int {
 	i := f.params.SubstructureFor(p)
 	if i >= len(f.subs) {
 		i = len(f.subs) - 1
@@ -194,26 +195,10 @@ func (f *Structure) descendFrom(si int, y catalog.Key, seg []tree.NodeID, pos in
 // at every path node in the block through the Lemma 3 windows (Step 3).
 func (f *Structure) hopExplicit(sub *flatSub, bi int32, seg []tree.NodeID, idx int, y catalog.Key, pos int, out []cascade.Result, stats *core.Stats) (exitPos, levels int, err error) {
 	slotBase := int(sub.blockStart[bi])
-	blockLen := int(sub.blockStart[bi+1]) - slotBase
-	kpBase := int(sub.keyPosStart[bi])
+	kpRow, offset := sub.sample(bi, pos)
 
-	// Step 2: smallest sampled catalog entry ≥ pos (core.Block.sampleFor).
-	s := int(sub.s)
-	m := int(sub.blockM[bi])
-	k := pos / s
-	if k > m-1 {
-		k = m - 1
-	}
-	sampled := int(sub.keyPos[kpBase+k*blockLen])
-	if sampled < pos {
-		// pos lies beyond the last regular sample; use the +∞ tree.
-		k = m - 1
-		sampled = int(sub.keyPos[kpBase+k*blockLen])
-	}
-	kpRow := kpBase + k*blockLen
-
-	hopSlots := int64(s) // Step 2 assigns s_i processors to find the sample
-	lo := pos - sampled  // window left slack, non-positive
+	hopSlots := int64(sub.s) // Step 2 assigns s_i processors to find the sample
+	lo := -offset            // window left slack, non-positive
 	local := 0
 	exitPos = pos
 	maxLevel := int(sub.blockHeight[bi])
@@ -246,6 +231,26 @@ func (f *Structure) hopExplicit(sub *flatSub, bi int32, seg []tree.NodeID, idx i
 		stats.SlotsPeak = int(hopSlots)
 	}
 	return exitPos, maxLevel, nil
+}
+
+// sample is core.Block.sampleFor on the flat layout (Step 2): the keyPos
+// row of the skeleton tree whose sampled root entry is the smallest one at
+// or after pos in block bi, and that entry's distance above pos.
+func (sub *flatSub) sample(bi int32, pos int) (kpRow, offset int) {
+	blockLen := int(sub.blockStart[bi+1] - sub.blockStart[bi])
+	kpBase := int(sub.keyPosStart[bi])
+	m := int(sub.blockM[bi])
+	k := pos / int(sub.s)
+	if k > m-1 {
+		k = m - 1
+	}
+	sampled := int(sub.keyPos[kpBase+k*blockLen])
+	if sampled < pos {
+		// pos lies beyond the last regular sample; use the +∞ tree.
+		k = m - 1
+		sampled = int(sub.keyPos[kpBase+k*blockLen])
+	}
+	return kpBase + k*blockLen, sampled - pos
 }
 
 // ValidEntry is core.ValidEntry on the flat layout: pos is exactly

@@ -144,6 +144,13 @@ func DecodeFlat(data []byte) (generation uint64, blobs []FlatBlob, err error) {
 		if off != uint64(expectEnd) {
 			return 0, nil, corruptf(ErrCorrupt, "sidecar blob %d at offset %d, want %d", i, off, expectEnd)
 		}
+		// Bound the blob by the data before reading anything up to it: a
+		// truncated file can keep a valid header whose offsets point past
+		// its end.
+		end := off + length
+		if end < off || end > uint64(len(data)) {
+			return 0, nil, corruptf(ErrTruncated, "sidecar blob %d spans [%d, %d) of %d bytes", i, off, end, len(data))
+		}
 		// Alignment padding carries no checksum of its own; require it to
 		// be zero so a torn write or flip there still surfaces as typed
 		// corruption. padStart tracks the end of the previous region.
@@ -156,10 +163,6 @@ func DecodeFlat(data []byte) (generation uint64, blobs []FlatBlob, err error) {
 			if data[j] != 0 {
 				return 0, nil, corruptf(ErrCorrupt, "sidecar padding byte %d is %#x, want 0", j, data[j])
 			}
-		}
-		end := off + length
-		if end < off || end > uint64(len(data)) {
-			return 0, nil, corruptf(ErrTruncated, "sidecar blob %d spans [%d, %d) of %d bytes", i, off, end, len(data))
 		}
 		blobs = append(blobs, FlatBlob{Kind: kind, Data: data[off:end]})
 		expectEnd = int(end)

@@ -149,6 +149,24 @@ func TestFlatSidecarRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFlatSidecarTruncatedPastHeader pins the decoder on a sidecar cut
+// anywhere between the end of its header and its first blob: the header
+// and its CRC are intact, so the table's offsets point past the data, and
+// every such length must decode to a typed truncation error, never a
+// panic (the padding before the first blob used to be read before the
+// offset was checked).
+func TestFlatSidecarTruncatedPastHeader(t *testing.T) {
+	_, blobs := frozenBlobs(t, 73)
+	data := EncodeFlat(9, blobs)
+	headerLen := flatHeaderFixed + flatTableEntry*len(blobs) + 4
+	firstBlob := alignUp(headerLen, flatPageAlign)
+	for n := headerLen; n <= firstBlob; n++ {
+		if _, _, err := DecodeFlat(data[:n]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("sidecar cut to %d bytes (header %d, first blob at %d): err %v, want ErrTruncated", n, headerLen, firstBlob, err)
+		}
+	}
+}
+
 func TestFlatSidecarSaveLoad(t *testing.T) {
 	_, blobs := frozenBlobs(t, 73)
 	dir := t.TempDir()

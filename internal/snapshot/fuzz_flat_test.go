@@ -23,6 +23,7 @@ func FuzzFlatMmap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(flatMagic))
 	f.Add(valid[:flatHeaderFixed+4])
+	f.Add(valid[:flatHeaderFixed+flatTableEntry*len(blobs)+4]) // whole header, no blobs
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-1])
 	flipHeader := append([]byte{}, valid...)
