@@ -10,15 +10,18 @@ vet:
 
 # Lint with whatever is installed, in preference order: golangci-lint
 # (the CI linter, config in .golangci.yml), then staticcheck, then plain
-# go vet so the target never silently passes on a bare toolchain.
+# go vet plus the gofmt check CI's golangci-lint runs, so the target never
+# silently passes on a bare toolchain.
 lint:
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	elif command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
-		echo "lint: golangci-lint/staticcheck not installed, falling back to go vet"; \
-		$(GO) vet ./...; \
+		echo "lint: golangci-lint/staticcheck not installed, falling back to go vet and gofmt"; \
+		$(GO) vet ./... || exit 1; \
+		unformatted=$$(gofmt -l .); \
+		if [ -n "$$unformatted" ]; then echo "lint: gofmt would reformat:"; echo "$$unformatted"; exit 1; fi; \
 	fi
 
 build:

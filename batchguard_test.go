@@ -60,8 +60,7 @@ func buildEngineFixture(tb testing.TB, procs int, rng *rand.Rand) *engineFixture
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, err := engine.New(engine.Config{Procs: procs},
-		[]engine.CatalogBackend{engine.StaticShard{St: st}}, pl, sp)
+	eng, err := engine.New(engine.Config{Procs: procs}, []*core.Structure{st}, pl, sp)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -57,8 +57,7 @@ func runE20(seed int64) {
 		panic(err)
 	}
 	const procs = 4096
-	e, err := engine.New(engine.Config{Procs: procs, Obs: obsRegistry},
-		[]engine.CatalogBackend{engine.StaticShard{St: st}, engine.StaticShard{St: st2}}, pl, sp)
+	e, err := engine.New(engine.Config{Procs: procs, Obs: obsRegistry}, []*core.Structure{st, st2}, pl, sp)
 	if err != nil {
 		panic(err)
 	}

@@ -95,14 +95,14 @@ var e24Columns = benchfmt.Columns{Keys: []string{"kind", "mode"}, Metrics: []ben
 }}
 
 // runE24 measures snapshot cold-start: the wall time and pinned heap to
-// bring each frozen backend kind back to a queryable state from the flat
-// sidecar, across the three restore paths coopserve reports as
-// serve.restore_mode — mmap (zero-copy view over the mapped sidecar),
-// deserialized (read the file, copy-decode every array), and refrozen
-// (no usable sidecar: re-freeze from the pointer structure, the path a
-// corrupt or stale sidecar degrades to). The mmap rows are the tentpole
-// claim: restore cost stays flat as structures grow because nothing is
-// copied until queries touch pages.
+// bring each frozen backend kind back to a queryable state from a `.flat`
+// sidecar, across three restore paths — mmap (zero-copy view over the
+// mapped sidecar), deserialized (read the file, copy-decode every array),
+// and refrozen (no usable sidecar: re-freeze from the pointer structure).
+// The mmap rows are the tentpole claim: restore cost stays flat as
+// structures grow because nothing is copied until queries touch pages.
+// coopserve writes no sidecar: it decodes its varint snapshot and then
+// freezes each catalog shard, the refrozen path after a decode.
 func runE24(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	fmt.Println("snapshot cold-start: per-backend restore latency and pinned heap, mmap vs deserialized vs refrozen")
@@ -256,8 +256,7 @@ func runE24(seed int64) {
 		},
 	}
 
-	// Write the unified sidecar: one blob per kind, the exact layout
-	// coopserve -flat saves.
+	// Write the unified sidecar: one blob per kind.
 	dir, err := os.MkdirTemp("", "coopbench-e24-")
 	if err != nil {
 		panic(err)

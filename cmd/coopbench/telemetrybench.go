@@ -15,31 +15,26 @@ import (
 )
 
 const (
+	// e25Workload names E25's rows: the engine over frozen ("flat")
+	// catalog shards, its only catalog layout.
+	e25Workload = "flat"
 	e25BatchSet = 64 // distinct pre-generated batches replayed round-robin
 	e25Reps     = 5  // timing repeats; min survives (GC/scheduler noise)
 	e25Rounds   = 96 // timed batches per measurement pass
 )
 
-// e25Workload is one engine configuration plus a fixed batch stream; the
-// enabled and disabled measurements replay the identical batches.
-type e25Workload struct {
-	name    string
-	n       int
-	batches [][]engine.Query
-}
-
 // e25Engine builds the serving engine for one measurement arm. Both arms
 // carry the production observability baseline (metrics registry and span
 // ring); only the flight recorder — the subsystem E25 prices — differs.
-func e25Engine(seed int64, flat bool, rec *obs.FlightRecorder) (*engine.Engine, []*tree.Tree, int) {
+func e25Engine(seed int64, rec *obs.FlightRecorder) (*engine.Engine, []*tree.Tree, int) {
 	rng := rand.New(rand.NewSource(seed))
 	const total = 20000
 	st, bt := buildTree(1<<8, total, rng, core.Config{})
 	st2, bt2 := buildTree(1<<8, total, rng, core.Config{})
 	e, err := engine.New(engine.Config{
 		Procs: 4096, Obs: obs.NewRegistry(), Tracer: obs.NewRing(4096),
-		CacheSize: 64, FingerCache: true, Flat: flat, Recorder: rec,
-	}, []engine.CatalogBackend{engine.StaticShard{St: st}, engine.StaticShard{St: st2}}, nil, nil)
+		CacheSize: 64, FingerCache: true, Recorder: rec,
+	}, []*core.Structure{st, st2}, nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -113,49 +108,44 @@ var e25Columns = benchfmt.Columns{Keys: []string{"n", "batch"}, Metrics: []bench
 // with the flight recorder off (the 0-alloc nil path coopserve runs under
 // -flight-records=0) and on (recorder + rolling latency window + SLO fed
 // per answer, exactly the coopserve serving loop). The ratio column is
-// what the bench gate holds (e25Columns); the engine arms replay the E20
-// batched mix over the pointer and flat backends (E22's serving layout).
+// what the bench gate holds (e25Columns); both arms replay the E20
+// batched mix over the engine's one catalog layout, the frozen shards.
 func runE25(seed int64) {
 	fmt.Println("extension: serving-telemetry overhead — flight recorder + latency windows on vs off, identical batches")
 	fmt.Printf("%-8s %9s %7s %15s %15s %10s\n",
 		"workload", "n", "batch", "off ns/query", "on ns/query", "ratio")
-	for _, arm := range []struct {
-		name string
-		flat bool
-	}{{"pointer", false}, {"flat", true}} {
-		for _, batch := range []int{8, 32, 128} {
-			// Disabled arm: no recorder — the engine takes no per-query
-			// clock readings and records nothing.
-			eOff, trees, total := e25Engine(seed, arm.flat, nil)
-			batches := e25Batches(seed, trees, total, batch)
-			offNS := e25Time(eOff, batches, nil)
+	for _, batch := range []int{8, 32, 128} {
+		// Disabled arm: no recorder — the engine takes no per-query
+		// clock readings and records nothing.
+		eOff, trees, total := e25Engine(seed, nil)
+		batches := e25Batches(seed, trees, total, batch)
+		offNS := e25Time(eOff, batches, nil)
 
-			// Enabled arm: recorder sized like coopserve's default, plus
-			// the rolling window and SLO fed per answer.
-			rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: 2048})
-			latWin := obs.NewWindowedHistogram(10*time.Second, 12)
-			slo := obs.NewSLO(250*time.Millisecond, 0.99, 10*time.Second, 12)
-			eOn, trees, total := e25Engine(seed, arm.flat, rec)
-			batches = e25Batches(seed, trees, total, batch)
-			onNS := e25Time(eOn, batches, func(answers []engine.Answer) {
-				for i := range answers {
-					latWin.Observe(answers[i].WallNS)
-					slo.Observe(answers[i].WallNS)
-				}
-			})
-
-			ratio := onNS / offNS
-			fmt.Printf("%-8s %9d %7d %15.1f %15.1f %9.3fx\n",
-				arm.name, total, batch, offNS, onNS, ratio)
-			record(e25Columns, map[string]any{
-				"workload": arm.name, "n": total, "batch": batch,
-				"disabled_ns_per_query":    offNS,
-				"enabled_ns_per_query":     onNS,
-				"telemetry_overhead_ratio": ratio,
-			})
-			if st := rec.Stats(); st.Total == 0 {
-				panic("e25: enabled arm recorded nothing — the measurement is vacuous")
+		// Enabled arm: recorder sized like coopserve's default, plus
+		// the rolling window and SLO fed per answer.
+		rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: 2048})
+		latWin := obs.NewWindowedHistogram(10*time.Second, 12)
+		slo := obs.NewSLO(250*time.Millisecond, 0.99, 10*time.Second, 12)
+		eOn, trees, total := e25Engine(seed, rec)
+		batches = e25Batches(seed, trees, total, batch)
+		onNS := e25Time(eOn, batches, func(answers []engine.Answer) {
+			for i := range answers {
+				latWin.Observe(answers[i].WallNS)
+				slo.Observe(answers[i].WallNS)
 			}
+		})
+
+		ratio := onNS / offNS
+		fmt.Printf("%-8s %9d %7d %15.1f %15.1f %9.3fx\n",
+			e25Workload, total, batch, offNS, onNS, ratio)
+		record(e25Columns, map[string]any{
+			"workload": e25Workload, "n": total, "batch": batch,
+			"disabled_ns_per_query":    offNS,
+			"enabled_ns_per_query":     onNS,
+			"telemetry_overhead_ratio": ratio,
+		})
+		if st := rec.Stats(); st.Total == 0 {
+			panic("e25: enabled arm recorded nothing — the measurement is vacuous")
 		}
 	}
 	fmt.Println("ratio is gated by make bench-gate under the bound e25 declares.")

@@ -3,20 +3,24 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"fraccascade/internal/flat"
+	"fraccascade/internal/core"
+	"fraccascade/internal/dynamic"
 	"fraccascade/internal/snapshot"
+	"fraccascade/internal/tree"
 )
 
 // lifecycleConfig is the small-structure config the lifecycle suite uses.
@@ -196,299 +200,222 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotLifecycle is the full drain/restart loop for both shard
-// kinds: build writes a snapshot, a drain writes the final one, and a new
-// server restores from it — skipping the rebuild — with identical answers.
+// TestSnapshotLifecycle is the drain/restart loop: build writes a
+// snapshot, the drain leaves it untouched (every shard is static, so the
+// file is already current), and a new server restores from it — skipping
+// the rebuild — with identical answers.
 func TestSnapshotLifecycle(t *testing.T) {
-	for _, dynamic := range []bool{false, true} {
-		cfg := lifecycleConfig()
-		cfg.Dynamic = dynamic
-		cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
-		cfg.DrainTimeout = 2 * time.Second
-
-		first, err := newServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.loadedSnapshot {
-			t.Fatalf("dynamic=%v: first boot claims a snapshot load", dynamic)
-		}
-		if n := counterValue(t, first, "serve.snapshot.saves"); n != 1 {
-			t.Fatalf("dynamic=%v: save-on-build counter = %d, want 1", dynamic, n)
-		}
-		ts := httptest.NewServer(first.handler())
-		var req queryRequest
-		for i := 0; i < 8; i++ {
-			req.Queries = append(req.Queries, wireQuery{Kind: "catalog", Shard: i % 2, Key: int64(97 * i), Leaf: int64(i)})
-		}
-		resp, want := postQuery(t, ts, req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("dynamic=%v: seed query = %d", dynamic, resp.StatusCode)
-		}
-
-		// SIGTERM path minus the signal: drain, final snapshot, stop.
-		first.beginDrain()
-		if !first.awaitDrain(cfg.DrainTimeout) {
-			t.Fatalf("dynamic=%v: drain timed out", dynamic)
-		}
-		if err := first.saveSnapshot(); err != nil {
-			t.Fatalf("dynamic=%v: final snapshot: %v", dynamic, err)
-		}
-		ts.Close()
-		if _, err := snapshot.Load(cfg.SnapshotPath); err != nil {
-			t.Fatalf("dynamic=%v: final snapshot unreadable: %v", dynamic, err)
-		}
-
-		second, err := newServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !second.loadedSnapshot {
-			t.Fatalf("dynamic=%v: restart rebuilt instead of restoring", dynamic)
-		}
-		if n := counterValue(t, second, "serve.snapshot.loads"); n != 1 {
-			t.Fatalf("dynamic=%v: snapshot load counter = %d, want 1", dynamic, n)
-		}
-		ts2 := httptest.NewServer(second.handler())
-		resp2, got := postQuery(t, ts2, req)
-		ts2.Close()
-		if resp2.StatusCode != http.StatusOK {
-			t.Fatalf("dynamic=%v: restored query = %d", dynamic, resp2.StatusCode)
-		}
-		if !reflect.DeepEqual(want.Answers, got.Answers) {
-			t.Fatalf("dynamic=%v: restored server answers diverge", dynamic)
-		}
-	}
-}
-
-// TestSnapshotFallbackOnCorruption: a damaged snapshot file logs and falls
-// back to rebuild-from-source — startup never fails on bad bytes.
-func TestSnapshotFallbackOnCorruption(t *testing.T) {
 	cfg := lifecycleConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
+	cfg.DrainTimeout = 2 * time.Second
+
 	first, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = first
-	// Flip one byte mid-file.
-	data, err := os.ReadFile(cfg.SnapshotPath)
+	if first.loadedSnapshot {
+		t.Fatal("first boot claims a snapshot load")
+	}
+	if n := counterValue(t, first, "serve.snapshot.saves"); n != 1 {
+		t.Fatalf("save-on-build counter = %d, want 1", n)
+	}
+	saved, err := os.ReadFile(cfg.SnapshotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(cfg.SnapshotPath, data, 0o644); err != nil {
-		t.Fatal(err)
+	ts := httptest.NewServer(first.handler())
+	var req queryRequest
+	for i := 0; i < 8; i++ {
+		req.Queries = append(req.Queries, wireQuery{Kind: "catalog", Shard: i % 2, Key: int64(97 * i), Leaf: int64(i)})
 	}
+	resp, want := postQuery(t, ts, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed query = %d", resp.StatusCode)
+	}
+
+	// SIGTERM path minus the signal: drain, stop.
+	first.beginDrain()
+	if !first.awaitDrain(cfg.DrainTimeout) {
+		t.Fatal("drain timed out")
+	}
+	ts.Close()
+	if after, err := os.ReadFile(cfg.SnapshotPath); err != nil || !bytes.Equal(after, saved) {
+		t.Fatalf("drain changed the build-time snapshot (err %v)", err)
+	}
+
 	second, err := newServer(cfg)
 	if err != nil {
-		t.Fatalf("corrupt snapshot aborted startup: %v", err)
-	}
-	if second.loadedSnapshot {
-		t.Fatalf("corrupt snapshot was served")
-	}
-	// The rebuild refreshed the snapshot; a third boot restores cleanly.
-	third, err := newServer(cfg)
-	if err != nil {
 		t.Fatal(err)
 	}
-	if !third.loadedSnapshot {
-		t.Fatalf("refreshed snapshot not restored")
+	if !second.loadedSnapshot {
+		t.Fatal("restart rebuilt instead of restoring")
+	}
+	if n := counterValue(t, second, "serve.snapshot.loads"); n != 1 {
+		t.Fatalf("snapshot load counter = %d, want 1", n)
+	}
+	if n := counterValue(t, second, "serve.snapshot.saves"); n != 0 {
+		t.Fatalf("restore boot saved %d snapshots, want 0", n)
+	}
+	ts2 := httptest.NewServer(second.handler())
+	resp2, got := postQuery(t, ts2, req)
+	ts2.Close()
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("restored query = %d", resp2.StatusCode)
+	}
+	if !reflect.DeepEqual(want.Answers, got.Answers) {
+		t.Fatal("restored server answers diverge")
 	}
 }
 
-// TestSnapshotShapeMismatchRebuilds: a snapshot whose shard count or kind
-// disagrees with the flags is ignored, not served.
+// TestSnapshotFallbackOnCorruption: a damaged snapshot logs and falls back
+// to rebuilding every shard from the seed — startup never fails on bad
+// bytes. The damage may fail the checksums before any shard is decoded (a
+// flipped byte), or only the last shard's decode, after the shards before
+// it were decoded and frozen (a corrupt count with its checksum
+// re-sealed). Either way the boot loads nothing, serves oracle-exact
+// answers, and saves a snapshot that the next boot restores.
+func TestSnapshotFallbackOnCorruption(t *testing.T) {
+	cfg := lifecycleConfig()
+	req, check := oracleRequest(t, cfg, 24, 11)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*testing.T, []byte)
+		decoded int // shard structures decoded before the failure
+	}{
+		{"flipped byte", func(_ *testing.T, data []byte) { data[len(data)/2] ^= 0x40 }, 0},
+		{"last shard", corruptLastShardTree, cfg.Shards - 1},
+	} {
+		cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
+		if _, err := newServer(cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(cfg.SnapshotPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(t, data)
+		if err := os.WriteFile(cfg.SnapshotPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, made := countingBoot(t, cfg)
+		if s.loadedSnapshot || counterValue(t, s, "serve.snapshot.loads") != 0 {
+			t.Fatalf("%s: corrupt snapshot was served", tc.name)
+		}
+		if want := tc.decoded + cfg.Shards; made != want {
+			t.Fatalf("%s: boot made %d shard structures, want %d decoded and %d rebuilt", tc.name, made, tc.decoded, cfg.Shards)
+		}
+		ts := httptest.NewServer(s.handler())
+		resp, out := postQuery(t, ts, req)
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: POST /query after the rebuild = %d", tc.name, resp.StatusCode)
+		}
+		check(t, out.Answers)
+		next, err := newServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !next.loadedSnapshot {
+			t.Fatalf("%s: the rebuild's snapshot was not restored", tc.name)
+		}
+	}
+}
+
+// countingBoot builds a server with cfg and reports how many catalog
+// shard structures its boot built or decoded. Startup never fails on a
+// bad snapshot, so an error here fails the test.
+func countingBoot(t *testing.T, cfg serverConfig) (*server, int) {
+	t.Helper()
+	s := newServerShell(cfg)
+	shards := 0
+	s.pointerBuilt = func(obj any) {
+		if _, ok := obj.(*core.Structure); ok {
+			shards++
+		}
+	}
+	if err := s.build(); err != nil {
+		t.Fatal(err)
+	}
+	return s, shards
+}
+
+// TestSnapshotShapeMismatchRebuilds: a snapshot whose manifest disagrees
+// with the flags — another shard count, or a dynamic shard, which
+// coopserve does not serve — is refused before any shard is decoded, and
+// the boot builds every shard from the seed instead.
 func TestSnapshotShapeMismatchRebuilds(t *testing.T) {
 	cfg := lifecycleConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 	if _, err := newServer(cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Same file, dynamic flags: the kinds no longer match.
-	cfg.Dynamic = true
-	s, err := newServer(cfg)
-	if err != nil {
+	// Same file (2 shards), 3-shard flags.
+	wide := cfg
+	wide.Shards = 3
+	s, decoded := countingBoot(t, wide)
+	if s.loadedSnapshot || decoded != wide.Shards {
+		t.Fatalf("2-shard snapshot for 3-shard flags: loaded %v, %d shard structures (want a rebuild of %d)",
+			s.loadedSnapshot, decoded, wide.Shards)
+	}
+
+	// A 2-shard snapshot whose second shard is dynamic, written the way
+	// E21 writes one.
+	rng := rand.New(rand.NewSource(5))
+	var shards []snapshot.Shard
+	for i := 0; i < cfg.Shards; i++ {
+		bt, err := tree.NewBalancedBinary(cfg.Leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cats := randomCatalogs(bt, cfg.Entries, rng)
+		if i == 0 {
+			st, err := core.Build(bt, cats, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards = append(shards, snapshot.Shard{Kind: snapshot.KindStatic, Static: st})
+			continue
+		}
+		d, err := dynamic.New(bt, cats, core.Config{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, snapshot.Shard{Kind: snapshot.KindDynamic, Dynamic: d})
+	}
+	if err := snapshot.Save(cfg.SnapshotPath, &snapshot.Store{Shards: shards}); err != nil {
 		t.Fatal(err)
 	}
-	if s.loadedSnapshot {
-		t.Fatalf("static snapshot served as dynamic shards")
-	}
-	// Same file (now dynamic), different shard count.
-	cfg.Shards = 3
-	s, err = newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.loadedSnapshot {
-		t.Fatalf("2-shard snapshot served for 3-shard flags")
+	s, decoded = countingBoot(t, cfg)
+	if s.loadedSnapshot || decoded != cfg.Shards {
+		t.Fatalf("snapshot with a dynamic shard: loaded %v, %d shard structures (want a rebuild of %d)",
+			s.loadedSnapshot, decoded, cfg.Shards)
 	}
 }
 
-// TestFlatServingLifecycle: -flat serves the same answers as the pointer
-// catalog shards, persists a sidecar of the catalog shards' frozen layouts
-// next to the snapshot, and preloads it on restart (refreezing zero times
-// when the sidecar is good). A corrupt sidecar, one truncated to its
-// header, and one that still carries a spatial blob (as older sidecars
-// did) each boot refrozen and serve the same answers.
-func TestFlatServingLifecycle(t *testing.T) {
-	for _, dynamic := range []bool{false, true} {
-		dir := t.TempDir()
-		cfg := lifecycleConfig()
-		cfg.Dynamic = dynamic
-		cfg.SnapshotPath = filepath.Join(dir, "shards.snap")
-
-		var req queryRequest
-		for i := 0; i < 10; i++ {
-			req.Queries = append(req.Queries, wireQuery{Kind: "catalog", Shard: i % 2, Key: int64(131 * i), Leaf: int64(i)})
-		}
-		req.Queries = append(req.Queries, wireQuery{Kind: "point", X: 11, Y: 7}, wireQuery{Kind: "spatial", X: 2, Y: 3, Z: 1})
-
-		// Pointer baseline.
-		ptrCfg := cfg
-		ptrCfg.SnapshotPath = filepath.Join(dir, "ptr.snap")
-		ptr, err := newServer(ptrCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tsPtr := httptest.NewServer(ptr.handler())
-		respPtr, want := postQuery(t, tsPtr, req)
-		tsPtr.Close()
-		if respPtr.StatusCode != http.StatusOK {
-			t.Fatalf("dynamic=%v: pointer query = %d", dynamic, respPtr.StatusCode)
-		}
-
-		// Flat server over the same seed: identical wire answers.
-		cfg.Flat = true
-		first, err := newServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(first.flatShards) != cfg.Shards {
-			t.Fatalf("dynamic=%v: %d flat shards, want %d", dynamic, len(first.flatShards), cfg.Shards)
-		}
-		ts := httptest.NewServer(first.handler())
-		resp, got := postQuery(t, ts, req)
-		ts.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("dynamic=%v: flat query = %d", dynamic, resp.StatusCode)
-		}
-		if !reflect.DeepEqual(want.Answers, got.Answers) {
-			t.Fatalf("dynamic=%v: flat answers diverge from pointer answers", dynamic)
-		}
-
-		// Save-on-build wrote the sidecar next to the snapshot: one blob
-		// per catalog shard and nothing else.
-		sidecar := cfg.SnapshotPath + ".flat"
-		if _, err := os.Stat(sidecar); err != nil {
-			t.Fatalf("dynamic=%v: sidecar missing: %v", dynamic, err)
-		}
-		gen, blobs, err := snapshot.LoadFlat(sidecar)
-		if err != nil || len(blobs) != cfg.Shards {
-			t.Fatalf("dynamic=%v: sidecar unreadable: gen=%d blobs=%d err=%v (want %d blobs)",
-				dynamic, gen, len(blobs), err, cfg.Shards)
-		}
-		for i, b := range blobs {
-			if b.Kind != flat.StoreKindCatalog {
-				t.Fatalf("dynamic=%v: sidecar blob %d has kind %d, want catalog", dynamic, i, b.Kind)
-			}
-		}
-
-		// Restart: shards restore from the snapshot, their frozen layouts
-		// from the sidecar, with no refreeze on boot.
-		second, err := newServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !second.loadedSnapshot {
-			t.Fatalf("dynamic=%v: restart rebuilt instead of restoring", dynamic)
-		}
-		fbs := second.eng.FrozenBackends()
-		if len(fbs) != cfg.Shards {
-			t.Fatalf("dynamic=%v: %d frozen backends, want %d", dynamic, len(fbs), cfg.Shards)
-		}
-		for i, fb := range fbs {
-			if fb.Refreezes() != 0 {
-				t.Fatalf("dynamic=%v: frozen backend %d (kind %d) refroze %d times despite a good sidecar",
-					dynamic, i, fb.FrozenKind(), fb.Refreezes())
-			}
-		}
-		if second.flatView == nil {
-			t.Fatalf("dynamic=%v: restart did not retain the sidecar view", dynamic)
-		}
-		wantMode := "deserialized"
-		if runtime.GOOS == "linux" || runtime.GOOS == "darwin" {
-			wantMode = "mmap"
-		}
-		if second.restoreMode != wantMode {
-			t.Fatalf("dynamic=%v: restore mode %q, want %q", dynamic, second.restoreMode, wantMode)
-		}
-		ts2r := httptest.NewServer(second.handler())
-		code, readyBody := getStatus(t, ts2r, "/readyz")
-		ts2r.Close()
-		if code != http.StatusOK || !strings.HasPrefix(readyBody, "ready") || !strings.Contains(readyBody, "restore_mode="+wantMode) {
-			t.Fatalf("dynamic=%v: /readyz = %d %q, want ready restore_mode=%s", dynamic, code, readyBody, wantMode)
-		}
-		ts2 := httptest.NewServer(second.handler())
-		resp2, got2 := postQuery(t, ts2, req)
-		ts2.Close()
-		if resp2.StatusCode != http.StatusOK {
-			t.Fatalf("dynamic=%v: restored flat query = %d", dynamic, resp2.StatusCode)
-		}
-		if !reflect.DeepEqual(want.Answers, got2.Answers) {
-			t.Fatalf("dynamic=%v: restored flat answers diverge", dynamic)
-		}
-
-		// Defective sidecars: each boot logs, refreezes, and still serves
-		// correct answers.
-		good, err := os.ReadFile(sidecar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flipped := append([]byte(nil), good...)
-		flipped[len(flipped)/2] ^= 0x20
-		// The header is the 24 fixed bytes, one 24-byte table row per blob
-		// and the 4-byte CRC; its CRC still matches, so the decoder must
-		// catch the missing blobs by their offsets.
-		headerOnly := good[:24+24*len(blobs)+4]
-		legacy := snapshot.EncodeFlat(gen, append(blobs, snapshot.FlatBlob{Kind: flat.StoreKindSpatial, Data: blobs[0].Data}))
-		for _, bad := range []struct {
-			name string
-			data []byte
-			// whole: the sidecar is rejected as a whole, so every shard
-			// refreezes; otherwise only the shard with the flipped blob.
-			whole bool
-		}{{"corrupt", flipped, false}, {"header-only", headerOnly, true}, {"spatial-blob", legacy, true}} {
-			if err := os.WriteFile(sidecar, bad.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			third, err := newServer(cfg)
-			if err != nil {
-				t.Fatalf("dynamic=%v: %s sidecar aborted startup: %v", dynamic, bad.name, err)
-			}
-			refrozen := 0
-			for _, fb := range third.eng.FrozenBackends() {
-				if fb.Refreezes() > 0 {
-					refrozen++
-				}
-			}
-			if refrozen == 0 || (bad.whole && (refrozen != cfg.Shards || third.flatView != nil)) {
-				t.Fatalf("dynamic=%v: %s sidecar: %d of %d shards refroze (view kept: %v)",
-					dynamic, bad.name, refrozen, cfg.Shards, third.flatView != nil)
-			}
-			if third.restoreMode != "refrozen" {
-				t.Fatalf("dynamic=%v: %s sidecar: restore mode %q, want refrozen", dynamic, bad.name, third.restoreMode)
-			}
-			ts3 := httptest.NewServer(third.handler())
-			code, readyBody := getStatus(t, ts3, "/readyz")
-			resp3, got3 := postQuery(t, ts3, req)
-			ts3.Close()
-			if code != http.StatusOK || !strings.Contains(readyBody, "restore_mode=refrozen") {
-				t.Fatalf("dynamic=%v: %s sidecar: /readyz = %d %q, want ready restore_mode=refrozen", dynamic, bad.name, code, readyBody)
-			}
-			if resp3.StatusCode != http.StatusOK || !reflect.DeepEqual(want.Answers, got3.Answers) {
-				t.Fatalf("dynamic=%v: %s sidecar: flat answers diverge (status %d)", dynamic, bad.name, resp3.StatusCode)
-			}
-		}
+// corruptLastShardTree lowers the node count at the start of the last
+// shard's tree section by one and re-seals the section's checksum, so the
+// file frames cleanly and only that shard's decode fails. A static shard
+// ends with its tree, cascade and core sections.
+func corruptLastShardTree(t *testing.T, data []byte) {
+	t.Helper()
+	const headerSize, secHeader = 28, 12
+	var starts []int
+	for off := headerSize; off < len(data); {
+		starts = append(starts, off)
+		off += secHeader + int(binary.LittleEndian.Uint64(data[off+4:])) + 4
 	}
+	if len(starts) < 4 {
+		t.Fatalf("snapshot has %d sections", len(starts))
+	}
+	sec := starts[len(starts)-3]
+	if id := binary.LittleEndian.Uint32(data[sec:]); id != 2 {
+		t.Fatalf("third-to-last section has id %d, want the tree section (2)", id)
+	}
+	plen := int(binary.LittleEndian.Uint64(data[sec+4:]))
+	if data[sec+secHeader] < 2 || data[sec+secHeader] >= 0x80 {
+		t.Fatalf("tree section starts with node count byte %#x", data[sec+secHeader])
+	}
+	data[sec+secHeader]--
+	sum := sec + secHeader + plen
+	binary.LittleEndian.PutUint32(data[sum:], crc32.Checksum(data[sec:sum], crc32.MakeTable(crc32.Castagnoli)))
 }

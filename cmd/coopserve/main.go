@@ -9,8 +9,8 @@
 //	GET  /spans?limit=N       JSONL span stream (replay=1 prepends history,
 //	                          follow=1 keeps tailing live spans)
 //	GET  /statusz             human-readable status page: live windowed
-//	                          latency quantiles, SLO burn rates, restore
-//	                          mode, cache/finger rates, recent slow queries
+//	                          latency quantiles, SLO burn rates,
+//	                          cache/finger rates, recent slow queries
 //	GET  /debug/slowlog       flight-recorder dump (JSON), filterable by
 //	                          ?shard=N&kind=K&min_ms=F&errors=1&limit=N
 //	GET  /debug/pprof/        host CPU/heap/goroutine profiles
@@ -26,11 +26,16 @@
 // rolling-window latency quantiles and the -slo-latency/-slo-objective
 // burn-rate gauges on /metrics.
 //
-// With -snapshot the daemon restores its catalog shards from a crash-safe
-// snapshot on start (falling back to rebuild on any corruption), saves one
-// after building, and writes a final snapshot on SIGTERM after draining
-// in-flight queries. Requests run under -request-timeout and are shed with
-// 503 + Retry-After past -max-inflight.
+// Every structure is served from its frozen layout: the catalog shards from
+// internal/flat, point location from the frozen locators. Boot builds (or
+// restores) each pointer structure, freezes it and drops it before the
+// next, so none is reachable once the daemon is ready. With -snapshot the
+// daemon restores its catalog shards from a crash-safe snapshot on start,
+// one shard at a time (falling back to rebuild on any corruption), and
+// saves one after building. The shards never change while serving, so
+// SIGTERM only drains in-flight queries: the file on disk is already
+// current. Requests run under -request-timeout and are shed with 503 +
+// Retry-After past -max-inflight.
 //
 // Usage:
 //
@@ -68,11 +73,9 @@ func main() {
 	flag.IntVar(&cfg.Regions, "regions", cfg.Regions, "planar subdivision regions")
 	flag.IntVar(&cfg.Tiles, "tiles", cfg.Tiles, "spatial complex tiles")
 	flag.IntVar(&cfg.RingSize, "ring", cfg.RingSize, "span flight-recorder capacity")
-	flag.BoolVar(&cfg.Dynamic, "dynamic", cfg.Dynamic, "serve dynamic (updatable) catalog shards")
-	flag.BoolVar(&cfg.Flat, "flat", cfg.Flat, "serve catalog shards from the frozen flat layout (zero-alloc hot path; with -snapshot, persists a .flat sidecar)")
-	flag.IntVar(&cfg.BuildParallelism, "build-parallelism", cfg.BuildParallelism, "host workers for shard builds, flat freezes, and snapshot restores (0 = all cores, 1 = sequential)")
+	flag.IntVar(&cfg.BuildParallelism, "build-parallelism", cfg.BuildParallelism, "host workers for shard builds, freezes, and snapshot restores (0 = all cores, 1 = sequential)")
 	flag.BoolVar(&cfg.FingerCache, "finger-cache", cfg.FingerCache, "serve catalog queries with distance-sensitive finger search from cached entry points")
-	flag.StringVar(&cfg.SnapshotPath, "snapshot", cfg.SnapshotPath, "snapshot path: load on start, save after build and on drain (empty = disabled)")
+	flag.StringVar(&cfg.SnapshotPath, "snapshot", cfg.SnapshotPath, "snapshot path: load on start, save after build (empty = disabled)")
 	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline on POST /query (0 = none)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /query cap before shedding with 503 (0 = unlimited)")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "how long SIGTERM waits for in-flight queries")
@@ -121,11 +124,6 @@ func main() {
 		srv.beginDrain()
 		if !srv.awaitDrain(cfg.DrainTimeout) {
 			log.Printf("coopserve: drain timeout with %d still in flight", srv.inflight.Load())
-		}
-		if err := srv.saveSnapshot(); err != nil {
-			log.Printf("coopserve: final snapshot: %v", err)
-		} else if cfg.SnapshotPath != "" {
-			log.Printf("coopserve: final snapshot written to %s", cfg.SnapshotPath)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

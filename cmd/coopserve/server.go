@@ -18,7 +18,6 @@ import (
 
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
-	"fraccascade/internal/dynamic"
 	"fraccascade/internal/engine"
 	"fraccascade/internal/flat"
 	"fraccascade/internal/obs"
@@ -43,11 +42,9 @@ type serverConfig struct {
 	Tiles     int // spatial complex tiles
 	RingSize  int // span flight-recorder capacity
 
-	Dynamic          bool          // serve dynamic (updatable) catalog shards
-	Flat             bool          // serve catalog shards from the frozen flat layout
 	BuildParallelism int           // host workers for builds, freezes, and snapshot restores (0 = all cores)
 	FingerCache      bool          // distance-sensitive finger search from cached entries
-	SnapshotPath     string        // load-on-start / save-on-build / save-on-drain path
+	SnapshotPath     string        // load-on-start / save-on-build path
 	RequestTimeout   time.Duration // per-request deadline on POST /query (0 = none)
 	MaxInflight      int           // admission-control cap on concurrent queries (0 = unlimited)
 	DrainTimeout     time.Duration // how long SIGTERM waits for in-flight queries
@@ -115,40 +112,28 @@ type server struct {
 	reg    *obs.Registry
 	ring   *obs.Ring
 	stream *spanStream
-	shards []engine.CatalogBackend
-	// flatShards holds the flat wrappers the engine serves from when
-	// cfg.Flat is set; s.shards keeps the inner (snapshotable) backends.
-	flatShards []*engine.FlatShard
-	trees      []*tree.Tree
-	// geomBuilt, when set before build, is handed every pointer geometry
-	// object build creates (subdivision, complex, both locators). Tests
-	// attach finalizers through it to prove none outlives the freeze.
-	geomBuilt func(obj any)
+	// catalogs are the frozen catalog shards the engine serves; the query
+	// handler reads their shapes to check leaves and build root paths.
+	catalogs []*flat.Structure
+	// pointerBuilt, when set before build, is handed every pointer
+	// structure build creates or decodes: the subdivision, the complex,
+	// both locators and each catalog shard's core.Structure. Tests attach
+	// finalizers through it to prove none outlives its freeze.
+	pointerBuilt func(obj any)
 
 	state    atomic.Int32
 	inflight atomic.Int64
 	// loadedSnapshot reports whether build restored the catalog shards from
 	// cfg.SnapshotPath instead of rebuilding them from the seed.
 	loadedSnapshot bool
-	// flatView is the opened (possibly memory-mapped) sidecar the frozen
-	// backends were preloaded from. Zero-copy structures alias its pages,
-	// so it stays open for the server's lifetime; nil when the layouts
-	// were refrozen or read into private memory.
-	flatView *snapshot.FlatView
-	// restoreMode records how the catalog shards' frozen layouts came to
-	// be under flat serving: "mmap", "deserialized", or "refrozen" (empty
-	// without -flat). Written before the ready flip; surfaced on /readyz
-	// and as the serve.restore_mode gauge.
-	restoreMode string
 
-	obsShed        *obs.Counter // admission-control 503s
-	obsPanics      *obs.Counter // handler panics recovered to 500s
-	obsTimeouts    *obs.Counter // per-request deadlines fired
-	obsCanceled    *obs.Counter // client disconnects observed mid-query
-	obsSnapSave    *obs.Counter // snapshots written
-	obsSnapLoad    *obs.Counter // snapshots restored on start
-	obsRestoreMode *obs.Gauge   // 2 = mmap, 1 = deserialized, 0 = refrozen
-	obsQueryErrs   *obs.Counter // per-query engine failures (sums BatchReport.Errors)
+	obsShed      *obs.Counter // admission-control 503s
+	obsPanics    *obs.Counter // handler panics recovered to 500s
+	obsTimeouts  *obs.Counter // per-request deadlines fired
+	obsCanceled  *obs.Counter // client disconnects observed mid-query
+	obsSnapSave  *obs.Counter // snapshots written
+	obsSnapLoad  *obs.Counter // snapshots restored on start
+	obsQueryErrs *obs.Counter // per-query engine failures (sums BatchReport.Errors)
 
 	// Serving telemetry (all nil with FlightRecords == 0): the per-query
 	// flight recorder behind /debug/slowlog and /statusz, and the rolling
@@ -179,7 +164,6 @@ func newServerShell(cfg serverConfig) *server {
 	s.obsCanceled = s.reg.Counter("serve.canceled")
 	s.obsSnapSave = s.reg.Counter("serve.snapshot.saves")
 	s.obsSnapLoad = s.reg.Counter("serve.snapshot.loads")
-	s.obsRestoreMode = s.reg.Gauge("serve.restore_mode")
 	s.obsQueryErrs = s.reg.Counter("serve.query.errors")
 	s.initTelemetry()
 	return s
@@ -195,60 +179,39 @@ func newServer(cfg serverConfig) (*server, error) {
 	return s, nil
 }
 
-// build builds and freezes the geometric locators, constructs or restores
-// the catalog shards, wires the engine, and flips the server to ready. The
-// geometry comes first, while the heap holds nothing else (see
-// buildGeometry). The catalog shards and the geometry draw from
+// build builds and freezes the geometric locators, restores or builds and
+// freezes the catalog shards, wires the engine, and flips the server to
+// ready. Each pointer structure is built or decoded, frozen and dropped
+// before the next one starts, with the collection rule applied in
+// between (see collector), so at most one is live at a time and none is
+// reachable once the server is ready. The geometry comes first, while the
+// heap holds nothing else. The catalog shards and the geometry draw from
 // independently seeded streams so a snapshot restore (which skips shard
 // generation) serves the exact same subdivision and complex as a
 // from-scratch build.
 func (s *server) build() error {
-	pl, sp, err := s.buildGeometry()
+	gc := newCollector()
+	pl, sp, err := s.buildGeometry(gc)
 	if err != nil {
 		return err
 	}
-	shards, trees, loaded := s.restoreShards()
-	if !loaded {
-		shards, trees, err = buildShards(s.cfg)
-		if err != nil {
+	catalogs := s.restoreShards(gc)
+	if catalogs == nil {
+		if catalogs, err = s.buildShards(gc); err != nil {
 			return err
 		}
 	}
-	s.shards, s.trees = shards, trees
-
-	// Flat serving: the engine gets the frozen wrappers; s.shards keeps the
-	// inner backends so the snapshot path is unchanged. The sidecar — when
-	// the shards were just restored and one of the matching generation sits
-	// next to the snapshot — is opened once (memory-mapped where the
-	// platform allows) and its blobs routed to the shards.
-	engineShards := shards
-	if s.cfg.Flat {
-		wrapped, err := s.wrapFlat(shards, s.openFlatSidecar(loaded, len(shards)))
-		if err != nil {
-			return err
-		}
-		engineShards = wrapped
-	}
-
+	s.catalogs = catalogs
 	s.eng, err = engine.NewFrozen(engine.Config{
-		Procs:            s.cfg.Procs,
-		BatchSize:        s.cfg.BatchSize,
-		BuildParallelism: s.cfg.BuildParallelism,
-		FingerCache:      s.cfg.FingerCache,
-		Obs:              s.reg,
-		Tracer:           obs.Fanout(s.ring, s.stream),
-		Recorder:         s.recorder,
-		Flat:             s.cfg.Flat,
-	}, engineShards, pl, sp)
+		Procs:       s.cfg.Procs,
+		BatchSize:   s.cfg.BatchSize,
+		FingerCache: s.cfg.FingerCache,
+		Obs:         s.reg,
+		Tracer:      obs.Fanout(s.ring, s.stream),
+		Recorder:    s.recorder,
+	}, catalogs, pl, sp)
 	if err != nil {
 		return err
-	}
-	s.setRestoreMode()
-	if !loaded {
-		// Save-on-build: the next restart skips the shard rebuild entirely.
-		if err := s.saveSnapshot(); err != nil {
-			log.Printf("coopserve: snapshot save failed (serving anyway): %v", err)
-		}
 	}
 	s.state.Store(stateReady)
 	return nil
@@ -260,32 +223,47 @@ func (s *server) build() error {
 // outlives the call. Both inputs come from one stream seeded
 // seed ^ "geom", the subdivision drawn first; bench/e2e's oracle
 // regenerates the geometry the same way.
-func (s *server) buildGeometry() (*pointloc.Frozen, *spatial.Frozen, error) {
+func (s *server) buildGeometry(gc *collector) (*pointloc.Frozen, *spatial.Frozen, error) {
 	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x67656f6d)) // "geom"
-	allocated := heapAllocBytes()
 	pl, err := s.freezePlanar(rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The pointer planar structures are garbage now. Left to the pacer,
-	// whose goal was set while they were live, the spatial build grows the
-	// heap on top of them. A collection here marks only the frozen planar
-	// layout, because build runs it before the catalog shards exist.
-	if heapAllocBytes()-allocated >= collectAfterPlanarBytes {
-		runtime.GC()
-	}
+	gc.next()
 	sp, err := s.freezeSpatial(rng)
 	return pl, sp, err
 }
 
-// collectAfterPlanarBytes is the planar build allocation above which
-// buildGeometry collects the dead pointer planar structures before the
-// spatial build. Measured on a 2-vCPU host: at 8192 regions the build
-// allocates about 70 MB, and the collection takes peak RSS at ready on the
-// geo-mixed shape from 58–86 MB down to 54–68 MB; at coopserve's default
-// 64 regions it allocates under 1 MB, and a forced collection (1–5 ms)
-// would add up to a quarter to a 16 ms boot.
-const collectAfterPlanarBytes = 16 << 20
+// collector applies the boot's collection rule: before the next pointer
+// structure is built or decoded, collect if the previous one allocated at
+// least collectAfterBytes. Its pointer structures are garbage by then.
+// Left to the pacer, whose goal was set while they were live, the next
+// build grows the heap on top of them; a collection here marks only the
+// frozen layouts built so far.
+type collector struct{ mark uint64 }
+
+// newCollector starts measuring the first structure's allocation.
+func newCollector() *collector { return &collector{mark: heapAllocBytes()} }
+
+// next applies the rule and starts measuring the next structure.
+func (c *collector) next() {
+	if heapAllocBytes()-c.mark >= collectAfterBytes {
+		runtime.GC()
+	}
+	c.mark = heapAllocBytes()
+}
+
+// collectAfterBytes is the allocation of one pointer structure's build or
+// decode above which the collector runs before the next one. Measured on a
+// 2-vCPU host: at 8192 regions the planar build allocates about 70 MB, and
+// the collection takes peak RSS at ready on the geo-mixed shape from
+// 58–86 MB down to 54–68 MB. On the catalog-cold shape (2 shards of 2^19
+// entries over 1024-leaf trees) the rule takes the median peak from 155
+// to 126 MB on a restore and from 212 to 203 MB on a build, at the same
+// time to ready. At coopserve's default sizes a structure allocates
+// under 16 MB, and a forced collection (1–5 ms) would add up to a quarter
+// to a 16 ms boot.
+const collectAfterBytes = 16 << 20
 
 // heapAllocBytes returns the bytes allocated on the heap since the process
 // started.
@@ -306,7 +284,7 @@ func (s *server) freezePlanar(rng *rand.Rand) (*pointloc.Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.noteGeometry(sub, loc)
+	s.notePointers(sub, loc)
 	return loc.Freeze(s.cfg.BuildParallelism)
 }
 
@@ -321,304 +299,131 @@ func (s *server) freezeSpatial(rng *rand.Rand) (*spatial.Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.noteGeometry(cx, loc)
+	s.notePointers(cx, loc)
 	return loc.Freeze()
 }
 
-// noteGeometry hands pointer geometry objects to the geomBuilt hook.
-func (s *server) noteGeometry(objs ...any) {
-	if s.geomBuilt == nil {
+// notePointers hands pointer structures to the pointerBuilt hook.
+func (s *server) notePointers(objs ...any) {
+	if s.pointerBuilt == nil {
 		return
 	}
 	for _, o := range objs {
-		s.geomBuilt(o)
+		s.pointerBuilt(o)
 	}
 }
 
-// setRestoreMode classifies how the catalog shards' frozen layouts were
-// restored and publishes it ("mmap" > "deserialized" > "refrozen": any
-// shard that had to refreeze demotes the whole restore). A no-op without
-// flat serving.
-func (s *server) setRestoreMode() {
-	if !s.cfg.Flat {
-		return
-	}
-	preloaded := s.flatView != nil
-	for _, fb := range s.eng.FrozenBackends() {
-		if fb.Refreezes() != 0 {
-			preloaded = false
-		}
-	}
-	switch {
-	case preloaded && s.flatView.Mapped:
-		s.restoreMode = "mmap"
-		s.obsRestoreMode.Set(2)
-	case preloaded:
-		s.restoreMode = "deserialized"
-		s.obsRestoreMode.Set(1)
-	default:
-		s.restoreMode = "refrozen"
-		s.obsRestoreMode.Set(0)
-	}
-}
-
-// buildShards generates the catalog shards from the seed.
-func buildShards(cfg serverConfig) ([]engine.CatalogBackend, []*tree.Tree, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var shards []engine.CatalogBackend
-	var trees []*tree.Tree
-	for i := 0; i < cfg.Shards; i++ {
-		bt, err := tree.NewBalancedBinary(cfg.Leaves)
-		if err != nil {
-			return nil, nil, err
-		}
-		cats := randomCatalogs(bt, cfg.Entries, rng)
-		coreCfg := core.Config{Parallelism: cfg.BuildParallelism}
-		if cfg.Dynamic {
-			d, err := dynamic.New(bt, cats, coreCfg, 0)
-			if err != nil {
-				return nil, nil, err
+// buildShards draws each catalog shard's catalogs from the cfg.Seed
+// stream in shard order, builds it, hands it to the snapshot writer (with
+// a snapshot path), freezes it and drops it, and returns the frozen
+// shards. A snapshot that fails to save only logs: the shards serve
+// anyway.
+func (s *server) buildShards(gc *collector) ([]*flat.Structure, error) {
+	rng := rand.New(rand.NewSource(s.cfg.Seed))
+	frozen := make([]*flat.Structure, 0, s.cfg.Shards)
+	var buildErr error
+	next := func(int) (snapshot.Shard, error) {
+		gc.next()
+		st, err := s.buildShard(rng)
+		if err == nil {
+			var f *flat.Structure
+			if f, err = flat.FreezeParallel(st, s.cfg.BuildParallelism); err == nil {
+				frozen = append(frozen, f)
+				return snapshot.Shard{Kind: snapshot.KindStatic, Static: st}, nil
 			}
-			shards = append(shards, engine.DynamicShard{D: d})
-		} else {
-			st, err := core.Build(bt, cats, coreCfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			shards = append(shards, engine.StaticShard{St: st})
 		}
-		trees = append(trees, bt)
+		buildErr = err
+		return snapshot.Shard{}, err
 	}
-	return shards, trees, nil
-}
-
-// restoreShards attempts to load the catalog shards from the configured
-// snapshot. Any failure — missing file, corruption, or a shape that does
-// not match the flags — logs and falls back to rebuild-from-source; it
-// never aborts startup.
-func (s *server) restoreShards() ([]engine.CatalogBackend, []*tree.Tree, bool) {
-	if s.cfg.SnapshotPath == "" {
-		return nil, nil, false
-	}
-	store, err := snapshot.LoadParallel(s.cfg.SnapshotPath, s.cfg.BuildParallelism)
-	if err != nil {
-		log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", s.cfg.SnapshotPath, err)
-		return nil, nil, false
-	}
-	if len(store.Shards) != s.cfg.Shards {
-		log.Printf("coopserve: snapshot has %d shards, flags want %d; rebuilding", len(store.Shards), s.cfg.Shards)
-		return nil, nil, false
-	}
-	wantKind := snapshot.KindStatic
-	if s.cfg.Dynamic {
-		wantKind = snapshot.KindDynamic
-	}
-	for i, sh := range store.Shards {
-		if sh.Kind != wantKind {
-			log.Printf("coopserve: snapshot shard %d has kind %d, flags want %d; rebuilding", i, sh.Kind, wantKind)
-			return nil, nil, false
+	if path := s.cfg.SnapshotPath; path != "" {
+		kinds := make([]snapshot.Kind, s.cfg.Shards)
+		for i := range kinds {
+			kinds[i] = snapshot.KindStatic
 		}
-	}
-	backends, err := engine.BackendsFromStore(store)
-	if err != nil {
-		log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", s.cfg.SnapshotPath, err)
-		return nil, nil, false
-	}
-	trees := make([]*tree.Tree, len(backends))
-	for i, be := range backends {
-		trees[i] = shardTree(be)
-	}
-	s.loadedSnapshot = true
-	s.obsSnapLoad.Inc()
-	return backends, trees, true
-}
-
-// shardTree returns the catalog tree behind a snapshotable backend.
-func shardTree(be engine.CatalogBackend) *tree.Tree {
-	switch b := be.(type) {
-	case engine.StaticShard:
-		return b.St.Tree()
-	case engine.DynamicShard:
-		return b.D.Static().Tree()
-	default:
-		panic(fmt.Sprintf("coopserve: unsnapshotable backend %T", be))
-	}
-}
-
-// snapshotStore assembles the persistable view of the catalog shards. The
-// store generation sums the dynamic shard generations, so it advances with
-// every flush and a freshly loaded snapshot is distinguishable from stale
-// ones.
-func (s *server) snapshotStore() (*snapshot.Store, error) {
-	st := &snapshot.Store{}
-	for i, be := range s.shards {
-		switch b := be.(type) {
-		case engine.StaticShard:
-			st.Shards = append(st.Shards, snapshot.Shard{Kind: snapshot.KindStatic, Static: b.St})
-		case engine.DynamicShard:
-			st.Shards = append(st.Shards, snapshot.Shard{Kind: snapshot.KindDynamic, Dynamic: b.D})
-			st.Generation += b.D.Generation()
+		err := snapshot.SaveShards(path, 0, kinds, next)
+		switch {
+		case buildErr != nil:
+			return nil, buildErr
+		case err != nil:
+			log.Printf("coopserve: snapshot save failed (serving anyway): %v", err)
 		default:
-			return nil, fmt.Errorf("coopserve: shard %d: unsnapshotable backend %T", i, be)
+			s.obsSnapSave.Inc()
 		}
 	}
+	// Without a snapshot, or after a save that stopped early, build the
+	// rest here.
+	for len(frozen) < s.cfg.Shards {
+		if _, err := next(len(frozen)); err != nil {
+			return nil, err
+		}
+	}
+	return frozen, nil
+}
+
+// buildShard draws one shard's catalogs from rng and builds its pointer
+// structure.
+func (s *server) buildShard(rng *rand.Rand) (*core.Structure, error) {
+	bt, err := tree.NewBalancedBinary(s.cfg.Leaves)
+	if err != nil {
+		return nil, err
+	}
+	st, err := core.Build(bt, randomCatalogs(bt, s.cfg.Entries, rng), core.Config{Parallelism: s.cfg.BuildParallelism})
+	if err != nil {
+		return nil, err
+	}
+	s.notePointers(st)
 	return st, nil
 }
 
-// saveSnapshot writes the current shard state crash-safely to the
-// configured path; a no-op without one (or before the shards exist). Under
-// flat serving it also writes the frozen-layout sidecar next to the
-// snapshot; a sidecar failure only logs — it is a cache, and the loader
-// refreezes without one.
-func (s *server) saveSnapshot() error {
-	if s.cfg.SnapshotPath == "" || s.shards == nil {
+// restoreShards restores the catalog shards from the configured snapshot
+// one at a time — decode, freeze, drop — and returns the frozen shards. It
+// checks the manifest (shard count, every kind static) before it decodes
+// any shard. Any failure, a shard that fails to decode included, logs,
+// discards the shards already frozen and returns nil, and build rebuilds
+// every shard from the seed: a bad file never aborts startup.
+func (s *server) restoreShards(gc *collector) []*flat.Structure {
+	path := s.cfg.SnapshotPath
+	if path == "" {
 		return nil
 	}
-	st, err := s.snapshotStore()
+	// The file's bytes count toward the first shard's decode, so the
+	// rule runs before the read rather than between it and the decode.
+	gc.next()
+	r, err := snapshot.OpenShards(path, s.cfg.BuildParallelism)
 	if err != nil {
-		return err
-	}
-	if err := snapshot.Save(s.cfg.SnapshotPath, st); err != nil {
-		return err
-	}
-	s.obsSnapSave.Inc()
-	if err := s.saveFlatSidecar(); err != nil {
-		log.Printf("coopserve: flat sidecar save failed (snapshot itself is intact): %v", err)
-	}
-	return nil
-}
-
-// flatSidecarPath locates the frozen-layout sidecar next to the snapshot.
-func (s *server) flatSidecarPath() string {
-	if s.cfg.SnapshotPath == "" {
-		return ""
-	}
-	return s.cfg.SnapshotPath + ".flat"
-}
-
-// shardsGeneration sums the shard generations — the same quantity the
-// snapshot store records, used to pair a sidecar with its snapshot.
-func shardsGeneration(shards []engine.CatalogBackend) uint64 {
-	var g uint64
-	for _, be := range shards {
-		g += be.Generation()
-	}
-	return g
-}
-
-// openFlatSidecar opens the sidecar next to the snapshot — memory-mapped
-// where the platform allows — and returns its catalog shard blobs in shard
-// order. Any defect (missing, corrupt, generation skew, wrong shard count,
-// a blob of another kind — such as the spatial blob older sidecars
-// carried) logs, discards the view, and returns nil: every shard then
-// refreezes from its pointer structure. On success the view is retained on
-// s for the server's lifetime, because zero-copy layouts serve straight
-// out of it.
-func (s *server) openFlatSidecar(fromSnapshot bool, nShards int) [][]byte {
-	path := s.flatSidecarPath()
-	if path == "" || !fromSnapshot {
+		log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", path, err)
 		return nil
 	}
-	v, err := snapshot.OpenFlat(path)
-	if err != nil {
-		log.Printf("coopserve: flat sidecar %s unusable, refreezing: %v", path, err)
+	kinds := r.Kinds()
+	if len(kinds) != s.cfg.Shards {
+		log.Printf("coopserve: snapshot has %d shards, flags want %d; rebuilding", len(kinds), s.cfg.Shards)
 		return nil
 	}
-	if v.Generation != shardsGeneration(s.shards) {
-		log.Printf("coopserve: flat sidecar %s is for another snapshot (generation %d); refreezing", path, v.Generation)
-		_ = v.Close()
-		return nil
-	}
-	var catBlobs [][]byte
-	for _, b := range v.Blobs {
-		if b.Kind != flat.StoreKindCatalog {
-			log.Printf("coopserve: flat sidecar %s has a blob of unknown kind %d; refreezing", path, b.Kind)
-			_ = v.Close()
-			return nil
-		}
-		catBlobs = append(catBlobs, b.Data)
-	}
-	if len(catBlobs) != nShards {
-		log.Printf("coopserve: flat sidecar %s has %d catalog blobs, want %d; refreezing", path, len(catBlobs), nShards)
-		_ = v.Close()
-		return nil
-	}
-	s.flatView = v
-	return catBlobs
-}
-
-// wrapFlat wraps every shard for flat serving, preloading the frozen
-// layout from the matching sidecar blob when one was opened; any defect
-// (corruption, shape or content mismatch) falls back to freezing from the
-// pointer structures.
-func (s *server) wrapFlat(shards []engine.CatalogBackend, blobs [][]byte) ([]engine.CatalogBackend, error) {
-	out := make([]engine.CatalogBackend, len(shards))
-	s.flatShards = make([]*engine.FlatShard, len(shards))
-	for i, be := range shards {
-		var fs *engine.FlatShard
-		if blobs != nil {
-			fs = preloadFlatShard(i, be, blobs[i])
-		}
-		if fs == nil {
-			var err error
-			fs, err = engine.NewFlatShardParallel(be, s.cfg.BuildParallelism)
-			if err != nil {
-				return nil, err
-			}
-		}
-		s.flatShards[i] = fs
-		out[i] = fs
-	}
-	return out, nil
-}
-
-// preloadFlatShard decodes one sidecar blob — zero-copy, so a mapped blob
-// serves from the page cache — and wraps the backend around it,
-// spot-checking entry probes against the live catalogs so a sidecar
-// swapped in from a different dataset is rejected rather than served. Any
-// failure returns nil and the caller refreezes.
-func preloadFlatShard(i int, be engine.CatalogBackend, blob []byte) *engine.FlatShard {
-	f, _, err := flat.OpenStructure(blob)
-	if err != nil {
-		log.Printf("coopserve: flat sidecar shard %d undecodable, refreezing: %v", i, err)
-		return nil
-	}
-	fs, err := engine.NewFlatShardFrom(be, f)
-	if err != nil {
-		log.Printf("coopserve: flat sidecar shard %d rejected, refreezing: %v", i, err)
-		return nil
-	}
-	root := be.Root()
-	for _, y := range []catalog.Key{0, 1, 1 << 10, 1 << 20, catalog.PlusInf} {
-		if f.EntryProbe(root, y) != be.EntryProbe(root, y) {
-			log.Printf("coopserve: flat sidecar shard %d disagrees with the snapshot at key %d, refreezing", i, y)
+	for i, kind := range kinds {
+		if kind != snapshot.KindStatic {
+			log.Printf("coopserve: snapshot shard %d has kind %d, coopserve serves static shards only; rebuilding", i, kind)
 			return nil
 		}
 	}
-	return fs
-}
-
-// saveFlatSidecar persists the catalog shards' current frozen layouts next
-// to the snapshot; a no-op unless flat serving and snapshotting are both
-// on.
-func (s *server) saveFlatSidecar() error {
-	path := s.flatSidecarPath()
-	if path == "" || s.eng == nil {
-		return nil
-	}
-	fbs := s.eng.FrozenBackends()
-	if len(fbs) == 0 {
-		return nil
-	}
-	blobs := make([]snapshot.FlatBlob, len(fbs))
-	for i, fb := range fbs {
-		b, err := fb.FrozenBlob()
+	frozen := make([]*flat.Structure, len(kinds))
+	for i := range frozen {
+		if i > 0 {
+			gc.next()
+		}
+		sh, err := r.Next()
 		if err != nil {
-			return err
+			log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", path, err)
+			return nil
 		}
-		blobs[i] = snapshot.FlatBlob{Kind: fb.FrozenKind(), Data: b}
+		s.notePointers(sh.Static)
+		if frozen[i], err = flat.FreezeParallel(sh.Static, s.cfg.BuildParallelism); err != nil {
+			log.Printf("coopserve: snapshot %s shard %d does not freeze, rebuilding: %v", path, i, err)
+			return nil
+		}
 	}
-	return snapshot.SaveFlat(path, shardsGeneration(s.shards), blobs)
+	s.loadedSnapshot = true
+	s.obsSnapLoad.Inc()
+	return frozen
 }
 
 // beginDrain moves the server to draining: new queries are refused with
@@ -627,8 +432,7 @@ func (s *server) beginDrain() { s.state.Store(stateDraining) }
 
 // awaitDrain polls until no queries are in flight or the timeout lapses,
 // reporting whether the server drained fully. (http.Server.Shutdown
-// provides the connection-level guarantee; this bounds the wait and lets
-// the final snapshot observe a quiesced engine.)
+// provides the connection-level guarantee; this bounds the wait.)
 func (s *server) awaitDrain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -764,7 +568,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, wq := range sc.queries {
-		q, err := s.toEngineQuery(wq)
+		q, err := s.toEngineQuery(wq, sc)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("query %d: %v", i, err), http.StatusBadRequest)
 			return
@@ -817,18 +621,22 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(sc.out)
 }
 
-// toEngineQuery validates and converts one wire query.
-func (s *server) toEngineQuery(wq wireQuery) (engine.Query, error) {
+// toEngineQuery validates and converts one wire query. A catalog query's
+// root path is appended to the request scratch, so it lives only as long
+// as the request: no answer, span or flight record keeps it.
+func (s *server) toEngineQuery(wq wireQuery, sc *queryScratch) (engine.Query, error) {
 	switch wq.Kind {
 	case "catalog":
-		if wq.Shard < 0 || wq.Shard >= len(s.trees) {
-			return engine.Query{}, fmt.Errorf("shard %d out of range [0, %d)", wq.Shard, len(s.trees))
+		if wq.Shard < 0 || wq.Shard >= len(s.catalogs) {
+			return engine.Query{}, fmt.Errorf("shard %d out of range [0, %d)", wq.Shard, len(s.catalogs))
 		}
-		t := s.trees[wq.Shard]
-		if wq.Leaf < 0 || wq.Leaf >= int64(t.N()) {
-			return engine.Query{}, fmt.Errorf("leaf %d out of range [0, %d)", wq.Leaf, t.N())
+		f := s.catalogs[wq.Shard]
+		if wq.Leaf < 0 || wq.Leaf >= int64(f.NumNodes()) {
+			return engine.Query{}, fmt.Errorf("leaf %d out of range [0, %d)", wq.Leaf, f.NumNodes())
 		}
-		return engine.CatalogQuery(wq.Shard, catalog.Key(wq.Key), t.RootPath(tree.NodeID(wq.Leaf))), nil
+		start := len(sc.paths)
+		sc.paths = f.AppendRootPath(tree.NodeID(wq.Leaf), sc.paths)
+		return engine.CatalogQuery(wq.Shard, catalog.Key(wq.Key), sc.paths[start:len(sc.paths):len(sc.paths)]), nil
 	case "point":
 		return engine.PointQuery(geomPoint(wq.X, wq.Y)), nil
 	case "spatial":
@@ -864,11 +672,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			unavailable(w, "overloaded")
 			return
 		}
-		if s.restoreMode != "" {
-			fmt.Fprintf(w, "ready restore_mode=%s\n", s.restoreMode)
-		} else {
-			fmt.Fprintln(w, "ready")
-		}
+		fmt.Fprintln(w, "ready")
 	}
 }
 

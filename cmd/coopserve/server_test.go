@@ -11,15 +11,19 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fraccascade/internal/catalog"
+	"fraccascade/internal/core"
 	"fraccascade/internal/obs"
 	"fraccascade/internal/spatial"
 	"fraccascade/internal/subdivision"
+	"fraccascade/internal/tree"
 )
 
 // testServer builds a small server so the httptest suite stays fast.
@@ -370,61 +374,138 @@ func TestStepsProfileEndpoint(t *testing.T) {
 }
 
 // TestNoPointerGeometryAfterBuild pins the memory property of serving
-// point location from frozen layouts only: once build returns, no
-// subdivision, complex or pointer locator it created is reachable. Each
-// gets a finalizer that must run after a few GCs while the server stays
-// live, so an edit that keeps one (a server field, an engine reference, a
-// closure) fails here. The server must still answer every planar and
-// spatial query like the brute-force oracle over the same seeded geometry.
+// only frozen layouts, on a build boot and on a restore boot: once build
+// returns, no pointer structure it created or decoded is reachable — the
+// subdivision, the complex, both locators and every catalog shard's
+// core.Structure. Each gets a finalizer that must run after a few GCs
+// while the server stays live, so an edit that keeps one (a server field,
+// an engine reference, a closure) fails here. The server must still answer
+// every catalog, planar and spatial query like the brute-force oracle over
+// the same seeded structures.
 func TestNoPointerGeometryAfterBuild(t *testing.T) {
 	cfg := lifecycleConfig()
-	s := newServerShell(cfg)
-	var built, freed atomic.Int32
-	s.geomBuilt = func(obj any) {
-		built.Add(1)
-		runtime.SetFinalizer(obj, func(any) { freed.Add(1) })
-	}
-	if err := s.build(); err != nil {
-		t.Fatal(err)
-	}
-	if n := built.Load(); n != 4 {
-		t.Fatalf("build reported %d pointer geometry objects, want 4 (subdivision, complex, two locators)", n)
-	}
-	// Finalizers of objects that point at each other run one GC apart.
-	for i := 0; i < 50 && freed.Load() < built.Load(); i++ {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
-	}
-	if freed.Load() != built.Load() {
-		t.Fatalf("%d of %d pointer geometry objects still reachable after build", built.Load()-freed.Load(), built.Load())
-	}
-
-	sub, cx := servedGeometry(t, cfg)
-	var req queryRequest
-	var want []int
-	qrng := rand.New(rand.NewSource(99))
-	for i := 0; i < 40; i++ {
-		pt, region := sub.RandomInteriorPoint(qrng)
-		x, y, z, _ := cx.RandomInteriorPoint(qrng)
-		cell, err := cx.LocateBrute(x, y, z)
-		if err != nil {
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
+	req, check := oracleRequest(t, cfg, 40, 99)
+	for _, restore := range []bool{false, true} {
+		s := newServerShell(cfg)
+		var built, shards, freed atomic.Int32
+		s.pointerBuilt = func(obj any) {
+			built.Add(1)
+			if _, ok := obj.(*core.Structure); ok {
+				shards.Add(1)
+			}
+			runtime.SetFinalizer(obj, func(any) { freed.Add(1) })
+		}
+		if err := s.build(); err != nil {
 			t.Fatal(err)
 		}
+		if s.loadedSnapshot != restore {
+			t.Fatalf("restore=%v: boot loaded the snapshot: %v", restore, s.loadedSnapshot)
+		}
+		if n, m := built.Load(), shards.Load(); n != 4+int32(cfg.Shards) || m != int32(cfg.Shards) {
+			t.Fatalf("restore=%v: build reported %d pointer structures (%d catalog shards), want 4 geometry and %d shards",
+				restore, n, m, cfg.Shards)
+		}
+		// Finalizers of objects that point at each other run one GC apart.
+		for i := 0; i < 50 && freed.Load() < built.Load(); i++ {
+			runtime.GC()
+			time.Sleep(5 * time.Millisecond)
+		}
+		if freed.Load() != built.Load() {
+			t.Fatalf("restore=%v: %d of %d pointer structures still reachable after build",
+				restore, built.Load()-freed.Load(), built.Load())
+		}
+		ts := httptest.NewServer(s.handler())
+		resp, out := postQuery(t, ts, req)
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("restore=%v: POST /query = %d", restore, resp.StatusCode)
+		}
+		check(t, out.Answers)
+		runtime.KeepAlive(s)
+	}
+}
+
+// oracleRequest draws n catalog, n planar and n spatial queries inside
+// what a server with cfg serves, and returns them with a check that holds
+// a response's answers to brute force over the structures regenerated
+// from cfg's seeds.
+func oracleRequest(tb testing.TB, cfg serverConfig, n int, seed int64) (queryRequest, func(testing.TB, []wireAnswer)) {
+	tb.Helper()
+	sub, cx := servedGeometry(tb, cfg)
+	trees, cats := servedCatalogs(tb, cfg)
+	var req queryRequest
+	var want [][]wireResult
+	var located []int
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		shard := rng.Intn(cfg.Shards)
+		leaf := rng.Intn(trees[shard].N())
+		key := rng.Int63n(int64(cfg.Entries) * 8)
+		req.Queries = append(req.Queries, wireQuery{Kind: "catalog", Shard: shard, Key: key, Leaf: int64(leaf)})
+		var results []wireResult
+		for _, v := range trees[shard].RootPath(tree.NodeID(leaf)) {
+			results = append(results, bruteSucc(cats[shard][v], catalog.Key(key), v))
+		}
+		want = append(want, results)
+		located = append(located, 0)
+
+		pt, region := sub.RandomInteriorPoint(rng)
+		x, y, z, _ := cx.RandomInteriorPoint(rng)
+		cell, err := cx.LocateBrute(x, y, z)
+		if err != nil {
+			tb.Fatal(err)
+		}
 		req.Queries = append(req.Queries, wireQuery{Kind: "point", X: pt.X, Y: pt.Y}, wireQuery{Kind: "spatial", X: x, Y: y, Z: z})
-		want = append(want, region, cell)
+		want = append(want, nil, nil)
+		located = append(located, region, cell)
 	}
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-	resp, out := postQuery(t, ts, req)
-	if resp.StatusCode != http.StatusOK || len(out.Answers) != len(want) {
-		t.Fatalf("POST /query = %d with %d answers, want 200 with %d", resp.StatusCode, len(out.Answers), len(want))
-	}
-	for i, a := range out.Answers {
-		if got := a.Region + a.Cell; a.Err != "" || got != want[i] {
-			t.Fatalf("answer %d (%s): %d err %q, oracle %d", i, a.Kind, got, a.Err, want[i])
+	check := func(tb testing.TB, answers []wireAnswer) {
+		tb.Helper()
+		if len(answers) != len(req.Queries) {
+			tb.Fatalf("%d answers for %d queries", len(answers), len(req.Queries))
+		}
+		for i, a := range answers {
+			if a.Err != "" {
+				tb.Fatalf("answer %d (%s): %s", i, a.Kind, a.Err)
+			}
+			if got := a.Region + a.Cell; got != located[i] {
+				tb.Fatalf("answer %d (%s): located %d, oracle %d", i, a.Kind, got, located[i])
+			}
+			if !reflect.DeepEqual(a.Results, want[i]) {
+				tb.Fatalf("answer %d (%s): results %+v, oracle %+v", i, a.Kind, a.Results, want[i])
+			}
 		}
 	}
-	runtime.KeepAlive(s)
+	return req, check
+}
+
+// bruteSucc finds, by a linear scan, the smallest native key >= y in node
+// v's catalog: the answer cascade.SearchPath gives at v.
+func bruteSucc(c catalog.Catalog, y catalog.Key, v tree.NodeID) wireResult {
+	for _, e := range c.Entries() {
+		if e.Native && e.Key >= y {
+			return wireResult{Node: int64(v), Key: int64(e.Key), Payload: int64(e.Payload)}
+		}
+	}
+	panic("catalog without its +inf sentinel")
+}
+
+// servedCatalogs regenerates the trees and catalogs of the catalog shards
+// a server with cfg builds, with buildShards' seed and draw order.
+func servedCatalogs(tb testing.TB, cfg serverConfig) ([]*tree.Tree, [][]catalog.Catalog) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	trees := make([]*tree.Tree, cfg.Shards)
+	cats := make([][]catalog.Catalog, cfg.Shards)
+	for i := range trees {
+		bt, err := tree.NewBalancedBinary(cfg.Leaves)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		trees[i], cats[i] = bt, randomCatalogs(bt, cfg.Entries, rng)
+	}
+	return trees, cats
 }
 
 // servedGeometry regenerates the subdivision and complex a server with cfg

@@ -202,9 +202,6 @@ th{background:#eee}td.l,th.l{text-align:left}
 		map[string]string{"ready": "ok"}[stateName], stateName,
 		html.EscapeString(time.Since(s.started).Round(time.Second).String()),
 		s.cfg.Procs, s.cfg.BatchSize, s.cfg.Shards)
-	if s.restoreMode != "" {
-		fmt.Fprintf(w, `<p>restore mode: <b>%s</b></p>`, html.EscapeString(s.restoreMode))
-	}
 
 	if s.eng == nil {
 		fmt.Fprint(w, `<p class="warn">structures are still building; no engine yet.</p></body></html>`)

@@ -60,7 +60,7 @@ func injectEngineError(t *testing.T, s *server) {
 	t.Helper()
 	qs := []engine.Query{{
 		Kind: engine.KindCatalog, Shard: 99, Key: catalog.Key(1),
-		Path: s.trees[0].RootPath(tree.NodeID(0)),
+		Path: s.catalogs[0].AppendRootPath(tree.NodeID(0), nil),
 	}}
 	_, rep, err := s.eng.ExecuteBatch(qs)
 	if err != nil {

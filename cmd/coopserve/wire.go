@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"fraccascade/internal/engine"
+	"fraccascade/internal/tree"
 )
 
 // The POST /query wire format is fixed: a request is a queryRequest and a
@@ -52,6 +53,7 @@ type queryScratch struct {
 	body    bytes.Buffer
 	queries []wireQuery
 	qs      []engine.Query
+	paths   []tree.NodeID // the catalog queries' root paths, back to back
 	reports []engine.BatchReport
 	answers [][]engine.Answer
 	out     []byte
@@ -68,12 +70,13 @@ func getQueryScratch() *queryScratch {
 // putQueryScratch returns sc to the pool, dropping its references to the
 // request's answers and paths first.
 func putQueryScratch(sc *queryScratch) {
-	if sc.body.Cap() > maxPooledScratch || cap(sc.out) > maxPooledScratch {
+	// Node ids are 4 bytes.
+	if sc.body.Cap() > maxPooledScratch || cap(sc.out) > maxPooledScratch || 4*cap(sc.paths) > maxPooledScratch {
 		return
 	}
 	clear(sc.qs)
 	clear(sc.answers)
-	sc.qs, sc.reports, sc.answers = sc.qs[:0], sc.reports[:0], sc.answers[:0]
+	sc.qs, sc.paths, sc.reports, sc.answers = sc.qs[:0], sc.paths[:0], sc.reports[:0], sc.answers[:0]
 	queryScratchPool.Put(sc)
 }
 

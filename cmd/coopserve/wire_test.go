@@ -415,7 +415,7 @@ func FuzzQueryRequest(f *testing.F) {
 			if got[i] != want.Queries[i] {
 				t.Fatalf("body %q: query %d = %+v, encoding/json %+v", body, i, got[i], want.Queries[i])
 			}
-			_, _ = s.toEngineQuery(got[i])
+			_, _ = s.toEngineQuery(got[i], new(queryScratch))
 		}
 	})
 }
@@ -452,10 +452,12 @@ func TestQueryBodyTooLarge(t *testing.T) {
 // queryHandlerAllocsBound is the measured allocation count of one warm
 // 32-query catalog POST /query through the handler, telemetry at its
 // defaults, with the test's request and recorder included: per query the
-// root path and the engine's result slice, per request the answer slice,
-// the context, header and request-id values and the recorder. Reflection
-// decoding and encoding, and the per-query phase map, made it 574.
-const queryHandlerAllocsBound = 98
+// engine's result slice, per request the answer slice, the context, header
+// and request-id values and the recorder. Root paths are built into the
+// pooled request scratch; built with tree.RootPath, one per query, they
+// made it 98, and reflection decoding and encoding with the per-query
+// phase map made it 574.
+const queryHandlerAllocsBound = 66
 
 // queryHandlerGeometryAllocsBound is the measured allocation count of one
 // warm POST /query of 16 planar and 16 spatial queries through the same

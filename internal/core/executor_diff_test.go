@@ -16,16 +16,16 @@ import (
 // executors can be required to fail identically, not just succeed
 // identically.
 type pramOutcome struct {
-	results []string // Key/Payload per path node, "" when errored
-	report  PRAMSearchReport
-	err     string
+	results  []string // Key/Payload per path node, "" when errored
+	report   PRAMSearchReport
+	err      string
 	panicMsg string
-	time    int
-	work    int64
-	skipped int64
-	peak    int
-	profile string
-	phases  map[string]pram.PhaseStats
+	time     int
+	work     int64
+	skipped  int64
+	peak     int
+	profile  string
+	phases   map[string]pram.PhaseStats
 }
 
 func runSearchPRAM(st *Structure, x pram.Executor, hook pram.FaultHook, y catalog.Key, path []tree.NodeID, p int) (out pramOutcome) {

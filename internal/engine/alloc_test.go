@@ -19,7 +19,7 @@ const executeBatchAllocsBound = 34
 const executeGeometryBatchAllocsBound = 2
 
 // TestExecuteBatchAllocs pins the engine's disabled-telemetry hot path: a
-// warm 32-query catalog batch over a static and a dynamic shard (every
+// warm 32-query catalog batch over two static shards (every
 // lookup an entry-cache hit after the first run) allocates no more than
 // executeBatchAllocsBound.
 func TestExecuteBatchAllocs(t *testing.T) {

@@ -20,28 +20,24 @@ import (
 //
 // Slots are keyed by the query-path prefix (the entry node, i.e. path[0])
 // and looked up by key with a binary search over the node's interval list.
-// Eviction is least-recently-used across the whole shard. Every slot also
-// carries the backend generation observed when it was filled; a lookup
-// under a newer generation purges the cache wholesale (the backend's static
-// structure was replaced by dynamic.Flush, so every cached position is
-// potentially stale). Correctness never rests on this: the search
-// re-validates the hinted position against the live catalog in O(1) and
-// falls back to the full entry search if it fails — the generation check
-// exists so stale hits cost a purge, not a useless validation per query.
+// Eviction is least-recently-used across the whole shard. The shard is
+// frozen, so a filled slot stays valid for the engine's lifetime.
+// Correctness never rests on that: the search re-validates the hinted
+// position against the frozen catalog in O(1) and falls back to the full
+// entry search if it fails (Answer.CacheStale).
 type entryCache struct {
 	mu      sync.Mutex
 	cap     int
-	gen     uint64
 	clock   uint64
 	size    int
 	perNode map[tree.NodeID][]entrySlot
 
-	hits, misses, stale, evictions, fingerHits uint64
+	hits, misses, evictions, fingerHits uint64
 
 	// obs mirrors (nil-safe no-ops when no registry is attached): the
 	// struct counters above stay the CacheStats ground truth; these export
 	// the same increments under engine.shard.<i>.cache.* names.
-	obsHits, obsMisses, obsStale, obsEvictions, obsFingerHits *obs.Counter
+	obsHits, obsMisses, obsEvictions, obsFingerHits *obs.Counter
 }
 
 // entrySlot caches one resolved entry interval (lo, hi] → pos.
@@ -53,9 +49,8 @@ type entrySlot struct {
 
 // CacheStats is a point-in-time snapshot of one shard's cache counters.
 type CacheStats struct {
-	// Hits and Misses count lookups; Stale counts wholesale purges caused
-	// by a generation change; Evictions counts LRU evictions.
-	Hits, Misses, Stale, Evictions uint64
+	// Hits and Misses count lookups; Evictions counts LRU evictions.
+	Hits, Misses, Evictions uint64
 	// FingerHits counts exact misses that were instead served by galloping
 	// from a nearby cached entry (distance-sensitive finger search). A
 	// finger hit is also counted as a Miss — it is the miss path made
@@ -82,7 +77,6 @@ func newEntryCache(capacity int, r *obs.Registry, shard int) *entryCache {
 		prefix := fmt.Sprintf("engine.shard.%d.cache.", shard)
 		c.obsHits = r.Counter(prefix + "hits")
 		c.obsMisses = r.Counter(prefix + "misses")
-		c.obsStale = r.Counter(prefix + "stale_purges")
 		c.obsEvictions = r.Counter(prefix + "evictions")
 		c.obsFingerHits = r.Counter(prefix + "finger_hits")
 		r.RegisterFunc(prefix+"size", func() int64 { return int64(c.statsSnapshot().Size) })
@@ -90,29 +84,13 @@ func newEntryCache(capacity int, r *obs.Registry, shard int) *entryCache {
 	return c
 }
 
-// syncGen purges everything if the backend generation moved. Callers hold mu.
-func (c *entryCache) syncGen(gen uint64) {
-	if gen == c.gen {
-		return
-	}
-	if c.size > 0 {
-		c.perNode = make(map[tree.NodeID][]entrySlot)
-		c.size = 0
-	}
-	c.stale++
-	c.obsStale.Inc()
-	c.gen = gen
-}
-
-// lookup returns the cached entry position for (node, y) under the given
-// backend generation.
-func (c *entryCache) lookup(node tree.NodeID, y catalog.Key, gen uint64) (int, bool) {
+// lookup returns the cached entry position for (node, y).
+func (c *entryCache) lookup(node tree.NodeID, y catalog.Key) (int, bool) {
 	if c == nil || c.cap <= 0 {
 		return 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncGen(gen)
 	slots := c.perNode[node]
 	i := sort.Search(len(slots), func(i int) bool { return slots[i].hi >= y })
 	if i < len(slots) && slots[i].lo < y {
@@ -135,13 +113,12 @@ func (c *entryCache) lookup(node tree.NodeID, y catalog.Key, gen uint64) (int, b
 // never counts as a hit or miss — the preceding lookup already counted
 // the miss — and touches no LRU state: the finger only seeds a gallop, it
 // is not an answer.
-func (c *entryCache) nearest(node tree.NodeID, y catalog.Key, gen uint64) (pos int, dist catalog.Key, ok bool) {
+func (c *entryCache) nearest(node tree.NodeID, y catalog.Key) (pos int, dist catalog.Key, ok bool) {
 	if c == nil || c.cap <= 0 {
 		return 0, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncGen(gen)
 	slots := c.perNode[node]
 	if len(slots) == 0 {
 		return 0, 0, false
@@ -170,15 +147,14 @@ func (c *entryCache) fingerHit() {
 	c.obsFingerHits.Inc()
 }
 
-// insert caches (lo, hi] → pos for node under the given generation,
-// evicting the least-recently-used slot of the shard on overflow.
-func (c *entryCache) insert(node tree.NodeID, lo, hi catalog.Key, pos int, gen uint64) {
+// insert caches (lo, hi] → pos for node, evicting the least-recently-used
+// slot of the shard on overflow.
+func (c *entryCache) insert(node tree.NodeID, lo, hi catalog.Key, pos int) {
 	if c == nil || c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncGen(gen)
 	slots := c.perNode[node]
 	i := sort.Search(len(slots), func(i int) bool { return slots[i].hi >= hi })
 	c.clock++
@@ -232,5 +208,5 @@ func (c *entryCache) statsSnapshot() CacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Stale: c.stale, Evictions: c.evictions, FingerHits: c.fingerHits, Size: c.size}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, FingerHits: c.fingerHits, Size: c.size}
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"fraccascade/internal/core"
+	"fraccascade/internal/dynamic"
 	"fraccascade/internal/snapshot"
 )
 
@@ -101,13 +103,15 @@ func TestExecuteBatchContextDeadline(t *testing.T) {
 	}
 }
 
-// TestBackendsFromStore: an engine over snapshot-restored backends answers
-// exactly like the engine over the originally built ones.
+// TestBackendsFromStore: an engine over snapshot-restored shards answers
+// exactly like the engine over the originally built ones, and a store
+// holding a dynamic shard is refused, because the engine serves static
+// shards only.
 func TestBackendsFromStore(t *testing.T) {
 	fx := buildFixture(t, 77, 16, 600)
 	store := &snapshot.Store{Generation: 3, Shards: []snapshot.Shard{
-		{Kind: snapshot.KindStatic, Static: fx.static},
-		{Kind: snapshot.KindDynamic, Dynamic: fx.dyn},
+		{Kind: snapshot.KindStatic, Static: fx.shards[0]},
+		{Kind: snapshot.KindStatic, Static: fx.shards[1]},
 	}}
 	data, err := snapshot.Encode(store)
 	if err != nil {
@@ -144,6 +148,21 @@ func TestBackendsFromStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("restored engine diverges from original")
+	}
+
+	d, err := dynamic.New(fx.trees[1], randomCatalogs(fx.trees[1], 600, fx.bound, rng), core.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Shards[1] = snapshot.Shard{Kind: snapshot.KindDynamic, Dynamic: d}
+	if data, err = snapshot.Encode(store); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if decoded, err = snapshot.Decode(data); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if _, err := BackendsFromStore(decoded); err == nil {
+		t.Fatal("BackendsFromStore accepted a dynamic shard")
 	}
 }
 

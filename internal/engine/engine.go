@@ -1,10 +1,10 @@
 // Package engine is the batched multi-query layer over the cooperative
 // search structures: it accepts a stream of heterogeneous queries —
-// iterative catalog-graph searches (internal/core, internal/dynamic),
-// planar point location (internal/pointloc), and spatial point location
-// (internal/spatial), both served from their frozen twins — groups them
-// into batches, and executes each batch as one index-claim loop on the
-// shared host executor (internal/workpool).
+// iterative catalog-graph searches (internal/core), planar point location
+// (internal/pointloc), and spatial point location (internal/spatial), all
+// three served from their frozen layouts (internal/flat and the frozen
+// locators) — groups them into batches, and executes each batch as one
+// index-claim loop on the shared host executor (internal/workpool).
 //
 // The paper (Theorems 1–5) prices a *single* search with p processors.
 // Under concurrent traffic the p processors are the contended resource, so
@@ -21,12 +21,13 @@
 // remembers recently resolved cascade entry positions keyed by query-path
 // prefix (the entry node) and key interval; batches with key locality skip
 // the top-of-skeleton entry rounds and pay one verification step. The
-// catalog graph may also be sharded into independent substructures
-// (CatalogBackend per shard), which the pool serves concurrently with no
-// shared state. Dynamic backends invalidate the cache across Flush via the
-// generation counter of internal/dynamic; hits additionally re-validate
-// the hinted position in O(1) against the live catalog, so a stale hit is
-// impossible even if a generation check were bypassed.
+// catalog graph may also be sharded into independent substructures (one
+// frozen flat.Structure per shard), which the pool serves concurrently
+// with no shared state. Every served shard is immutable, so a cached entry
+// never goes stale; hits still re-validate the hinted position in O(1)
+// against the frozen catalog, so a wrong hint costs a full entry search,
+// never a wrong answer. Live mutation stays in internal/dynamic, which
+// callers drive directly.
 package engine
 
 import (
@@ -39,6 +40,7 @@ import (
 	"fraccascade/internal/cascade"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
+	"fraccascade/internal/flat"
 	"fraccascade/internal/geom"
 	"fraccascade/internal/obs"
 	"fraccascade/internal/pointloc"
@@ -77,7 +79,7 @@ func (k Kind) String() string {
 // Query is one search request. Only the fields of its Kind are read.
 type Query struct {
 	Kind Kind
-	// Shard routes a catalog query to a backend; 0 for unsharded engines.
+	// Shard routes a catalog query to a shard; 0 for unsharded engines.
 	Shard int
 	// Key and Path define a catalog query (Path starts at the shard root).
 	Key  catalog.Key
@@ -111,8 +113,10 @@ type Answer struct {
 	// entry-point cache.
 	CacheHit bool
 	// CacheStale reports a cache lookup that hit but whose hinted position
-	// failed O(1) revalidation (a flush raced the lookup); the query fell
-	// back to the full entry search, so CacheHit is false.
+	// failed O(1) revalidation against the frozen catalog; the query fell
+	// back to the full entry search, so CacheHit is false. Served shards
+	// are immutable, so this flags a wrong cache entry, never a wrong
+	// answer.
 	CacheStale bool
 	// FingerHit reports a catalog query whose exact cache lookup missed
 	// but which entered by galloping from a nearby cached entry position
@@ -205,17 +209,9 @@ type Config struct {
 	// tail-sampling keep policy. Also enables per-query wall timing (see
 	// Answer.WallNS). Nil disables recording with zero hot-path cost.
 	Recorder *obs.FlightRecorder
-	// Flat serves every catalog shard from its frozen flat layout
-	// (internal/flat) instead of the pointer structures: each shard is
-	// wrapped in a FlatShard at construction, so answers and Stats stay
-	// bit-identical while the hot path runs allocation-free on index
-	// arrays. Requires every shard to implement FlatSource. It covers the
-	// catalog shards only: point location is always served frozen.
-	Flat bool
-	// BuildParallelism bounds the host workers used when Flat shards freeze
-	// or refreeze the pointer structure, and when New freezes the planar
-	// locator (0 = all cores, 1 = sequential). The frozen layout is
-	// bit-identical for every value.
+	// BuildParallelism bounds the host workers New uses to freeze the
+	// catalog shards and the planar locator (0 = all cores, 1 =
+	// sequential). The frozen layouts are bit-identical for every value.
 	BuildParallelism int
 	// FingerCache upgrades the entry cache to distance-sensitive finger
 	// search: when a lookup misses exactly but a cached entry exists near
@@ -232,13 +228,12 @@ const defaultCacheSize = 256
 // defaultBatchSize is the Submit/Flush grouping size when unset.
 const defaultBatchSize = 16
 
-// Engine executes batched heterogeneous queries; construct with New. All
-// methods are safe for concurrent use, but mutations to dynamic backends
-// must be serialised with batch execution by the caller (the backends
-// themselves are single-writer structures).
+// Engine executes batched heterogeneous queries; construct with New or
+// NewFrozen. All methods are safe for concurrent use: every structure it
+// serves is frozen and immutable.
 type Engine struct {
 	cfg    Config
-	shards []CatalogBackend
+	shards []*flat.Structure
 	caches []*entryCache
 	pl     *pointloc.Frozen
 	sp     *spatial.Frozen
@@ -285,17 +280,26 @@ const (
 	phaseDescent
 )
 
-// New builds an engine over the given shards and pointer locators: it
-// freezes each locator it is given and delegates to NewFrozen, so the
-// locators themselves are not retained. Any backend may be absent (nil
-// locators, empty shard list); queries of an unserved kind fail
-// individually with a routing error.
-func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.Locator) (*Engine, error) {
+// New builds an engine over the given pointer structures: it freezes each
+// catalog shard and locator it is given, with cfg.BuildParallelism, and
+// delegates to NewFrozen, so the pointer structures themselves are not
+// retained. Any backend may be absent (nil locators, empty shard list);
+// queries of an unserved kind fail individually with a routing error.
+func New(cfg Config, shards []*core.Structure, pl *pointloc.Locator, sp *spatial.Locator) (*Engine, error) {
 	var (
-		fpl *pointloc.Frozen
-		fsp *spatial.Frozen
-		err error
+		frozen = make([]*flat.Structure, len(shards))
+		fpl    *pointloc.Frozen
+		fsp    *spatial.Frozen
+		err    error
 	)
+	for i, st := range shards {
+		if st == nil {
+			return nil, fmt.Errorf("engine: shard %d is nil", i)
+		}
+		if frozen[i], err = flat.FreezeParallel(st, cfg.BuildParallelism); err != nil {
+			return nil, fmt.Errorf("engine: freeze shard %d: %w", i, err)
+		}
+	}
 	if pl != nil {
 		if fpl, err = pl.Freeze(cfg.BuildParallelism); err != nil {
 			return nil, fmt.Errorf("engine: freeze planar locator: %w", err)
@@ -306,14 +310,14 @@ func New(cfg Config, shards []CatalogBackend, pl *pointloc.Locator, sp *spatial.
 			return nil, fmt.Errorf("engine: freeze spatial locator: %w", err)
 		}
 	}
-	return NewFrozen(cfg, shards, fpl, fsp)
+	return NewFrozen(cfg, frozen, fpl, fsp)
 }
 
-// NewFrozen builds an engine over the given shards and frozen locators,
-// the only layout point location is served from. Any backend may be absent
+// NewFrozen builds an engine over frozen catalog shards and frozen
+// locators, the only layouts the engine serves. Any backend may be absent
 // (nil locators, empty shard list); queries of an unserved kind fail
 // individually with a routing error.
-func NewFrozen(cfg Config, shards []CatalogBackend, pl *pointloc.Frozen, sp *spatial.Frozen) (*Engine, error) {
+func NewFrozen(cfg Config, shards []*flat.Structure, pl *pointloc.Frozen, sp *spatial.Frozen) (*Engine, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("engine: processor budget must be positive, got %d", cfg.Procs)
 	}
@@ -329,33 +333,6 @@ func NewFrozen(cfg Config, shards []CatalogBackend, pl *pointloc.Frozen, sp *spa
 	for i, s := range shards {
 		if s == nil {
 			return nil, fmt.Errorf("engine: shard %d is nil", i)
-		}
-	}
-	if cfg.Flat {
-		// Build a fresh slice so the caller's backing array is untouched.
-		// Shards the caller already wrapped (coopserve's sidecar preload
-		// path) pass through untouched, so Flat is idempotent.
-		wrapped := make([]CatalogBackend, len(shards))
-		for i, s := range shards {
-			if fs, ok := s.(*FlatShard); ok {
-				wrapped[i] = fs
-				continue
-			}
-			fs, err := NewFlatShardParallel(s, cfg.BuildParallelism)
-			if err != nil {
-				return nil, fmt.Errorf("engine: flat shard %d: %w", i, err)
-			}
-			wrapped[i] = fs
-		}
-		shards = wrapped
-	}
-	if cfg.BuildParallelism > 0 {
-		// Shards pre-wrapped by the caller (coopserve's snapshot preload
-		// path) adopt the engine's refreeze parallelism too.
-		for _, s := range shards {
-			if fs, ok := s.(*FlatShard); ok {
-				fs.SetBuildParallelism(cfg.BuildParallelism)
-			}
 		}
 	}
 	e := &Engine{
@@ -420,13 +397,11 @@ func (e *Engine) ExecuteBatch(qs []Query) ([]Answer, BatchReport, error) {
 }
 
 // ExecuteBatchContext is ExecuteBatch honouring cancellation and deadlines:
-// ctx is checked before each query starts and threaded into the catalog
-// backends' context-aware search, so a fired context surfaces promptly as
-// per-query errors (counted in the report) rather than hanging the batch.
-// A nil ctx runs the plain uncancellable path and is behaviourally
-// identical to ExecuteBatch. Cache-hit catalog entries stay uncancellable
-// — the hinted search skips the expensive cooperative rounds the context
-// guard exists to bound.
+// ctx is checked before each query starts, so a fired context surfaces
+// promptly as per-query errors (counted in the report) rather than hanging
+// the batch. Every search runs in microseconds host-side on a frozen
+// layout, so the check before the query is the only one. A nil ctx is
+// behaviourally identical to ExecuteBatch.
 func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query) ([]Answer, BatchReport, error) {
 	return e.execute(ctx, qs)
 }
@@ -681,11 +656,9 @@ func spatialPhases(s spatial.Stats) (ph [len(PhaseLabels)]int) {
 }
 
 // runQuery executes one query with processor share p. useCache gates the
-// entry-point cache (the sequential baseline runs without it). A nil ctx
-// selects the plain uncancellable search paths; a non-nil ctx is checked
-// up front, and threaded into the catalog backends' context-aware search.
-// A frozen locate runs in microseconds host-side, so the up-front check is
-// its only one.
+// entry-point cache (the sequential baseline runs without it). A non-nil
+// ctx is checked up front; every search is a frozen one that runs in
+// microseconds host-side, so that check is the only one.
 func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a Answer) {
 	a = Answer{Query: q, P: p}
 	// Per-query clock readings are paid only when a flight recorder wants
@@ -702,7 +675,7 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 	}
 	switch q.Kind {
 	case KindCatalog:
-		e.runCatalog(ctx, &a, q, p, useCache)
+		e.runCatalog(&a, q, p, useCache)
 	case KindPoint:
 		if e.pl == nil {
 			a.Err = fmt.Errorf("engine: no point-location backend configured")
@@ -734,10 +707,8 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 }
 
 // runCatalog executes a catalog query, consulting and filling the shard's
-// entry cache. A non-nil ctx makes the cache-miss search cancellable; the
-// cache-hit path runs uncancellable because the hint already skips the
-// cooperative entry rounds the guard exists to bound.
-func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useCache bool) {
+// entry cache.
+func (e *Engine) runCatalog(a *Answer, q Query, p int, useCache bool) {
 	if q.Shard < 0 || q.Shard >= len(e.shards) {
 		a.Err = fmt.Errorf("engine: catalog shard %d out of range [0, %d)", q.Shard, len(e.shards))
 		return
@@ -746,12 +717,11 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 		a.Err = fmt.Errorf("engine: catalog query with empty path")
 		return
 	}
-	be := e.shards[q.Shard]
+	f := e.shards[q.Shard]
 	cache := e.caches[q.Shard]
 	if useCache {
-		gen := be.Generation()
-		if pos, ok := cache.lookup(q.Path[0], q.Key, gen); ok {
-			results, stats, used, err := be.SearchExplicitWithEntry(q.Key, q.Path, p, pos)
+		if pos, ok := cache.lookup(q.Path[0], q.Key); ok {
+			results, stats, used, err := f.SearchExplicitWithEntry(q.Key, q.Path, p, pos)
 			a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
 			if err == nil {
 				a.PhaseSteps = catalogPhases(stats)
@@ -761,27 +731,24 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 				return
 			}
 			a.CacheStale = true
-			// The hint failed validation (a flush raced between the
-			// generation read and the search): the full entry search
-			// already ran inside SearchExplicitWithEntry, so the answer
-			// stands; just refresh the cached slot below.
+			// The hint failed validation: the full entry search already
+			// ran inside SearchExplicitWithEntry, so the answer stands;
+			// just refresh the cached slot below.
 			if err != nil {
 				return
 			}
-			e.fillEntry(be, cache, q)
+			fillEntry(f, cache, q)
 			return
 		}
 		if e.cfg.FingerCache {
-			if finger, dist, ok := cache.nearest(q.Path[0], q.Key, gen); ok {
+			if finger, dist, ok := cache.nearest(q.Path[0], q.Key); ok {
 				// Exact miss with a nearby cached entry: gallop from the
 				// finger instead of paying the cooperative root search.
-				// Like the hit path this runs uncancellable — the gallop
-				// already skips the rounds the context guard bounds.
-				results, stats, used, err := be.SearchExplicitFromFinger(q.Key, q.Path, p, finger)
+				results, stats, used, err := f.SearchExplicitFromFinger(q.Key, q.Path, p, finger)
 				a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
 				if err == nil {
 					a.PhaseSteps = catalogPhases(stats)
-					e.fillEntry(be, cache, q)
+					fillEntry(f, cache, q)
 				}
 				if used {
 					a.FingerHit = true
@@ -792,21 +759,12 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 			}
 		}
 	}
-	var (
-		results []cascade.Result
-		stats   core.Stats
-		err     error
-	)
-	if ctx != nil {
-		results, stats, err = be.SearchExplicitContext(ctx, q.Key, q.Path, p)
-	} else {
-		results, stats, err = be.SearchExplicit(q.Key, q.Path, p)
-	}
+	results, stats, err := f.SearchExplicit(q.Key, q.Path, p)
 	a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
 	if err == nil {
 		a.PhaseSteps = catalogPhases(stats)
 		if useCache {
-			e.fillEntry(be, cache, q)
+			fillEntry(f, cache, q)
 		}
 	}
 }
@@ -814,14 +772,13 @@ func (e *Engine) runCatalog(ctx context.Context, a *Answer, q Query, p int, useC
 // fillEntry caches the entry interval resolved for q. Host-side: it redoes
 // the O(log n) successor probe the search performed, which the PRAM cost
 // model already charged.
-func (e *Engine) fillEntry(be CatalogBackend, cache *entryCache, q Query) {
-	gen := be.Generation()
-	pos := be.EntryProbe(q.Path[0], q.Key)
-	lo, hi, err := be.EntryInterval(q.Path[0], pos)
+func fillEntry(f *flat.Structure, cache *entryCache, q Query) {
+	pos := f.EntryProbe(q.Path[0], q.Key)
+	lo, hi, err := f.EntryInterval(q.Path[0], pos)
 	if err != nil {
 		return
 	}
-	cache.insert(q.Path[0], lo, hi, pos, gen)
+	cache.insert(q.Path[0], lo, hi, pos)
 }
 
 // Metrics is a point-in-time snapshot of engine counters.

@@ -9,7 +9,6 @@ import (
 
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
-	"fraccascade/internal/dynamic"
 	"fraccascade/internal/geom"
 	"fraccascade/internal/pointloc"
 	"fraccascade/internal/spatial"
@@ -49,12 +48,12 @@ func seededRNG(tb testing.TB, seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// fixture bundles one of every backend kind: a static catalog shard, a
-// dynamic catalog shard, a planar locator, and a spatial locator.
+// fixture bundles one of every backend kind: two static catalog shards, a
+// planar locator, and a spatial locator, all as the pointer structures New
+// freezes and the tests use as oracles.
 type fixture struct {
 	trees  []*tree.Tree
-	static *core.Structure
-	dyn    *dynamic.Structure
+	shards []*core.Structure
 	sub    *subdivision.Subdivision
 	pl     *pointloc.Locator
 	cx     *spatial.Complex
@@ -75,13 +74,12 @@ func buildFixture(tb testing.TB, seed int64, leaves, total int) *fixture {
 		tb.Fatal(err)
 	}
 	fx.trees = []*tree.Tree{t0, t1}
-	fx.static, err = core.Build(t0, randomCatalogs(t0, total, fx.bound, rng), core.Config{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	fx.dyn, err = dynamic.New(t1, randomCatalogs(t1, total, fx.bound, rng), core.Config{}, 0)
-	if err != nil {
-		tb.Fatal(err)
+	for _, t := range fx.trees {
+		st, err := core.Build(t, randomCatalogs(t, total, fx.bound, rng), core.Config{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fx.shards = append(fx.shards, st)
 	}
 	fx.sub, err = subdivision.Generate(24, 12, rng)
 	if err != nil {
@@ -104,7 +102,7 @@ func buildFixture(tb testing.TB, seed int64, leaves, total int) *fixture {
 
 func (fx *fixture) newEngine(tb testing.TB, cfg Config) *Engine {
 	tb.Helper()
-	e, err := New(cfg, []CatalogBackend{StaticShard{St: fx.static}, DynamicShard{D: fx.dyn}}, fx.pl, fx.sp)
+	e, err := New(cfg, fx.shards, fx.pl, fx.sp)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -161,24 +159,14 @@ func (fx *fixture) checkAnswer(tb testing.TB, label string, q Query, a Answer) {
 	}
 	switch q.Kind {
 	case KindCatalog:
-		if q.Shard == 0 {
-			want, err := fx.static.Cascade().SearchPath(q.Key, q.Path)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			for i := range want {
-				if a.Results[i].Key != want[i].Key || a.Results[i].Payload != want[i].Payload {
-					tb.Fatalf("%s: static shard node %d: got (%d,%d) want (%d,%d)",
-						label, q.Path[i], a.Results[i].Key, a.Results[i].Payload, want[i].Key, want[i].Payload)
-				}
-			}
-			return
+		want, err := fx.shards[q.Shard].Cascade().SearchPath(q.Key, q.Path)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		for i, v := range q.Path {
-			wantKey, wantPayload := fx.dyn.Find(v, q.Key)
-			if a.Results[i].Key != wantKey || a.Results[i].Payload != wantPayload {
-				tb.Fatalf("%s: dynamic shard node %d: got (%d,%d) want (%d,%d)",
-					label, v, a.Results[i].Key, a.Results[i].Payload, wantKey, wantPayload)
+		for i := range want {
+			if a.Results[i].Key != want[i].Key || a.Results[i].Payload != want[i].Payload {
+				tb.Fatalf("%s: shard %d node %d: got (%d,%d) want (%d,%d)",
+					label, q.Shard, q.Path[i], a.Results[i].Key, a.Results[i].Payload, want[i].Key, want[i].Payload)
 			}
 		}
 	case KindPoint:
@@ -238,49 +226,42 @@ func TestPoolRunsEveryTaskOnce(t *testing.T) {
 func TestEntryCacheBasics(t *testing.T) {
 	c := newEntryCache(3, nil, 0)
 	node := tree.NodeID(0)
-	c.insert(node, 10, 20, 4, 0)
-	if pos, ok := c.lookup(node, 15, 0); !ok || pos != 4 {
+	c.insert(node, 10, 20, 4)
+	if pos, ok := c.lookup(node, 15); !ok || pos != 4 {
 		t.Fatalf("lookup(15) = (%d, %v), want (4, true)", pos, ok)
 	}
-	if pos, ok := c.lookup(node, 20, 0); !ok || pos != 4 {
+	if pos, ok := c.lookup(node, 20); !ok || pos != 4 {
 		t.Fatalf("lookup(20) = (%d, %v): hi is inclusive", pos, ok)
 	}
-	if _, ok := c.lookup(node, 10, 0); ok {
+	if _, ok := c.lookup(node, 10); ok {
 		t.Fatal("lookup(10) hit: lo must be exclusive")
 	}
-	if _, ok := c.lookup(node, 21, 0); ok {
+	if _, ok := c.lookup(node, 21); ok {
 		t.Fatal("lookup(21) hit outside interval")
 	}
 	// Fill to capacity and evict: slot (10,20] was most recently used via
 	// the hits above; (30,40] inserted then never touched is the LRU.
-	c.insert(node, 30, 40, 7, 0)
-	c.insert(node, 50, 60, 9, 0)
-	if _, ok := c.lookup(node, 15, 0); !ok {
+	c.insert(node, 30, 40, 7)
+	c.insert(node, 50, 60, 9)
+	if _, ok := c.lookup(node, 15); !ok {
 		t.Fatal("refresh hit failed")
 	}
-	c.insert(node, 70, 80, 11, 0) // overflow: evicts (30,40]
-	if _, ok := c.lookup(node, 35, 0); ok {
+	c.insert(node, 70, 80, 11) // overflow: evicts (30,40]
+	if _, ok := c.lookup(node, 35); ok {
 		t.Fatal("evicted slot still hit")
 	}
 	if s := c.statsSnapshot(); s.Evictions != 1 || s.Size != 3 {
 		t.Fatalf("stats = %+v, want 1 eviction at size 3", s)
 	}
-	// Generation change purges everything.
-	if _, ok := c.lookup(node, 55, 1); ok {
-		t.Fatal("hit across a generation change")
-	}
-	if s := c.statsSnapshot(); s.Stale != 1 || s.Size != 0 {
-		t.Fatalf("stats after purge = %+v, want Stale=1 Size=0", s)
-	}
 }
 
 func TestEntryCacheMinKey(t *testing.T) {
 	c := newEntryCache(4, nil, 0)
-	c.insert(0, catalog.MinusInf, 100, 0, 0)
-	if pos, ok := c.lookup(0, 5, 0); !ok || pos != 0 {
+	c.insert(0, catalog.MinusInf, 100, 0)
+	if pos, ok := c.lookup(0, 5); !ok || pos != 0 {
 		t.Fatalf("lookup below first key = (%d, %v), want (0, true)", pos, ok)
 	}
-	if _, ok := c.lookup(0, catalog.MinusInf, 0); ok {
+	if _, ok := c.lookup(0, catalog.MinusInf); ok {
 		t.Fatal("MinusInf itself must miss (lo is exclusive)")
 	}
 }
@@ -336,51 +317,6 @@ func TestCacheHitSkipsEntryRounds(t *testing.T) {
 		t.Errorf("cache hit did not reduce steps: %d -> %d", first[0].Steps, second[0].Steps)
 	}
 	fx.checkAnswer(t, "cached", q, second[0])
-}
-
-func TestFlushInvalidatesEntryCache(t *testing.T) {
-	fx := buildFixture(t, 11, 32, 1500)
-	e := fx.newEngine(t, Config{Procs: 256})
-	rng := seededRNG(t, 5)
-	path := fx.trees[1].RootPath(tree.NodeID(fx.trees[1].N() - 1))
-	y := catalog.Key(4000)
-	q := CatalogQuery(1, y, path)
-	if _, _, err := e.ExecuteBatch([]Query{q}); err != nil {
-		t.Fatal(err)
-	}
-	ans, _, err := e.ExecuteBatch([]Query{q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans[0].CacheHit {
-		t.Fatal("expected a warm cache before the flush")
-	}
-	// Mutate the root's catalog so the entry interval around y moves, then
-	// flush: the generation bump must purge the cache, and the next answer
-	// must reflect the new structure.
-	gen := fx.dyn.Generation()
-	root := fx.trees[1].Root()
-	for i := 0; i < 3; i++ {
-		// Duplicate-key errors are fine; at least one insert lands.
-		_ = fx.dyn.Insert(root, y+catalog.Key(rng.Intn(50))+catalog.Key(i*1000), int32(i))
-	}
-	if err := fx.dyn.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if fx.dyn.Generation() == gen {
-		t.Fatal("Flush did not bump the generation")
-	}
-	ans, _, err = e.ExecuteBatch([]Query{q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans[0].CacheHit {
-		t.Fatal("stale entry cache hit across a flush")
-	}
-	fx.checkAnswer(t, "post-flush", q, ans[0])
-	if s := e.CacheStatsFor(1); s.Stale == 0 {
-		t.Errorf("cache never recorded the generation purge: %+v", s)
-	}
 }
 
 func TestBatchedThroughputBeatsSequential(t *testing.T) {
@@ -482,8 +418,8 @@ func TestConcurrentBatchesOnSharedEngine(t *testing.T) {
 			for round := 0; round < 10; round++ {
 				qs := make([]Query, 1+rng.Intn(12))
 				for i := range qs {
-					// Static shard + read-only locators: no dynamic
-					// mutations, so concurrent batches are safe.
+					// Every served structure is frozen, so concurrent
+					// batches share the engine safely.
 					switch rng.Intn(3) {
 					case 0:
 						qs[i] = CatalogQuery(0, fx.clusteredKey(rng), randomPath(fx.trees[0], rng))

@@ -10,53 +10,50 @@ import (
 // interval hits are rare but nearby fingers abound), every answer must
 // equal the uncached backend oracle bit for bit, finger hits must
 // actually occur, and the per-answer flag, per-batch report, and
-// per-shard cache counters must agree — on both the pointer and the flat
-// serving paths.
+// per-shard cache counters must agree.
 func TestFingerCacheOracle(t *testing.T) {
 	fx := buildFixture(t, 21, 1<<5, 4000)
-	for _, flatMode := range []bool{false, true} {
-		e := fx.newEngine(t, Config{Procs: 4096, BatchSize: 16, CacheSize: 4, FingerCache: true, Flat: flatMode})
-		rng := seededRNG(t, 22)
-		qs := make([]Query, 400)
-		for i := range qs {
-			qs[i] = CatalogQuery(0, fx.clusteredKey(rng), randomPath(fx.trees[0], rng))
+	e := fx.newEngine(t, Config{Procs: 4096, BatchSize: 16, CacheSize: 4, FingerCache: true})
+	rng := seededRNG(t, 22)
+	qs := make([]Query, 400)
+	for i := range qs {
+		qs[i] = CatalogQuery(0, fx.clusteredKey(rng), randomPath(fx.trees[0], rng))
+	}
+	fingerHits := 0
+	reportHits := 0
+	for lo := 0; lo < len(qs); lo += 16 {
+		ans, rep, err := e.ExecuteBatch(qs[lo : lo+16])
+		if err != nil {
+			t.Fatal(err)
 		}
-		fingerHits := 0
-		reportHits := 0
-		for lo := 0; lo < len(qs); lo += 16 {
-			ans, rep, err := e.ExecuteBatch(qs[lo : lo+16])
+		reportHits += rep.FingerHits
+		for i, a := range ans {
+			if a.Err != nil {
+				t.Fatalf("query %d: %v", lo+i, a.Err)
+			}
+			want, _, err := fx.shards[0].SearchExplicit(a.Query.Key, a.Query.Path, a.P)
 			if err != nil {
-				t.Fatalf("flat=%v: %v", flatMode, err)
+				t.Fatal(err)
 			}
-			reportHits += rep.FingerHits
-			for i, a := range ans {
-				if a.Err != nil {
-					t.Fatalf("flat=%v query %d: %v", flatMode, lo+i, a.Err)
-				}
-				want, _, err := fx.static.SearchExplicit(a.Query.Key, a.Query.Path, a.P)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a.Results, want) {
-					t.Fatalf("flat=%v query %d (finger=%v): results differ from uncached oracle", flatMode, lo+i, a.FingerHit)
-				}
-				if a.FingerHit {
-					fingerHits++
-					if a.CacheHit {
-						t.Fatalf("flat=%v query %d: FingerHit and CacheHit both set", flatMode, lo+i)
-					}
+			if !reflect.DeepEqual(a.Results, want) {
+				t.Fatalf("query %d (finger=%v): results differ from uncached oracle", lo+i, a.FingerHit)
+			}
+			if a.FingerHit {
+				fingerHits++
+				if a.CacheHit {
+					t.Fatalf("query %d: FingerHit and CacheHit both set", lo+i)
 				}
 			}
 		}
-		if fingerHits == 0 {
-			t.Fatalf("flat=%v: key-local workload produced no finger hits", flatMode)
-		}
-		if reportHits != fingerHits {
-			t.Fatalf("flat=%v: batch reports count %d finger hits, answers %d", flatMode, reportHits, fingerHits)
-		}
-		if cs := e.CacheStatsFor(0); cs.FingerHits != uint64(fingerHits) {
-			t.Fatalf("flat=%v: cache counter has %d finger hits, answers %d", flatMode, cs.FingerHits, fingerHits)
-		}
+	}
+	if fingerHits == 0 {
+		t.Fatal("key-local workload produced no finger hits")
+	}
+	if reportHits != fingerHits {
+		t.Fatalf("batch reports count %d finger hits, answers %d", reportHits, fingerHits)
+	}
+	if cs := e.CacheStatsFor(0); cs.FingerHits != uint64(fingerHits) {
+		t.Fatalf("cache counter has %d finger hits, answers %d", cs.FingerHits, fingerHits)
 	}
 }
 

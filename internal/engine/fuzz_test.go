@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"fraccascade/internal/catalog"
-	"fraccascade/internal/tree"
 )
 
 // FuzzBatchSearch drives the batched engine with fuzzer-chosen workload
@@ -38,15 +35,14 @@ func FuzzBatchSearch(f *testing.F) {
 			for i := range answers {
 				fx.checkAnswer(t, fmt.Sprintf("seed=%d b=%d procs=%d round=%d query=%d", seed, b, procs, round, i), qs[i], answers[i])
 			}
-			fx.churnDynamic(t, rng)
 		}
 	})
 }
 
-// FuzzEntryCache interleaves clustered catalog queries on a dynamic shard
-// with fuzzer-driven mutations and Flush invalidations, asserting no stale
-// entry-point cache hit can ever surface: every answer is compared with the
-// dynamic.Find oracle, which always reflects committed + pending state.
+// FuzzEntryCache drives a deliberately small entry-point cache with
+// fuzzer-chosen sequences of clustered catalog batches, so hits, LRU
+// evictions and refills interleave, asserting no wrong cache hit can ever
+// surface: every answer is compared with the cascade.SearchPath oracle.
 func FuzzEntryCache(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 3, 0})
 	f.Add(int64(9), []byte{3, 3, 3, 0, 0})
@@ -58,32 +54,20 @@ func FuzzEntryCache(f *testing.F) {
 		fx := buildFixture(t, seed, 8, 200)
 		e := fx.newEngine(t, Config{Procs: 64, CacheSize: 8})
 		rng := rand.New(rand.NewSource(seed))
-		n := fx.trees[1].N()
 		for step, op := range ops {
-			switch op % 4 {
-			case 0: // a small batch of clustered dynamic-shard queries
-				qs := make([]Query, 4)
-				for i := range qs {
-					qs[i] = CatalogQuery(1, fx.clusteredKey(rng), randomPath(fx.trees[1], rng))
-				}
-				answers, _, err := e.ExecuteBatch(qs)
-				if err != nil {
-					t.Fatalf("seed=%d step=%d: %v", seed, step, err)
-				}
-				for i := range answers {
-					fx.checkAnswer(t, fmt.Sprintf("seed=%d step=%d query=%d", seed, step, i), qs[i], answers[i])
-				}
-			case 1:
-				_ = fx.dyn.Insert(tree.NodeID(rng.Intn(n)), catalog.Key(rng.Int63n(fx.bound)), int32(step))
-			case 2:
-				v := tree.NodeID(rng.Intn(n))
-				if k, _ := fx.dyn.Find(v, catalog.Key(rng.Int63n(fx.bound))); k != catalog.PlusInf {
-					_ = fx.dyn.Delete(v, k)
-				}
-			case 3:
-				if err := fx.dyn.Flush(); err != nil {
-					t.Fatalf("seed=%d step=%d flush: %v", seed, step, err)
-				}
+			// The op picks the shard and the batch size of one batch of
+			// clustered queries.
+			shard := int(op) % 2
+			qs := make([]Query, 1+int(op>>1)%8)
+			for i := range qs {
+				qs[i] = CatalogQuery(shard, fx.clusteredKey(rng), randomPath(fx.trees[shard], rng))
+			}
+			answers, _, err := e.ExecuteBatch(qs)
+			if err != nil {
+				t.Fatalf("seed=%d step=%d: %v", seed, step, err)
+			}
+			for i := range answers {
+				fx.checkAnswer(t, fmt.Sprintf("seed=%d step=%d query=%d", seed, step, i), qs[i], answers[i])
 			}
 		}
 	})

@@ -3,31 +3,30 @@ package engine
 import (
 	"fmt"
 
+	"fraccascade/internal/core"
 	"fraccascade/internal/snapshot"
 )
 
-// BackendsFromStore adapts a decoded snapshot store into catalog backends,
-// in shard order. It is the engine-side half of the crash-safe restore
-// path: snapshot.Load validates the bytes, this maps the reconstructed
-// structures onto the live serving interface, and New accepts the result
-// exactly like freshly built shards.
-func BackendsFromStore(store *snapshot.Store) ([]CatalogBackend, error) {
+// BackendsFromStore returns the static structures of a decoded snapshot
+// store, in shard order, for New to freeze and serve. It is the engine-side
+// half of the crash-safe restore path: snapshot.Load validates the bytes,
+// and New accepts the result exactly like freshly built shards. The engine
+// serves static shards only, so a dynamic shard is an error; live mutation
+// belongs to internal/dynamic, which callers drive directly.
+func BackendsFromStore(store *snapshot.Store) ([]*core.Structure, error) {
 	if store == nil {
 		return nil, fmt.Errorf("engine: nil snapshot store")
 	}
-	shards := make([]CatalogBackend, len(store.Shards))
+	shards := make([]*core.Structure, len(store.Shards))
 	for i, sh := range store.Shards {
 		switch sh.Kind {
 		case snapshot.KindStatic:
 			if sh.Static == nil {
 				return nil, fmt.Errorf("engine: snapshot shard %d is static with no structure", i)
 			}
-			shards[i] = StaticShard{St: sh.Static}
+			shards[i] = sh.Static
 		case snapshot.KindDynamic:
-			if sh.Dynamic == nil {
-				return nil, fmt.Errorf("engine: snapshot shard %d is dynamic with no structure", i)
-			}
-			shards[i] = DynamicShard{D: sh.Dynamic}
+			return nil, fmt.Errorf("engine: snapshot shard %d is dynamic; the engine serves static shards only", i)
 		default:
 			return nil, fmt.Errorf("engine: snapshot shard %d has unknown kind %d", i, sh.Kind)
 		}

@@ -110,9 +110,9 @@ type writer struct {
 	buf []byte
 }
 
-func (w *writer) u64(v uint64)  { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) i64(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *writer) uint(v int)    { w.u64(uint64(v)) }
+func (w *writer) u64(v uint64)   { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *writer) i64(v int64)    { w.buf = binary.AppendVarint(w.buf, v) }
+func (w *writer) uint(v int)     { w.u64(uint64(v)) }
 func (w *writer) byteVal(b byte) { w.buf = append(w.buf, b) }
 func (w *writer) boolVal(b bool) {
 	if b {

@@ -77,7 +77,24 @@ func Save(path string, st *Store) error {
 
 // SaveFS is Save over an injectable filesystem, for fault testing.
 func SaveFS(fsys FS, path string, st *Store) error {
-	data, err := Encode(st)
+	if st == nil {
+		return fmt.Errorf("snapshot: empty store")
+	}
+	return saveShards(fsys, path, st.Generation, st.kinds(), st.shard)
+}
+
+// SaveShards writes a snapshot of len(kinds) shards to path as crash-safely
+// as Save, one shard at a time: it calls next(i) for shard i, in order, and
+// encodes that shard before it asks for the next. A caller that builds each
+// shard inside next and keeps nothing of it holds at most one shard's
+// pointer structure at a time. The bytes equal Encode's for a store of the
+// same shards. An error from next aborts the save and is returned as is.
+func SaveShards(path string, generation uint64, kinds []Kind, next func(i int) (Shard, error)) error {
+	return saveShards(OSFS{}, path, generation, kinds, next)
+}
+
+func saveShards(fsys FS, path string, generation uint64, kinds []Kind, next func(i int) (Shard, error)) error {
+	data, err := encodeShards(generation, kinds, next)
 	if err != nil {
 		return err
 	}

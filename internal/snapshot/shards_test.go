@@ -1,0 +1,165 @@
+package snapshot
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// shardStores are the stores the shard-at-a-time writer and reader are
+// held to Encode and DecodeParallel on: static, dynamic, and a multi-shard
+// mix of both.
+func shardStores(t *testing.T) map[string]*Store {
+	t.Helper()
+	d := churn(t, 8, 16, 3)
+	return map[string]*Store{
+		"static":  {Generation: 7, Shards: []Shard{{Kind: KindStatic, Static: buildStatic(t, 16, 24, 7)}}},
+		"dynamic": {Generation: d.Generation(), Shards: []Shard{{Kind: KindDynamic, Dynamic: d}}},
+		"multi": {Generation: 1, Shards: []Shard{
+			{Kind: KindStatic, Static: buildStatic(t, 8, 12, 11)},
+			{Kind: KindDynamic, Dynamic: churn(t, 4, 8, 12)},
+			{Kind: KindStatic, Static: buildStatic(t, 4, 6, 13)},
+		}},
+	}
+}
+
+// TestShardWriterMatchesEncode: SaveShards, fed one shard per call, writes
+// exactly Encode's bytes, and asks for the shards in order, one at a time.
+func TestShardWriterMatchesEncode(t *testing.T) {
+	for name, store := range shardStores(t) {
+		want, err := Encode(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "shards.snap")
+		var asked []int
+		next := func(i int) (Shard, error) {
+			asked = append(asked, i)
+			return store.Shards[i], nil
+		}
+		if err := SaveShards(path, store.Generation, store.kinds(), next); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: SaveShards wrote %d bytes that differ from Encode's %d", name, len(got), len(want))
+		}
+		for i, n := range asked {
+			if n != i || len(asked) != len(store.Shards) {
+				t.Fatalf("%s: next called for shards %v, want each of %d once in order", name, asked, len(store.Shards))
+			}
+		}
+	}
+
+	// An error from next aborts the save and leaves no file; a shard
+	// whose kind disagrees with the manifest is refused.
+	path := filepath.Join(t.TempDir(), "shards.snap")
+	boom := errors.New("boom")
+	kinds := []Kind{KindStatic, KindStatic}
+	if err := SaveShards(path, 0, kinds, func(int) (Shard, error) { return Shard{}, boom }); !errors.Is(err, boom) {
+		t.Fatalf("SaveShards returned %v, want next's error", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("failed save left a file: %v", err)
+	}
+	d := churn(t, 4, 8, 12)
+	if err := SaveShards(path, 0, kinds[:1], func(int) (Shard, error) { return Shard{Kind: KindDynamic, Dynamic: d}, nil }); err == nil {
+		t.Fatal("SaveShards accepted a shard whose kind disagrees with the manifest")
+	}
+}
+
+// TestShardReaderMatchesDecodeParallel: OpenShards reports the manifest
+// before decoding anything, then yields, one Next at a time, the same
+// shards DecodeParallel restores; a Next past the last shard errors.
+func TestShardReaderMatchesDecodeParallel(t *testing.T) {
+	for name, store := range shardStores(t) {
+		data, err := Encode(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "shards.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := DecodeParallel(data, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenShards(path, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.generation != store.Generation {
+			t.Fatalf("%s: generation %d, want %d", name, r.generation, store.Generation)
+		}
+		kinds := r.Kinds()
+		if len(kinds) != len(store.Shards) {
+			t.Fatalf("%s: %d kinds, want %d", name, len(kinds), len(store.Shards))
+		}
+		got := &Store{Generation: r.generation}
+		for i, kind := range kinds {
+			if kind != store.Shards[i].Kind {
+				t.Fatalf("%s: shard %d kind %d, want %d", name, i, kind, store.Shards[i].Kind)
+			}
+			sh, err := r.Next()
+			if err != nil {
+				t.Fatalf("%s: shard %d: %v", name, i, err)
+			}
+			got.Shards = append(got.Shards, sh)
+		}
+		if _, err := r.Next(); err == nil {
+			t.Fatalf("%s: Next past the last shard succeeded", name)
+		}
+		// Same shards: both re-encode to the original bytes, and every
+		// shard answers like the decoded whole store's.
+		for _, st := range []*Store{got, whole} {
+			again, err := Encode(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("%s: re-encoded restore differs from the snapshot", name)
+			}
+		}
+		for i := range got.Shards {
+			a, b := got.Shards[i].Static, whole.Shards[i].Static
+			if got.Shards[i].Kind == KindDynamic {
+				a, b = got.Shards[i].Dynamic.Static(), whole.Shards[i].Dynamic.Static()
+			}
+			assertSameAnswers(t, b, a, int64(i))
+		}
+	}
+}
+
+// TestShardReaderErrorSticks: a shard that fails to decode fails every
+// later Next with the same typed corruption, while the manifest still
+// reads.
+func TestShardReaderErrorSticks(t *testing.T) {
+	data, err := Encode(shardStores(t)["multi"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newShardReader(data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reader has framed and checksummed the file already; relabel the
+	// first shard's tree section as a cascade section so only the decode
+	// can object.
+	r.secs[1].id = secCascade
+	if _, err := r.Next(); !IsCorrupt(err) {
+		t.Fatalf("Next on a misordered shard: %v, want corruption", err)
+	}
+	first := r.err
+	if _, err := r.Next(); err != first {
+		t.Fatalf("second Next returned %v, want the sticky %v", err, first)
+	}
+	if len(r.Kinds()) != 3 {
+		t.Fatalf("manifest lost after a failed Next: %v", r.Kinds())
+	}
+}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"math"
+	"os"
 
 	"fraccascade/internal/cascade"
 	"fraccascade/internal/catalog"
@@ -16,10 +17,11 @@ import (
 type Kind uint8
 
 const (
-	// KindStatic is a built static structure (engine.StaticShard).
+	// KindStatic is a built static structure (core.Structure), the only
+	// kind the engine serves.
 	KindStatic Kind = 1
 	// KindDynamic is a dynamic structure with committed catalogs and
-	// pending overlays (engine.DynamicShard).
+	// pending overlays (dynamic.Structure).
 	KindDynamic Kind = 2
 )
 
@@ -32,8 +34,8 @@ type Shard struct {
 }
 
 // Store is the unit of persistence: an ordered set of shards plus a
-// caller-defined generation stamp (coopserve uses the sum of dynamic shard
-// generations) surfaced in the file header for cheap inspection.
+// caller-defined generation stamp surfaced in the file header for cheap
+// inspection.
 type Store struct {
 	Generation uint64
 	Shards     []Shard
@@ -41,51 +43,85 @@ type Store struct {
 
 // Encode serializes the store into the snapshot wire format.
 func Encode(st *Store) ([]byte, error) {
-	if st == nil || len(st.Shards) == 0 {
+	if st == nil {
 		return nil, fmt.Errorf("snapshot: empty store")
 	}
-	var ids []uint32
-	var payloads [][]byte
-	add := func(id uint32, w *writer) {
-		ids = append(ids, id)
-		payloads = append(payloads, w.buf)
-	}
-	manifest := &writer{}
-	manifest.uint(len(st.Shards))
-	for _, sh := range st.Shards {
-		manifest.byteVal(byte(sh.Kind))
-	}
-	add(secManifest, manifest)
+	return encodeShards(st.Generation, st.kinds(), st.shard)
+}
+
+// kinds lists the store's shard kinds in order.
+func (st *Store) kinds() []Kind {
+	kinds := make([]Kind, len(st.Shards))
 	for i, sh := range st.Shards {
-		var stc *core.Structure
-		switch sh.Kind {
+		kinds[i] = sh.Kind
+	}
+	return kinds
+}
+
+// shard hands out the store's shards to encodeShards.
+func (st *Store) shard(i int) (Shard, error) { return st.Shards[i], nil }
+
+// encodeShards is the snapshot encoder. It writes the header and the
+// manifest for kinds, then calls next for each shard in order and appends
+// that shard's sections before it asks for the following one, so a caller
+// that builds each shard inside next holds one at a time.
+func encodeShards(generation uint64, kinds []Kind, next func(i int) (Shard, error)) ([]byte, error) {
+	if len(kinds) == 0 {
+		return nil, fmt.Errorf("snapshot: empty store")
+	}
+	sections := 1 // the manifest
+	manifest := &writer{}
+	manifest.uint(len(kinds))
+	for i, kind := range kinds {
+		switch kind {
 		case KindStatic:
-			stc = sh.Static
+			sections += 3
 		case KindDynamic:
-			if sh.Dynamic == nil {
-				return nil, fmt.Errorf("snapshot: shard %d: nil dynamic structure", i)
-			}
-			stc = sh.Dynamic.Static()
+			sections += 4
 		default:
-			return nil, fmt.Errorf("snapshot: shard %d: unknown kind %d", i, sh.Kind)
+			return nil, fmt.Errorf("snapshot: shard %d: unknown kind %d", i, kind)
 		}
-		if stc == nil {
-			return nil, fmt.Errorf("snapshot: shard %d: nil structure", i)
-		}
-		coreState, err := stc.ExportState()
+		manifest.byteVal(byte(kind))
+	}
+	out := appendHeader(nil, generation, sections)
+	out = appendSection(out, secManifest, manifest.buf)
+	for i, kind := range kinds {
+		sh, err := next(i)
 		if err != nil {
+			return nil, err
+		}
+		if sh.Kind != kind {
+			return nil, fmt.Errorf("snapshot: shard %d has kind %d, the manifest says %d", i, sh.Kind, kind)
+		}
+		if out, err = appendShard(out, sh); err != nil {
 			return nil, fmt.Errorf("snapshot: shard %d: %w", i, err)
 		}
-		add(secTree, encodeTree(stc.Tree()))
-		add(secCascade, encodeCascade(stc.Cascade().ExportParts()))
-		add(secCore, encodeCore(coreState))
-		if sh.Kind == KindDynamic {
-			add(secDynamic, encodeDynamic(sh.Dynamic.ExportState()))
-		}
 	}
-	out := appendHeader(nil, st.Generation, len(ids))
-	for i := range ids {
-		out = appendSection(out, ids[i], payloads[i])
+	return out, nil
+}
+
+// appendShard appends one shard's sections: tree, cascade, core, and for a
+// dynamic shard its committed catalogs and pending overlays.
+func appendShard(out []byte, sh Shard) ([]byte, error) {
+	stc := sh.Static
+	if sh.Kind == KindDynamic {
+		if sh.Dynamic == nil {
+			return nil, fmt.Errorf("nil dynamic structure")
+		}
+		stc = sh.Dynamic.Static()
+	}
+	if stc == nil {
+		return nil, fmt.Errorf("nil structure")
+	}
+	coreState, err := stc.ExportState()
+	if err != nil {
+		return nil, err
+	}
+	out = appendSection(out, secTree, encodeTree(stc.Tree()).buf)
+	out = appendSection(out, secCascade, encodeCascade(stc.Cascade().ExportParts()).buf)
+	out = appendSection(out, secCore, encodeCore(coreState).buf)
+	if sh.Kind == KindDynamic {
+		out = appendSection(out, secDynamic, encodeDynamic(sh.Dynamic.ExportState()).buf)
 	}
 	return out, nil
 }
@@ -102,6 +138,56 @@ func Decode(data []byte) (*Store, error) {
 // The restored store and every error are identical to Decode's for every
 // parallelism value.
 func DecodeParallel(data []byte, parallelism int) (*Store, error) {
+	r, err := newShardReader(data, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	st := &Store{Generation: r.generation}
+	for range r.Kinds() {
+		sh, err := r.Next()
+		if err != nil {
+			return nil, err
+		}
+		st.Shards = append(st.Shards, sh)
+	}
+	return st, nil
+}
+
+// ShardReader is the snapshot decoder: it restores a snapshot one shard at
+// a time. Opening it checks everything that needs no shard decoded — the
+// header, every section's framing and checksum, trailing bytes and the
+// manifest — so a caller can refuse a snapshot by its Kinds before paying
+// for a decode, and can drop each shard before it decodes the next.
+type ShardReader struct {
+	generation  uint64
+	kinds       []Kind
+	secs        []section
+	parallelism int
+	idx         int   // next section to consume
+	shard       int   // next shard to decode
+	err         error // sticky: a failed Next fails every later one
+}
+
+// section is one framed, checksum-verified section of a snapshot.
+type section struct {
+	id      uint32
+	payload []byte
+}
+
+// OpenShards reads the snapshot at path and returns a reader over its
+// shards; see ShardReader. Decodes run their re-validation over
+// parallelism host workers (0 = all cores). A missing or unreadable file
+// returns the underlying I/O error; bad contents a *CorruptionError.
+func OpenShards(path string, parallelism int) (*ShardReader, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return newShardReader(data, parallelism)
+}
+
+// newShardReader frames the sections of data and reads its manifest.
+func newShardReader(data []byte, parallelism int) (*ShardReader, error) {
 	generation, nsec, off, err := parseHeader(data)
 	if err != nil {
 		return nil, err
@@ -111,10 +197,6 @@ func DecodeParallel(data []byte, parallelism int) (*Store, error) {
 	const minSection = 16
 	if uint64(nsec)*minSection > uint64(len(data)-off) {
 		return nil, corruptf(ErrTruncated, "%d sections declared in %d bytes", nsec, len(data)-off)
-	}
-	type section struct {
-		id      uint32
-		payload []byte
 	}
 	secs := make([]section, 0, nsec)
 	for i := uint32(0); i < nsec; i++ {
@@ -135,30 +217,47 @@ func DecodeParallel(data []byte, parallelism int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{Generation: generation}
-	idx := 1
-	take := func(want uint32) ([]byte, error) {
-		if idx >= len(secs) {
-			return nil, corruptf(ErrTruncated, "missing section %d", want)
-		}
-		if secs[idx].id != want {
-			return nil, corruptf(ErrCorrupt, "section %d where %d expected", secs[idx].id, want)
-		}
-		p := secs[idx].payload
-		idx++
-		return p, nil
+	return &ShardReader{generation: generation, kinds: kinds, secs: secs, parallelism: parallelism, idx: 1}, nil
+}
+
+// Kinds returns the manifest: one kind per shard, in shard order.
+func (r *ShardReader) Kinds() []Kind { return r.kinds }
+
+// Next decodes the next shard in manifest order. The last shard's Next
+// also rejects sections beyond the manifest's shards. Every decode error is
+// a *CorruptionError, and it sticks: later calls return it again.
+func (r *ShardReader) Next() (Shard, error) {
+	if r.err != nil {
+		return Shard{}, r.err
 	}
-	for si, kind := range kinds {
-		sh, err := decodeShard(kind, take, parallelism)
-		if err != nil {
-			return nil, &CorruptionError{Reason: errReason(err), Detail: fmt.Sprintf("shard %d: %s", si, errDetail(err))}
-		}
-		st.Shards = append(st.Shards, sh)
+	if r.shard >= len(r.kinds) {
+		return Shard{}, fmt.Errorf("snapshot: all %d shards already read", len(r.kinds))
 	}
-	if idx != len(secs) {
-		return nil, corruptf(ErrCorrupt, "%d sections beyond the manifest's shards", len(secs)-idx)
+	si := r.shard
+	r.shard++
+	sh, err := decodeShard(r.kinds[si], r.take, r.parallelism)
+	if err != nil {
+		r.err = &CorruptionError{Reason: errReason(err), Detail: fmt.Sprintf("shard %d: %s", si, errDetail(err))}
+		return Shard{}, r.err
 	}
-	return st, nil
+	if r.shard == len(r.kinds) && r.idx != len(r.secs) {
+		r.err = corruptf(ErrCorrupt, "%d sections beyond the manifest's shards", len(r.secs)-r.idx)
+		return Shard{}, r.err
+	}
+	return sh, nil
+}
+
+// take consumes the next section, which must have id want.
+func (r *ShardReader) take(want uint32) ([]byte, error) {
+	if r.idx >= len(r.secs) {
+		return nil, corruptf(ErrTruncated, "missing section %d", want)
+	}
+	if r.secs[r.idx].id != want {
+		return nil, corruptf(ErrCorrupt, "section %d where %d expected", r.secs[r.idx].id, want)
+	}
+	p := r.secs[r.idx].payload
+	r.idx++
+	return p, nil
 }
 
 // errReason and errDetail re-wrap a nested corruption error so shard
@@ -375,21 +474,21 @@ func decodeCatalogPair(r *reader) (aug, native catalog.Catalog, err error) {
 	if r.err != nil {
 		return aug, native, r.err
 	}
-	var nativeEntries []catalog.Entry
+	natives := 0
 	next := int32(len(entries) - 1)
 	for i := len(entries) - 1; i >= 0; i-- {
 		if entries[i].Native {
 			next = int32(i)
+			natives++
 		}
 		entries[i].NativeSucc = next
 	}
+	nativeEntries := make([]catalog.Entry, 0, natives)
 	for _, e := range entries {
 		if e.Native {
+			e.NativeSucc = int32(len(nativeEntries))
 			nativeEntries = append(nativeEntries, e)
 		}
-	}
-	for i := range nativeEntries {
-		nativeEntries[i].NativeSucc = int32(i)
 	}
 	if aug, err = catalog.FromEntries(entries); err != nil {
 		return aug, native, corruptf(ErrCorrupt, "augmented catalog: %v", err)

@@ -27,7 +27,7 @@ func randomCatalogs(tb testing.TB, t *tree.Tree, perNode int, rng *rand.Rand) []
 		keys := make([]catalog.Key, 0, perNode)
 		payloads := make([]int32, 0, perNode)
 		for len(keys) < perNode {
-			k := catalog.Key(rng.Int63n(1 << 30) * 2)
+			k := catalog.Key(rng.Int63n(1<<30) * 2)
 			if seen[k] {
 				continue
 			}
@@ -335,4 +335,3 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 }
-

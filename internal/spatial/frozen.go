@@ -15,22 +15,22 @@ import (
 // hop — identical cells, identical Stats — at zero heap allocations per
 // query (pinned by the seeded differential and the alloc guards).
 type Frozen struct {
-	r, rPad, height, n     int32
-	xyMin, xyMax           int64
-	zMin, zMax             int64
-	sep, cell, depth       []int32
-	childStart, children   []int32
-	fBelow, fAbove         []int32
-	fY1, fY2, fZ           []int64
+	r, rPad, height, n   int32
+	xyMin, xyMax         int64
+	zMin, zMax           int64
+	sep, cell, depth     []int32
+	childStart, children []int32
+	fBelow, fAbove       []int32
+	fY1, fY2, fZ         []int64
 	// Per-node slab structures: node v's slab boundaries occupy
 	// xs[xsStart[v]:xsStart[v+1]]; its k boundaries carry k−1 slabs whose
 	// global indices start at nodeSlabBase[v]; slab g's facet ids occupy
 	// slabFacets[slabFacetStart[g]:slabFacetStart[g+1]], sorted by Y1.
-	xsStart       []int32
-	xs            []int64
-	nodeSlabBase  []int32
+	xsStart        []int32
+	xs             []int64
+	nodeSlabBase   []int32
 	slabFacetStart []int32
-	slabFacets    []int32
+	slabFacets     []int32
 }
 
 // Scratch is the reusable per-goroutine state of a frozen locate: the hop
