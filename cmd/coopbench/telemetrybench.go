@@ -24,15 +24,16 @@ const (
 )
 
 // e25Engine builds the serving engine for one measurement arm. Both arms
-// carry the production observability baseline (metrics registry and span
-// ring); only the flight recorder — the subsystem E25 prices — differs.
+// carry the production observability baseline (metrics registry and a
+// record ring of coopserve's 2048 records); only the flight recorder — the
+// subsystem E25 prices — differs.
 func e25Engine(seed int64, rec *obs.FlightRecorder) (*engine.Engine, []*tree.Tree, int) {
 	rng := rand.New(rand.NewSource(seed))
 	const total = 20000
 	st, bt := buildTree(1<<8, total, rng, core.Config{})
 	st2, bt2 := buildTree(1<<8, total, rng, core.Config{})
 	e, err := engine.New(engine.Config{
-		Procs: 4096, Obs: obs.NewRegistry(), Tracer: obs.NewRing(4096),
+		Procs: 4096, Obs: obs.NewRegistry(), Tracer: obs.NewRing(2048),
 		CacheSize: 64, FingerCache: true, Recorder: rec,
 	}, []*core.Structure{st, st2}, nil, nil)
 	if err != nil {
@@ -106,12 +107,12 @@ var e25Columns = benchfmt.Columns{Keys: []string{"n", "batch"}, Metrics: []bench
 
 // runE25 prices the serving telemetry: identical engine workloads executed
 // with the flight recorder off (the 0-alloc nil path coopserve runs under
-// -flight-records=0) and on (recorder + rolling latency window + SLO fed
-// per answer, exactly the coopserve serving loop). The ratio column is
+// -flight-records=0) and on (recorder, plus the SLO and its rolling window
+// fed per answer, exactly the coopserve serving loop). The ratio column is
 // what the bench gate holds (e25Columns); both arms replay the E20
 // batched mix over the engine's one catalog layout, the frozen shards.
 func runE25(seed int64) {
-	fmt.Println("extension: serving-telemetry overhead — flight recorder + latency windows on vs off, identical batches")
+	fmt.Println("extension: serving-telemetry overhead — flight recorder + latency window on vs off, identical batches")
 	fmt.Printf("%-8s %9s %7s %15s %15s %10s\n",
 		"workload", "n", "batch", "off ns/query", "on ns/query", "ratio")
 	for _, batch := range []int{8, 32, 128} {
@@ -122,15 +123,14 @@ func runE25(seed int64) {
 		offNS := e25Time(eOff, batches, nil)
 
 		// Enabled arm: recorder sized like coopserve's default, plus
-		// the rolling window and SLO fed per answer.
+		// the SLO, whose rolling window is the latency window, fed per
+		// answer.
 		rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: 2048})
-		latWin := obs.NewWindowedHistogram(10*time.Second, 12)
 		slo := obs.NewSLO(250*time.Millisecond, 0.99, 10*time.Second, 12)
 		eOn, trees, total := e25Engine(seed, rec)
 		batches = e25Batches(seed, trees, total, batch)
 		onNS := e25Time(eOn, batches, func(answers []engine.Answer) {
 			for i := range answers {
-				latWin.Observe(answers[i].WallNS)
 				slo.Observe(answers[i].WallNS)
 			}
 		})

@@ -28,7 +28,7 @@ func lifecycleConfig() serverConfig {
 	return serverConfig{
 		Seed: 7, Procs: 512, BatchSize: 8,
 		Leaves: 1 << 4, Entries: 800, Shards: 2,
-		Regions: 24, Tiles: 20, RingSize: 1024,
+		Regions: 24, Tiles: 20,
 	}
 }
 

@@ -6,8 +6,9 @@
 //	GET  /metrics             Prometheus text exposition of the obs registry
 //	GET  /healthz             liveness (always 200 once serving)
 //	GET  /readyz              readiness (503 building/draining/overloaded)
-//	GET  /spans?limit=N       JSONL span stream (replay=1 prepends history,
-//	                          follow=1 keeps tailing live spans)
+//	GET  /spans?limit=N       JSONL span stream derived from the last 2048
+//	                          queries' flight records (replay=1 prepends
+//	                          history, follow=1 keeps tailing live spans)
 //	GET  /statusz             human-readable status page: live windowed
 //	                          latency quantiles, SLO burn rates,
 //	                          cache/finger rates, recent slow queries
@@ -19,11 +20,13 @@
 //
 // Every request carries a correlation id (inbound X-Request-ID honored,
 // minted otherwise), echoed on the response and stamped on the request's
-// spans and flight records. The always-on flight recorder (sized by
-// -flight-records; 0 disables it and the per-query wall clocks entirely)
-// tail-samples per-query records — all errors, the slowest per window, and
-// a uniform reservoir — behind /debug/slowlog and /statusz, and feeds the
-// rolling-window latency quantiles and the -slo-latency/-slo-objective
+// spans and flight records. The engine writes each query once, as a
+// flight record, into a record ring behind /spans and into the always-on
+// flight recorder (sized by -flight-records; 0 disables it and the
+// per-query wall clocks entirely), which tail-samples records — all
+// errors, the slowest per window, and a uniform reservoir — behind
+// /debug/slowlog and /statusz. Each answer's wall time feeds one rolling
+// window behind the latency quantiles and the -slo-latency/-slo-objective
 // burn-rate gauges on /metrics.
 //
 // Every structure is served from its frozen layout: the catalog shards from
@@ -72,7 +75,6 @@ func main() {
 	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "catalog shards")
 	flag.IntVar(&cfg.Regions, "regions", cfg.Regions, "planar subdivision regions")
 	flag.IntVar(&cfg.Tiles, "tiles", cfg.Tiles, "spatial complex tiles")
-	flag.IntVar(&cfg.RingSize, "ring", cfg.RingSize, "span flight-recorder capacity")
 	flag.IntVar(&cfg.BuildParallelism, "build-parallelism", cfg.BuildParallelism, "host workers for shard builds, freezes, and snapshot restores (0 = all cores, 1 = sequential)")
 	flag.BoolVar(&cfg.FingerCache, "finger-cache", cfg.FingerCache, "serve catalog queries with distance-sensitive finger search from cached entry points")
 	flag.StringVar(&cfg.SnapshotPath, "snapshot", cfg.SnapshotPath, "snapshot path: load on start, save after build (empty = disabled)")

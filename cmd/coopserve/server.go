@@ -40,7 +40,6 @@ type serverConfig struct {
 	Shards    int
 	Regions   int // planar subdivision regions
 	Tiles     int // spatial complex tiles
-	RingSize  int // span flight-recorder capacity
 
 	BuildParallelism int           // host workers for builds, freezes, and snapshot restores (0 = all cores)
 	FingerCache      bool          // distance-sensitive finger search from cached entries
@@ -71,6 +70,10 @@ const (
 	burnShortSubs      = 3
 )
 
+// ringRecords is the capacity of the record ring behind /spans: the last
+// 2048 queries, 442 KB of flight records.
+const ringRecords = 2048
+
 func defaultServerConfig() serverConfig {
 	return serverConfig{
 		Seed:           1,
@@ -81,7 +84,6 @@ func defaultServerConfig() serverConfig {
 		Shards:         2,
 		Regions:        64,
 		Tiles:          60,
-		RingSize:       4096,
 		RequestTimeout: 10 * time.Second,
 		MaxInflight:    256,
 		DrainTimeout:   10 * time.Second,
@@ -107,11 +109,10 @@ const (
 // gate (inflight cap → 503 + Retry-After), and run under a per-request
 // deadline threaded into the engine's context-aware search path.
 type server struct {
-	cfg    serverConfig
-	eng    *engine.Engine
-	reg    *obs.Registry
-	ring   *obs.Ring
-	stream *spanStream
+	cfg  serverConfig
+	eng  *engine.Engine
+	reg  *obs.Registry
+	ring *obs.Ring // the last ringRecords queries' records, behind /spans
 	// catalogs are the frozen catalog shards the engine serves; the query
 	// handler reads their shapes to check leaves and build root paths.
 	catalogs []*flat.Structure
@@ -135,11 +136,10 @@ type server struct {
 	obsSnapLoad  *obs.Counter // snapshots restored on start
 	obsQueryErrs *obs.Counter // per-query engine failures (sums BatchReport.Errors)
 
-	// Serving telemetry (all nil with FlightRecords == 0): the per-query
-	// flight recorder behind /debug/slowlog and /statusz, and the rolling
-	// latency window + SLO behind the live quantile and burn-rate gauges.
+	// Serving telemetry (both nil with FlightRecords == 0): the per-query
+	// flight recorder behind /debug/slowlog and /statusz, and the SLO
+	// whose rolling window feeds the live quantile and burn-rate gauges.
 	recorder *obs.FlightRecorder
-	latWin   *obs.WindowedHistogram
 	slo      *obs.SLO
 	started  time.Time
 	reqSeq   atomic.Uint64
@@ -151,10 +151,9 @@ type server struct {
 // build runs, typically in a goroutine.
 func newServerShell(cfg serverConfig) *server {
 	s := &server{
-		cfg:    cfg,
-		reg:    obs.NewRegistry(),
-		ring:   obs.NewRing(cfg.RingSize),
-		stream: newSpanStream(),
+		cfg:  cfg,
+		reg:  obs.NewRegistry(),
+		ring: obs.NewRing(ringRecords),
 	}
 	s.state.Store(stateBuilding)
 	s.started = time.Now()
@@ -207,7 +206,7 @@ func (s *server) build() error {
 		BatchSize:   s.cfg.BatchSize,
 		FingerCache: s.cfg.FingerCache,
 		Obs:         s.reg,
-		Tracer:      obs.Fanout(s.ring, s.stream),
+		Tracer:      s.ring,
 		Recorder:    s.recorder,
 	}, catalogs, pl, sp)
 	if err != nil {
@@ -719,10 +718,12 @@ func (s *server) handleStepsProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSpans streams spans as JSONL (one span per line). Query params:
-// replay=1 first dumps the ring buffer's retained history and closes
-// (add follow=1 to keep tailing live spans afterwards); limit=N closes
-// the stream after N spans (0 = no cap).
+// handleSpans streams spans as JSONL (one span per line), derived from
+// the ring's flight records as they are written. Query params: replay=1
+// first dumps the spans of the retained history and closes (add follow=1
+// to keep tailing live spans afterwards, with no gap or overlap between
+// the two); without replay=1 the stream is a live tail; limit=N closes the
+// stream after N spans (0 = no cap).
 func (s *server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	limit := 0
 	if v := r.URL.Query().Get("limit"); v != "" {
@@ -733,48 +734,57 @@ func (s *server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
+	replay := r.URL.Query().Get("replay") == "1"
+	var (
+		history []obs.FlightRecord
+		live    <-chan obs.FlightRecord
+	)
+	if replay && r.URL.Query().Get("follow") != "1" {
+		// A pure replay closes after the history, so curl and tests
+		// terminate without killing the connection.
+		history = s.ring.Records()
+	} else {
+		var cancel func()
+		history, live, cancel = s.ring.Subscribe()
+		defer cancel()
+		if !replay {
+			history = nil
+		}
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	// Flush the headers up front: a live tail with no retained history
-	// would otherwise leave the client blocked on the status line until
-	// the first span happens to arrive.
-	w.WriteHeader(http.StatusOK)
-	if flusher != nil {
-		flusher.Flush()
-	}
 	sent := 0
-	emit := func(sp obs.Span) bool {
-		if err := enc.Encode(sp); err != nil {
-			return false
+	var spans []obs.Span
+	emit := func(rec *obs.FlightRecord) bool {
+		spans = rec.AppendSpans(spans[:0])
+		for i := range spans {
+			if err := enc.Encode(&spans[i]); err != nil {
+				return false
+			}
+			if sent++; limit > 0 && sent >= limit {
+				return false
+			}
 		}
+		return true
+	}
+	for i := range history {
+		if !emit(&history[i]) {
+			return
+		}
+	}
+	flusher, _ := w.(http.Flusher)
+	for live != nil {
+		// Flush what is written before waiting: the headers first, or a
+		// live tail with no history would leave the client blocked on the
+		// status line until the first span arrives.
 		if flusher != nil {
 			flusher.Flush()
 		}
-		sent++
-		return limit == 0 || sent < limit
-	}
-	replay := r.URL.Query().Get("replay") == "1"
-	if replay {
-		for _, sp := range s.ring.Spans() {
-			if !emit(sp) {
-				return
-			}
-		}
-		// A pure replay closes here; tailing past history is opt-in so
-		// curl and tests terminate without killing the connection.
-		if r.URL.Query().Get("follow") != "1" {
-			return
-		}
-	}
-	ch := s.stream.subscribe()
-	defer s.stream.unsubscribe(ch)
-	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case sp := <-ch:
-			if !emit(sp) {
+		case rec := <-live:
+			if !emit(&rec) {
 				return
 			}
 		}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -13,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,7 +35,7 @@ func testServer(t testing.TB) *server {
 	cfg := serverConfig{
 		Seed: 7, Procs: 512, BatchSize: 8,
 		Leaves: 1 << 4, Entries: 800, Shards: 2,
-		Regions: 24, Tiles: 20, RingSize: 1024,
+		Regions: 24, Tiles: 20,
 	}
 	s, err := newServer(cfg)
 	if err != nil {
@@ -284,6 +287,117 @@ func TestSpansEndpoint(t *testing.T) {
 	badResp.Body.Close()
 	if badResp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad limit = %d, want 400", badResp.StatusCode)
+	}
+}
+
+// TestSpansFollowMode exercises GET /spans?replay=1&follow=1 end to end:
+// the replay of queries posted before the stream opened, then the live
+// tail of queries posted after, are exactly the ring's spans, in order,
+// with no gap or overlap; limit closes a follow stream; and a client that
+// disconnects ends the handler (httptest.Server.Close waits for it).
+func TestSpansFollowMode(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.routes())
+	closed := false
+	defer func() {
+		if !closed {
+			ts.Close()
+		}
+	}()
+
+	traffic := queryRequest{Queries: []wireQuery{
+		{Kind: "point", X: 3, Y: 4}, {Kind: "spatial", X: 1, Y: 1, Z: 0},
+		{Kind: "catalog", Shard: 0, Key: 9, Leaf: 1},
+	}}
+	if resp, _ := postQuery(t, ts, traffic); resp.StatusCode != http.StatusOK {
+		t.Fatal("seeding query failed")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/spans?replay=1&follow=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /spans follow = %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	var got []obs.Span
+	next := func() {
+		t.Helper()
+		if !sc.Scan() {
+			t.Fatalf("follow stream ended after %d spans: %v", len(got), sc.Err())
+		}
+		var sp obs.Span
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+			t.Fatalf("follow line %d undecodable: %v", len(got), err)
+		}
+		got = append(got, sp)
+	}
+	// The first replayed span proves the handler has subscribed: replay
+	// and tail come from one Subscribe.
+	next()
+	for i := 0; i < 2; i++ {
+		if resp, _ := postQuery(t, ts, traffic); resp.StatusCode != http.StatusOK {
+			t.Fatal("tail query failed")
+		}
+	}
+	want := s.ring.Spans()
+	for len(got) < len(want) {
+		next()
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay plus tail:\n got %+v\nwant %+v", got, want)
+	}
+	children := 0
+	for _, sp := range got {
+		if sp.Parent != 0 {
+			children++
+		}
+	}
+	if children == 0 {
+		t.Fatalf("follow stream carries no phase child spans among %d", len(got))
+	}
+
+	// limit closes a follow stream after that many spans, here two spans
+	// into the tail. The response headers arrive only once the handler
+	// has subscribed, so the query posted after them reaches the tail.
+	limit := len(want) + 2
+	lresp, err := ts.Client().Get(ts.URL + "/spans?replay=1&follow=1&limit=" + strconv.Itoa(limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postQuery(t, ts, traffic); resp.StatusCode != http.StatusOK {
+		t.Fatal("tail query failed")
+	}
+	body, err := io.ReadAll(lresp.Body)
+	lresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(body), "\n"); n != limit {
+		t.Fatalf("limit=%d follow stream delivered %d spans", limit, n)
+	}
+
+	// A client that disconnects ends the handler, whose deferred cancel
+	// drops the subscription: Close returns only once it has.
+	cancel()
+	closed = true
+	done := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follow handler still running after the client disconnected")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // initTelemetry wires the serving telemetry: the flight recorder, the
-// rolling latency window, the latency SLO, and their /metrics families.
+// latency SLO with its rolling window, and their /metrics families.
 // With FlightRecords == 0 everything stays nil — the engine then takes no
 // per-query clock readings and the recorder hot path is the 0-alloc nil
 // no-op — and none of the families are registered, so scrapes don't show
@@ -28,16 +28,15 @@ func (s *server) initTelemetry() {
 		return
 	}
 	s.recorder = obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: s.cfg.FlightRecords})
-	s.latWin = obs.NewWindowedHistogram(telemetrySubWindow, telemetrySubCount)
 	s.slo = obs.NewSLO(s.cfg.SLOLatency, s.cfg.SLOObjective, telemetrySubWindow, telemetrySubCount)
 
 	// Live windowed quantiles (nanoseconds over the last 2 minutes;
 	// obs.NoData = -1 when the window is empty). One snapshot per gauge
 	// read is fine: /metrics scrapes are seconds apart, not hot-path.
-	s.reg.RegisterFunc("serve.latency.window.p50_ns", func() int64 { return s.latWin.Snapshot().P50 })
-	s.reg.RegisterFunc("serve.latency.window.p95_ns", func() int64 { return s.latWin.Snapshot().P95 })
-	s.reg.RegisterFunc("serve.latency.window.p99_ns", func() int64 { return s.latWin.Snapshot().P99 })
-	s.reg.RegisterFunc("serve.latency.window.count", func() int64 { return s.latWin.Snapshot().Count })
+	s.reg.RegisterFunc("serve.latency.window.p50_ns", func() int64 { return s.slo.Snapshot().P50 })
+	s.reg.RegisterFunc("serve.latency.window.p95_ns", func() int64 { return s.slo.Snapshot().P95 })
+	s.reg.RegisterFunc("serve.latency.window.p99_ns", func() int64 { return s.slo.Snapshot().P99 })
+	s.reg.RegisterFunc("serve.latency.window.count", func() int64 { return s.slo.Snapshot().Count })
 
 	// SLO burn rates in milli-units (gauges are int64): 1000 = burning
 	// the error budget exactly at the sustainable rate.
@@ -47,8 +46,8 @@ func (s *server) initTelemetry() {
 	s.reg.RegisterFunc("serve.slo.latency.burn_long_milli", func() int64 {
 		return int64(s.slo.BurnRate(0) * 1000)
 	})
-	s.reg.Gauge("serve.slo.latency.threshold_ns").Set(int64(s.cfg.SLOLatency))
-	s.reg.Gauge("serve.slo.latency.objective_milli").Set(int64(s.cfg.SLOObjective * 1000))
+	s.reg.Gauge("serve.slo.latency.threshold_ns").Set(int64(s.slo.Threshold()))
+	s.reg.Gauge("serve.slo.latency.objective_milli").Set(int64(s.slo.Objective() * 1000))
 
 	s.reg.RegisterFunc("serve.flight.recorded", func() int64 { return s.recorder.Stats().Total })
 	s.reg.RegisterFunc("serve.flight.errored", func() int64 { return s.recorder.Stats().Errored })
@@ -81,15 +80,14 @@ func sanitizeRequestID(id string) string {
 	return id
 }
 
-// observeAnswers feeds the rolling latency window and the SLO with each
-// answer's host wall time. A no-op with telemetry disabled (the engine
-// did not measure wall times either).
+// observeAnswers feeds the SLO's rolling window with each answer's host
+// wall time. A no-op with telemetry disabled (the engine did not measure
+// wall times either).
 func (s *server) observeAnswers(answers []engine.Answer) {
-	if s.latWin == nil {
+	if s.slo == nil {
 		return
 	}
 	for i := range answers {
-		s.latWin.Observe(answers[i].WallNS)
 		s.slo.Observe(answers[i].WallNS)
 	}
 }
@@ -214,16 +212,16 @@ th{background:#eee}td.l,th.l{text-align:left}
 <tr><td class="l">%d</td><td>%d</td><td>%d</td><td>%d</td></tr></table>
 `, m.Queries, m.Batches, m.Errors, m.StepsTotal)
 
-	if s.latWin == nil {
+	if s.slo == nil {
 		fmt.Fprint(w, `<p class="dim">telemetry disabled (-flight-records=0): no live quantiles, SLO, or slowlog.</p></body></html>`)
 		return
 	}
 
-	win := s.latWin.Snapshot()
+	win := s.slo.Snapshot()
 	fmt.Fprintf(w, `<h2>latency (last %s window)</h2>
 <table><tr><th class="l">count</th><th>p50</th><th>p95</th><th>p99</th><th>max</th></tr>
 <tr><td class="l">%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr></table>
-`, s.latWin.Window(), win.Count, fmtQuantile(win.P50), fmtQuantile(win.P95), fmtQuantile(win.P99), fmtQuantile(win.Max))
+`, s.slo.Window(), win.Count, fmtQuantile(win.P50), fmtQuantile(win.P95), fmtQuantile(win.P99), fmtQuantile(win.Max))
 
 	good, total := s.slo.GoodTotal(0)
 	burnShort, burnLong := s.slo.BurnRate(burnShortSubs), s.slo.BurnRate(0)
@@ -236,7 +234,7 @@ th{background:#eee}td.l,th.l{text-align:left}
 	fmt.Fprintf(w, `<h2>slo: %.1f%% under %s</h2>
 <table><tr><th class="l">good/total</th><th>burn (30s)</th><th>burn (2m)</th></tr>
 <tr><td class="l">%d/%d</td><td class="%s">%.2fx</td><td class="%s">%.2fx</td></tr></table>
-`, s.cfg.SLOObjective*100, s.cfg.SLOLatency, good, total, cls(burnShort), burnShort, cls(burnLong), burnLong)
+`, s.slo.Objective()*100, s.slo.Threshold(), good, total, cls(burnShort), burnShort, cls(burnLong), burnLong)
 
 	fmt.Fprint(w, `<h2>entry caches</h2>
 <table><tr><th class="l">shard</th><th>hits</th><th>misses</th><th>hit rate</th><th>finger hits</th><th>finger rate</th><th>size</th></tr>

@@ -24,7 +24,7 @@ func telemetryServer(t *testing.T, mutate func(*serverConfig)) *server {
 	cfg := serverConfig{
 		Seed: 7, Procs: 512, BatchSize: 8,
 		Leaves: 1 << 4, Entries: 800, Shards: 2,
-		Regions: 24, Tiles: 20, RingSize: 1024,
+		Regions: 24, Tiles: 20,
 		FlightRecords: 256, SLOLatency: 250 * time.Millisecond, SLOObjective: 0.99,
 	}
 	if mutate != nil {
@@ -458,6 +458,32 @@ func TestMetricsTelemetryFamilies(t *testing.T) {
 	}
 	if g := snap.Gauges["serve.slo.latency.threshold_ns"]; g != int64(250*time.Millisecond) {
 		t.Fatalf("serve.slo.latency.threshold_ns = %d", g)
+	}
+}
+
+// TestSLOObjectiveReported checks that /metrics and /statusz report the
+// objective the SLO enforces: an out-of-range -slo-objective becomes 0.99
+// in obs.NewSLO, so the gauge reads 990 and the heading 99.0%, the values
+// the burn rates use, not the raw flag.
+func TestSLOObjectiveReported(t *testing.T) {
+	s := telemetryServer(t, func(cfg *serverConfig) { cfg.SLOObjective = 1.5 })
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(text), "\nserve_slo_latency_objective_milli 990\n") {
+		t.Fatalf("/metrics does not report objective_milli 990:\n%s", text)
+	}
+	if body := getStatusz(t, ts); !strings.Contains(body, "slo: 99.0% under 250ms") {
+		t.Fatalf("/statusz does not head the SLO with the enforced 99.0%%:\n%s", body)
 	}
 }
 

@@ -18,8 +18,10 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -48,7 +50,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	executor := flag.String("executor", "virtual", "PRAM executor for -pramcheck: barrier, virtual, or uncosted")
 	pramcheck := flag.Int("pramcheck", 0, "run this many machine-executed catalog searches on the separator structure and verify them against the cascade oracle")
-	trace := flag.String("trace", "", "with -batch: write one JSONL span per query to this file (- for stdout)")
+	trace := flag.String("trace", "", "with -batch: write the queries' spans, each query span followed by its phase child spans, as JSONL to this file (- for stdout)")
 	metrics := flag.Bool("metrics", false, "with -batch: print an obs metrics snapshot after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -140,20 +142,18 @@ func main() {
 		if *metrics {
 			reg = obs.NewRegistry()
 		}
-		var tracer *obs.JSONL
-		if *trace != "" {
-			w := os.Stdout
-			if *trace != "-" {
-				f, err := os.Create(*trace)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer f.Close()
-				w = f
+		var traceW io.Writer
+		if *trace == "-" {
+			traceW = os.Stdout
+		} else if *trace != "" {
+			f, err := os.Create(*trace)
+			if err != nil {
+				log.Fatal(err)
 			}
-			tracer = obs.NewJSONL(w)
+			defer f.Close()
+			traceW = f
 		}
-		runBatched(s, loc, rng, *p, *queries, *batch, reg, tracer)
+		runBatched(s, loc, rng, *p, *queries, *batch, reg, traceW)
 		return
 	}
 	if *metrics || *trace != "" {
@@ -209,11 +209,15 @@ func pramVerify(st *core.Structure, rng *rand.Rand, kind pram.ExecutorKind, p, n
 // runBatched pushes n random point-location queries through the batched
 // engine in batches of b, verifies every answer against the brute-force
 // oracle, and reports queries/step for batched vs one-at-a-time execution
-// under the same total processor budget p.
-func runBatched(s *subdivision.Subdivision, loc *pointloc.Locator, rng *rand.Rand, p, n, b int, reg *obs.Registry, tracer *obs.JSONL) {
+// under the same total processor budget p. With a trace writer it keeps
+// the n queries' flight records in a ring and writes their spans to it as
+// JSONL once the batches have run.
+func runBatched(s *subdivision.Subdivision, loc *pointloc.Locator, rng *rand.Rand, p, n, b int, reg *obs.Registry, trace io.Writer) {
 	cfg := engine.Config{Procs: p, BatchSize: b, Obs: reg}
-	if tracer != nil {
-		cfg.Tracer = tracer
+	var ring *obs.Ring
+	if trace != nil {
+		ring = obs.NewRing(n)
+		cfg.Tracer = ring
 	}
 	e, err := engine.New(cfg, nil, loc, nil)
 	if err != nil {
@@ -228,6 +232,14 @@ func runBatched(s *subdivision.Subdivision, loc *pointloc.Locator, rng *rand.Ran
 	answers, reports, err := e.Flush()
 	if err != nil {
 		log.Fatal(err)
+	}
+	if ring != nil {
+		enc := json.NewEncoder(trace)
+		for _, sp := range ring.Spans() {
+			if err := enc.Encode(sp); err != nil {
+				log.Fatalf("trace sink: %v", err)
+			}
+		}
 	}
 	batchSteps := 0
 	for _, rep := range reports {
@@ -252,11 +264,6 @@ func runBatched(s *subdivision.Subdivision, loc *pointloc.Locator, rng *rand.Ran
 		n, len(reports), b, reports[0].PShare, batchSteps, float64(n)/float64(batchSteps))
 	fmt.Printf("one-at-a-time baseline: %d steps (%.3f q/step) -> speedup %.1fx; mismatches: %d\n",
 		seqSteps, float64(n)/float64(seqSteps), float64(seqSteps)/float64(batchSteps), mismatches)
-	if tracer != nil {
-		if err := tracer.Err(); err != nil {
-			log.Fatalf("trace sink: %v", err)
-		}
-	}
 	if reg != nil {
 		fmt.Println("\n=== metrics snapshot ===")
 		if err := reg.WriteText(os.Stdout); err != nil {

@@ -12,8 +12,8 @@ import (
 	"fraccascade/internal/subdivision"
 )
 
-// TestRunBatchedTraceJSONLRoundTrip drives the batched path with a JSONL
-// tracer and decodes every line back into an obs.Span: query spans and
+// TestRunBatchedTraceJSONLRoundTrip drives the batched path with a trace
+// writer and decodes every JSONL line back into an obs.Span: query spans and
 // their per-phase children must survive the encode/decode round trip with
 // ids, phase labels, step windows, and processor shares intact.
 func TestRunBatchedTraceJSONLRoundTrip(t *testing.T) {
@@ -27,11 +27,7 @@ func TestRunBatchedTraceJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tracer := obs.NewJSONL(&buf)
-	runBatched(s, loc, rng, 256, 48, 8, obs.NewRegistry(), tracer)
-	if err := tracer.Err(); err != nil {
-		t.Fatal(err)
-	}
+	runBatched(s, loc, rng, 256, 48, 8, obs.NewRegistry(), &buf)
 
 	var spans []obs.Span
 	dec := json.NewDecoder(&buf)

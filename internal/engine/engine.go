@@ -200,8 +200,9 @@ type Config struct {
 	// internal/obs for the metric-name inventory). Nil disables metrics
 	// with zero hot-path cost.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives one obs.Span per executed query
-	// (batched path only). It must be safe for concurrent Emit calls.
+	// Tracer, when non-nil, receives one obs.FlightRecord per executed
+	// query (batched path only), the record the Recorder gets. It must be
+	// safe for concurrent Emit calls.
 	Tracer obs.Tracer
 	// Recorder, when non-nil, retains per-query flight records (batched
 	// path only): request id, shard, kind, host wall ns, phase steps,
@@ -253,8 +254,8 @@ type Engine struct {
 	// Observability (all handles nil-safe; see Config.Obs / Config.Tracer).
 	tracer    obs.Tracer
 	recorder  *obs.FlightRecorder
-	qid       atomic.Uint64 // engine-unique query ids for spans
-	bid       atomic.Uint64 // engine-unique batch ids for spans
+	qid       atomic.Uint64 // engine-unique query and phase span ids
+	bid       atomic.Uint64 // engine-unique batch ids
 	obsBatch  *obs.Counter
 	obsQuery  *obs.Counter
 	obsErr    *obs.Counter
@@ -267,8 +268,9 @@ type Engine struct {
 }
 
 // PhaseLabels names the slots of Answer.PhaseSteps. Its order fixes the
-// emission order of per-phase child spans and the counter set created in
-// New: first the catalog/planar decomposition, then the spatial one.
+// order of a flight record's phases (and so of its derived child spans)
+// and the counter set created in New: first the catalog/planar
+// decomposition, then the spatial one.
 var PhaseLabels = [...]string{"root-coop", "hop-descent", "seq-tail", "discrim", "descent"}
 
 // Slots of Answer.PhaseSteps.
@@ -456,16 +458,19 @@ func (e *Engine) execute(ctx context.Context, qs []Query) ([]Answer, BatchReport
 }
 
 // observeBatch mirrors a finished batch into the metrics registry and
-// emits one span per query. Every handle is a nil-safe no-op, so with
-// observability disabled this is a handful of nil checks.
+// hands one flight record per query to the recorder and the tracer. Every
+// handle is a nil-safe no-op, so with observability disabled this is a
+// handful of nil checks.
 func (e *Engine) observeBatch(answers []Answer, rep BatchReport, stepBase uint64, wallStart time.Time) {
 	e.obsBatch.Inc()
 	e.obsQuery.Add(int64(rep.B))
 	e.obsErr.Add(int64(rep.Errors))
 	e.obsSteps.Observe(int64(rep.Steps))
 	e.obsSize.Observe(int64(rep.B))
+	var end time.Time
 	if e.obsWall != nil {
-		e.obsWall.Observe(time.Since(wallStart).Nanoseconds())
+		end = time.Now()
+		e.obsWall.Observe(end.Sub(wallStart).Nanoseconds())
 	}
 	for i := range answers {
 		q := answers[i].Query
@@ -486,96 +491,60 @@ func (e *Engine) observeBatch(answers []Answer, rep BatchReport, stepBase uint64
 	if e.tracer == nil && e.recorder == nil {
 		return
 	}
-	// Spans of one batch share the batch id and overlap on the engine's
-	// cumulative step clock: each query occupied [stepBase, stepBase+Steps)
-	// of the batch's [stepBase, stepBase+rep.Steps) window, concurrently on
-	// its own processor group. Flight records share the span's query id so
-	// a slowlog entry correlates with /spans output.
+	// Records of one batch share the batch id and the batch's base on the
+	// engine's cumulative step clock: each query occupied [stepBase,
+	// stepBase+Steps) of the batch's [stepBase, stepBase+rep.Steps) window,
+	// concurrently on its own processor group. Each record reserves one id
+	// for itself and one per phase, the ids of the phase child spans
+	// derived from it. Only the recorder needs the wall-clock stamp, taken
+	// once per batch.
+	var stamp int64
+	if e.recorder != nil {
+		if end.IsZero() {
+			end = time.Now()
+		}
+		stamp = end.UnixNano()
+	}
 	bid := e.bid.Add(1)
 	for i := range answers {
 		a := &answers[i]
-		qid := e.qid.Add(1)
-		var cacheOutcome, errText string
-		if a.Query.Kind == KindCatalog && a.Err == nil {
-			switch {
-			case a.CacheHit:
-				cacheOutcome = "hit"
-			case a.CacheStale:
-				cacheOutcome = "stale"
-			case a.FingerHit:
-				cacheOutcome = "finger"
-			default:
-				cacheOutcome = "miss"
-			}
-		}
-		if a.Err != nil {
-			errText = a.Err.Error()
-		}
-		if e.recorder != nil {
-			rec := obs.FlightRecord{
-				ID:        qid,
-				Batch:     bid,
-				RequestID: a.RequestID,
-				Kind:      a.Query.Kind.String(),
-				Shard:     a.Query.Shard,
-				P:         a.P,
-				Steps:     a.Steps,
-				Rounds:    a.Rounds,
-				WallNS:    a.WallNS,
-				Cache:     cacheOutcome,
-				FingerD:   a.FingerDist,
-				Err:       errText,
-			}
-			pi := 0
-			for slot, label := range PhaseLabels {
-				if n := a.PhaseSteps[slot]; n > 0 && pi < len(rec.Phases) {
-					rec.Phases[pi] = obs.PhaseCount{Label: label, Steps: n}
-					pi++
-				}
-			}
-			e.recorder.Record(&rec)
-		}
-		if e.tracer == nil {
-			continue
-		}
-		s := obs.Span{
-			ID:        qid,
+		rec := obs.FlightRecord{
 			Batch:     bid,
+			RequestID: a.RequestID,
+			Time:      stamp,
 			Kind:      a.Query.Kind.String(),
 			Shard:     a.Query.Shard,
 			P:         a.P,
-			Rounds:    a.Rounds,
 			Steps:     a.Steps,
 			StepLo:    stepBase,
-			StepHi:    stepBase + uint64(a.Steps),
-			Cache:     cacheOutcome,
-			CacheHit:  a.CacheHit,
-			Err:       errText,
-			RequestID: a.RequestID,
+			Rounds:    a.Rounds,
+			WallNS:    a.WallNS,
+			FingerD:   a.FingerDist,
 		}
-		e.tracer.Emit(s)
-		// Per-phase child spans partition the parent's window in the fixed
-		// phase order, each carrying the parent's id.
-		off := s.StepLo
+		switch {
+		case a.Err != nil:
+			rec.Err = a.Err.Error()
+		case a.Query.Kind != KindCatalog: // no entry cache
+		case a.CacheHit:
+			rec.Cache = "hit"
+		case a.CacheStale:
+			rec.Cache = "stale"
+		case a.FingerHit:
+			rec.Cache = "finger"
+		default:
+			rec.Cache = "miss"
+		}
+		phases := 0
 		for slot, label := range PhaseLabels {
-			n := a.PhaseSteps[slot]
-			if n == 0 {
-				continue
+			if n := a.PhaseSteps[slot]; n > 0 && phases < len(rec.Phases) {
+				rec.Phases[phases] = obs.PhaseCount{Label: label, Steps: n}
+				phases++
 			}
-			e.tracer.Emit(obs.Span{
-				ID:        e.qid.Add(1),
-				Batch:     bid,
-				Parent:    s.ID,
-				Kind:      s.Kind,
-				Shard:     s.Shard,
-				Phase:     label,
-				P:         a.P,
-				Steps:     n,
-				StepLo:    off,
-				StepHi:    off + uint64(n),
-				RequestID: a.RequestID,
-			})
-			off += uint64(n)
+		}
+		rec.ID = e.qid.Add(uint64(1+phases)) - uint64(phases)
+		e.recorder.Record(&rec)
+		if e.tracer != nil {
+			e.tracer.Emit(rec)
 		}
 	}
 }

@@ -128,9 +128,11 @@ func (p PhaseList) MarshalJSON() ([]byte, error) {
 	return json.Marshal(used)
 }
 
-// FlightRecord is one query's retained telemetry. IDs match the query
-// span IDs, so a slowlog entry can be correlated with /spans output and,
-// via RequestID, with the client's request.
+// FlightRecord is one query's telemetry, the one record the engine builds
+// per query and hands to every attached sink. The spans derived from it
+// (AppendSpans) carry its ID, so a slowlog entry correlates with /spans
+// output and, via RequestID, with the client's request. StepLo is the
+// batch's base on the engine's cumulative step clock.
 type FlightRecord struct {
 	ID        uint64    `json:"id"`
 	Batch     uint64    `json:"batch"`
@@ -140,6 +142,7 @@ type FlightRecord struct {
 	Shard     int       `json:"shard"`
 	P         int       `json:"p"`
 	Steps     int       `json:"steps"`
+	StepLo    uint64    `json:"step_lo"`
 	Rounds    int       `json:"rounds,omitempty"`
 	WallNS    int64     `json:"wall_ns"`
 	Cache     string    `json:"cache,omitempty"`

@@ -1,22 +1,20 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
-// Span is one search's trace record, emitted by the engine after the query
-// completes: the query identity, the processor share it ran with, its
-// Step-1 root rounds, and its position on the engine's cumulative step
-// clock — [StepLo, StepHi) is the simulated step range the query occupied
-// within its batch's window, so spans of one batch overlap (the queries
-// run concurrently on disjoint processor groups) while batches abut.
+// Span is the read-time view of one query's flight record, the JSON line
+// served by coopserve's /spans and written by `plquery -trace`: the query
+// identity, the processor share it ran with, its Step-1 root rounds, and
+// its position on the engine's cumulative step clock — [StepLo, StepHi)
+// is the simulated step range the query occupied within its batch's
+// window, so spans of one batch overlap (the queries run concurrently on
+// disjoint processor groups) while batches abut.
 //
 // A query span may be followed by per-phase child spans: Parent carries
 // the query span's ID, Phase the phase label ("root-coop", "hop-descent",
 // "seq-tail", ...), and [StepLo, StepHi) the phase's sub-range of the
 // parent's window. Phase steps of one parent partition the parent's Steps.
+// FlightRecord.AppendSpans derives both from the record.
 type Span struct {
 	// ID is the engine-unique query id; Batch the id of the batch that
 	// executed it. Parent is 0 for query spans and the parent query span's
@@ -40,10 +38,11 @@ type Span struct {
 	StepLo uint64 `json:"step_lo"`
 	StepHi uint64 `json:"step_hi"`
 	// Cache is the entry-cache outcome of a catalog query: "hit", "miss",
-	// or "stale" (a hit whose hinted position failed O(1) revalidation
-	// because a flush raced the lookup; the query fell back to the full
-	// entry search). Empty for non-catalog queries, phase children, and
-	// uncached execution. CacheHit mirrors Cache == "hit".
+	// "stale" (a hit whose hinted position failed O(1) revalidation
+	// against the frozen catalog, so the query fell back to the full entry
+	// search), or "finger" (an exact miss that entered by galloping from a
+	// nearby cached entry). Empty for non-catalog and failed queries, phase
+	// children, and uncached execution. CacheHit mirrors Cache == "hit".
 	Cache    string `json:"cache,omitempty"`
 	CacheHit bool   `json:"cache_hit,omitempty"`
 	// Err is the failure message, "" on success.
@@ -54,116 +53,136 @@ type Span struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// Tracer receives completed search spans. Implementations must be safe for
-// concurrent Emit calls (batches may execute concurrently). A nil Tracer
-// means tracing is disabled; callers guard with a nil check so the
-// disabled path does not even build the Span.
+// AppendSpans appends the query span of rec and one child span per
+// recorded phase, in phase order, to dst. The children take ids ID+1, …,
+// the ids the engine reserves for them, and partition the query's step
+// window.
+func (rec *FlightRecord) AppendSpans(dst []Span) []Span {
+	dst = append(dst, Span{
+		ID:        rec.ID,
+		Batch:     rec.Batch,
+		Kind:      rec.Kind,
+		Shard:     rec.Shard,
+		P:         rec.P,
+		Rounds:    rec.Rounds,
+		Steps:     rec.Steps,
+		StepLo:    rec.StepLo,
+		StepHi:    rec.StepLo + uint64(rec.Steps),
+		Cache:     rec.Cache,
+		CacheHit:  rec.Cache == "hit",
+		Err:       rec.Err,
+		RequestID: rec.RequestID,
+	})
+	off, id := rec.StepLo, rec.ID
+	for _, ph := range rec.Phases {
+		if ph.Label == "" {
+			continue
+		}
+		id++
+		dst = append(dst, Span{
+			ID:        id,
+			Batch:     rec.Batch,
+			Parent:    rec.ID,
+			Kind:      rec.Kind,
+			Shard:     rec.Shard,
+			Phase:     ph.Label,
+			P:         rec.P,
+			Steps:     ph.Steps,
+			StepLo:    off,
+			StepHi:    off + uint64(ph.Steps),
+			RequestID: rec.RequestID,
+		})
+		off += uint64(ph.Steps)
+	}
+	return dst
+}
+
+// Tracer receives each executed query's flight record, the one the engine
+// hands its FlightRecorder, by value: a pointer passed through the
+// interface would escape to the heap once per query. Implementations must
+// be safe for concurrent Emit calls. A nil Tracer disables tracing.
 type Tracer interface {
-	Emit(Span)
+	Emit(FlightRecord)
 }
 
-// Ring is an in-memory ring-buffer Tracer holding the most recent spans —
-// the always-on flight recorder: cheap enough to leave attached, inspected
-// after the fact by tests and the -trace CLI surfaces.
+// subscriberBuffer is the capacity of each Subscribe channel: a live tail
+// that falls this many records behind drops records rather than stall the
+// engine's Emit.
+const subscriberBuffer = 256
+
+// Ring is an in-memory ring-buffer Tracer holding the most recent flight
+// records, cheap enough to leave attached: tests and the -trace CLI
+// surfaces read it after the fact, and live subscribers tail it.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	total uint64
+	mu   sync.Mutex
+	buf  []FlightRecord
+	next int
+	subs map[chan FlightRecord]struct{}
 }
 
-// NewRing returns a ring tracer retaining the last n spans (n ≥ 1).
+// NewRing returns a ring tracer retaining the last n records (n ≥ 1).
 func NewRing(n int) *Ring {
 	if n < 1 {
 		n = 1
 	}
-	return &Ring{buf: make([]Span, 0, n)}
+	return &Ring{buf: make([]FlightRecord, 0, n), subs: make(map[chan FlightRecord]struct{})}
 }
 
-// Emit implements Tracer.
-func (r *Ring) Emit(s Span) {
+// Emit implements Tracer: it retains rec and offers it to every
+// subscriber, dropping it for a subscriber whose buffer is full.
+func (r *Ring) Emit(rec FlightRecord) {
 	r.mu.Lock()
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
+		r.buf = append(r.buf, rec)
 	} else {
-		r.buf[r.next] = s
+		r.buf[r.next] = rec
 		r.next = (r.next + 1) % cap(r.buf)
 	}
-	r.total++
+	for ch := range r.subs {
+		select {
+		case ch <- rec:
+		default: // slow subscriber: drop rather than stall the engine
+		}
+	}
 	r.mu.Unlock()
 }
 
-// Total returns the number of spans ever emitted (retained or not).
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+// records returns the retained records, oldest first; r.mu must be held.
+func (r *Ring) records() []FlightRecord {
+	out := make([]FlightRecord, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
-// Spans returns the retained spans, oldest first.
-func (r *Ring) Spans() []Span {
+// Records returns the retained records, oldest first.
+func (r *Ring) Records() []FlightRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	return r.records()
+}
+
+// Spans returns the spans of the retained records, oldest first.
+func (r *Ring) Spans() []Span {
+	var out []Span
+	for _, rec := range r.Records() {
+		out = rec.AppendSpans(out)
+	}
 	return out
 }
 
-// JSONL is a Tracer writing one JSON object per span per line to an
-// io.Writer — the durable sink behind `plquery -trace=<file>`. Writes are
-// serialised by a mutex; errors are sticky and reported by Err.
-type JSONL struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONL returns a JSONL tracer over w.
-func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{enc: json.NewEncoder(w)}
-}
-
-// Emit implements Tracer.
-func (j *JSONL) Emit(s Span) {
-	j.mu.Lock()
-	if j.err == nil {
-		j.err = j.enc.Encode(s)
-	}
-	j.mu.Unlock()
-}
-
-// Err returns the first write error, if any.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Fanout returns a Tracer duplicating every span to each of the given
-// tracers (nils skipped); nil if none remain.
-func Fanout(ts ...Tracer) Tracer {
-	var live []Tracer
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	default:
-		return fanout(live)
-	}
-}
-
-type fanout []Tracer
-
-// Emit implements Tracer.
-func (f fanout) Emit(s Span) {
-	for _, t := range f {
-		t.Emit(s)
+// Subscribe returns the retained records, oldest first, and a channel that
+// receives every record emitted after them: both are taken under one lock,
+// so history and tail neither overlap nor leave a gap. A subscriber more
+// than subscriberBuffer records behind drops records. cancel unregisters
+// the channel; records still buffered in it are discarded.
+func (r *Ring) Subscribe() (history []FlightRecord, live <-chan FlightRecord, cancel func()) {
+	ch := make(chan FlightRecord, subscriberBuffer)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.subs[ch] = struct{}{}
+	return r.records(), ch, func() {
+		r.mu.Lock()
+		delete(r.subs, ch)
+		r.mu.Unlock()
 	}
 }

@@ -9,8 +9,8 @@ import (
 // which is useless for paging — a latency spike an hour ago pins p99
 // forever. WindowedHistogram keeps a ring of sub-windows (e.g. 12×10s)
 // with the same log₂ buckets, so a snapshot aggregates only the last
-// ~2 minutes and quantiles track *current* tail latency. SLO layers exact
-// good/total counters per sub-window on the same ring and turns them into
+// ~2 minutes and quantiles track *current* tail latency. SLO embeds one
+// and adds an exact good counter to each sub-window, turning the pair into
 // multi-window burn rates.
 //
 // Both are lock-free: Observe is a few atomic adds, rotation is a CAS on
@@ -22,9 +22,12 @@ import (
 // windowSlot is one sub-window of a WindowedHistogram. epoch holds the
 // absolute sub-window index stamped into the slot (-1 = never used) so a
 // reader can tell live slots from stale ones left by an idle period.
+// good counts the observations within an SLO's threshold; plain windows
+// leave it 0.
 type windowSlot struct {
 	epoch   atomic.Int64
 	count   atomic.Int64
+	good    atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
@@ -34,6 +37,7 @@ type windowSlot struct {
 // caller's CAS before the reset; see Observe for the race contract).
 func (w *windowSlot) reset() {
 	w.count.Store(0)
+	w.good.Store(0)
 	w.sum.Store(0)
 	w.max.Store(0)
 	for i := range w.buckets {
@@ -99,6 +103,11 @@ func (w *WindowedHistogram) Observe(v int64) {
 	if w == nil {
 		return
 	}
+	w.observe(v)
+}
+
+// observe records v and returns the sub-window it landed in.
+func (w *WindowedHistogram) observe(v int64) *windowSlot {
 	s := w.slot(w.now())
 	s.count.Add(1)
 	s.sum.Add(v)
@@ -109,6 +118,22 @@ func (w *WindowedHistogram) Observe(v int64) {
 			break
 		}
 	}
+	return s
+}
+
+// eachLive calls f on each slot holding one of the last k sub-windows
+// ending now (k ≤ 0 or past the ring size: all of them), skipping slots
+// never used or stale from before an idle gap.
+func (w *WindowedHistogram) eachLive(k int, f func(*windowSlot)) {
+	if k <= 0 || k > len(w.slots) {
+		k = len(w.slots)
+	}
+	nowIdx := w.now() / w.subNS
+	for i := range w.slots {
+		if e := w.slots[i].epoch.Load(); e > nowIdx-int64(k) && e <= nowIdx {
+			f(&w.slots[i])
+		}
+	}
 }
 
 // Snapshot aggregates the live sub-windows (epochs within the visible
@@ -117,14 +142,7 @@ func (w *WindowedHistogram) Observe(v int64) {
 func (w *WindowedHistogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	if w != nil {
-		nowIdx := w.now() / w.subNS
-		minIdx := nowIdx - int64(len(w.slots)) + 1
-		for i := range w.slots {
-			ws := &w.slots[i]
-			e := ws.epoch.Load()
-			if e < minIdx || e > nowIdx {
-				continue // never used, or stale from before an idle gap
-			}
+		w.eachLive(0, func(ws *windowSlot) {
 			s.Count += ws.count.Load()
 			s.Sum += ws.sum.Load()
 			if m := ws.max.Load(); m > s.Max {
@@ -133,7 +151,7 @@ func (w *WindowedHistogram) Snapshot() HistogramSnapshot {
 			for b := range ws.buckets {
 				s.Buckets[b] += ws.buckets[b].Load()
 			}
-		}
+		})
 	}
 	s.P50 = s.quantile(0.50)
 	s.P90 = s.quantile(0.90)
@@ -151,49 +169,31 @@ func (w *WindowedHistogram) Window() time.Duration {
 }
 
 // SLO tracks a latency objective — "fraction of queries under threshold ≥
-// objective" — over the same sub-window ring as WindowedHistogram, but
-// with exact per-window good/total counters (the threshold is compared per
+// objective" — on its embedded WindowedHistogram, whose Snapshot gives the
+// latency quantiles. Each observation also counts as good, in the
+// sub-window it landed in, when it is within the threshold (compared per
 // observation, not reconstructed from log₂ buckets, so a 250ms threshold
 // is not rounded to a power of two). A nil *SLO is a valid disabled
-// instance.
+// instance for Observe, GoodTotal, BurnRate, Threshold and Objective.
 type SLO struct {
+	WindowedHistogram
 	thresholdNS int64
 	objective   float64
-	subNS       int64
-	slots       []sloSlot
-	now         func() int64
-}
-
-type sloSlot struct {
-	epoch atomic.Int64
-	good  atomic.Int64
-	total atomic.Int64
 }
 
 // NewSLO returns a tracker for "latency ≤ threshold for at least
 // objective (e.g. 0.99) of queries" over n sub-windows of duration sub.
-// The objective is clamped to (0, 1).
+// An objective outside (0, 1) becomes 0.99; Objective reports the value
+// in force.
 func NewSLO(threshold time.Duration, objective float64, sub time.Duration, n int) *SLO {
-	if n < 2 {
-		n = 2
-	}
-	if sub < time.Millisecond {
-		sub = time.Millisecond
-	}
 	if objective <= 0 || objective >= 1 {
 		objective = 0.99
 	}
-	s := &SLO{
-		thresholdNS: int64(threshold),
-		objective:   objective,
-		subNS:       int64(sub),
-		slots:       make([]sloSlot, n),
-		now:         func() int64 { return time.Now().UnixNano() },
+	return &SLO{
+		WindowedHistogram: *NewWindowedHistogram(sub, n),
+		thresholdNS:       int64(threshold),
+		objective:         objective,
 	}
-	for i := range s.slots {
-		s.slots[i].epoch.Store(-1)
-	}
-	return s
 }
 
 // Observe records one query latency (no-op on nil). Zero allocations.
@@ -201,21 +201,7 @@ func (s *SLO) Observe(latencyNS int64) {
 	if s == nil {
 		return
 	}
-	idx := s.now() / s.subNS
-	sl := &s.slots[int(idx%int64(len(s.slots)))]
-	for {
-		e := sl.epoch.Load()
-		if e >= idx {
-			break
-		}
-		if sl.epoch.CompareAndSwap(e, idx) {
-			sl.good.Store(0)
-			sl.total.Store(0)
-			break
-		}
-	}
-	sl.total.Add(1)
-	if latencyNS <= s.thresholdNS {
+	if sl := s.observe(latencyNS); latencyNS <= s.thresholdNS {
 		sl.good.Add(1)
 	}
 }
@@ -226,20 +212,10 @@ func (s *SLO) GoodTotal(k int) (good, total int64) {
 	if s == nil {
 		return 0, 0
 	}
-	if k <= 0 || k > len(s.slots) {
-		k = len(s.slots)
-	}
-	nowIdx := s.now() / s.subNS
-	minIdx := nowIdx - int64(k) + 1
-	for i := range s.slots {
-		sl := &s.slots[i]
-		e := sl.epoch.Load()
-		if e < minIdx || e > nowIdx {
-			continue
-		}
+	s.eachLive(k, func(sl *windowSlot) {
 		good += sl.good.Load()
-		total += sl.total.Load()
-	}
+		total += sl.count.Load()
+	})
 	return good, total
 }
 

@@ -195,6 +195,34 @@ func TestSLOBurnRate(t *testing.T) {
 	}
 }
 
+// TestSLOOneWindow pins that the SLO keeps one window: each Observe moves
+// the latency snapshot and the good/total counters together, and both age
+// out of the same sub-window together.
+func TestSLOOneWindow(t *testing.T) {
+	clk := &fakeClock{ns: 1}
+	s := NewSLO(100*time.Millisecond, 0.99, 10*time.Second, 3)
+	s.now = clk.now
+
+	s.Observe(int64(time.Millisecond))
+	good, total := s.GoodTotal(0)
+	if snap := s.Snapshot(); snap.Count != 1 || good != 1 || total != 1 {
+		t.Fatalf("after one good observation: count=%d good/total=%d/%d, want 1 and 1/1", snap.Count, good, total)
+	}
+	clk.set(int64(15 * time.Second))
+	s.Observe(int64(time.Second))
+	good, total = s.GoodTotal(0)
+	if snap := s.Snapshot(); snap.Count != 2 || snap.Max != int64(time.Second) || good != 1 || total != 2 {
+		t.Fatalf("after one bad observation: count=%d max=%d good/total=%d/%d, want 2, 1s and 1/2", snap.Count, snap.Max, good, total)
+	}
+	// At t=35s the first sub-window (epoch 0) has left the 3-window range:
+	// the snapshot and the counters both drop its observation.
+	clk.set(int64(35 * time.Second))
+	good, total = s.GoodTotal(0)
+	if snap := s.Snapshot(); snap.Count != 1 || good != 0 || total != 1 {
+		t.Fatalf("t=35s: count=%d good/total=%d/%d, want 1 and 0/1", snap.Count, good, total)
+	}
+}
+
 // TestSLONil checks the disabled SLO path.
 func TestSLONil(t *testing.T) {
 	var s *SLO
