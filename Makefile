@@ -60,7 +60,7 @@ test-flat:
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenLocate -fuzztime=10s ./internal/pointloc
 
 race:
-	$(GO) test -race ./internal/pram/... ./internal/parallel/... ./internal/workpool/... ./internal/cascade/... ./internal/engine/... ./internal/obs/... ./internal/flat/... ./internal/pointloc/... ./cmd/coopserve/...
+	$(GO) test -race ./internal/pram/... ./internal/parallel/... ./internal/workpool/... ./internal/cascade/... ./internal/engine/... ./internal/obs/... ./internal/flat/... ./internal/pointloc/... ./internal/spatial/... ./internal/rangetree/... ./internal/snapshot/... ./internal/segtree/... ./cmd/coopserve/...
 
 # Coverage floor on the paper-critical packages: the core cascaded
 # structure, the batch engine, and the instrumentation they publish

@@ -6,13 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"fraccascade/internal/benchfmt"
 	"fraccascade/internal/core"
 	"fraccascade/internal/flat"
-	"fraccascade/internal/rangetree"
-	"fraccascade/internal/segtree"
 	"fraccascade/internal/snapshot"
 	"fraccascade/internal/spatial"
 	"fraccascade/internal/tree"
@@ -60,27 +59,12 @@ func e24RSSKB() float64 {
 		return -1
 	}
 	var kb float64
-	for _, line := range splitLines(string(data)) {
+	for _, line := range strings.Split(string(data), "\n") {
 		if n, _ := fmt.Sscanf(line, "VmRSS: %f kB", &kb); n == 1 {
 			return kb
 		}
 	}
 	return -1
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }
 
 // e24Columns: restore latency and pinned heap get E22's 4x machine slack
@@ -123,23 +107,6 @@ func runE24(seed int64) {
 		panic(err)
 	}
 	sp, err := spatial.NewLocator(cx)
-	if err != nil {
-		panic(err)
-	}
-	pts := make([]rangetree.Point2, 3000)
-	for i := range pts {
-		pts[i] = rangetree.Point2{X: rng.Int63n(4000), Y: rng.Int63n(4000)}
-	}
-	rt, err := rangetree.New2D(pts, core.Config{})
-	if err != nil {
-		panic(err)
-	}
-	segs := make([]segtree.VSegment, 1500)
-	for i := range segs {
-		y1 := 2 * rng.Int63n(2000)
-		segs[i] = segtree.VSegment{X: 2 * rng.Int63n(2000), Y1: y1, Y2: y1 + 2 + 2*rng.Int63n(2000)}
-	}
-	it, err := segtree.NewIntersector(segs, core.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -200,56 +167,6 @@ func runE24(seed int64) {
 			},
 			refreeze: func() error {
 				f, err := sp.Freeze()
-				e24Sink = f
-				return err
-			},
-		},
-		{
-			name: "rangetree", kind: flat.StoreKindRangeTree,
-			marshal: func() ([]byte, error) {
-				f, err := rt.Freeze()
-				if err != nil {
-					return nil, err
-				}
-				return f.MarshalBinary()
-			},
-			open: func(data []byte) error {
-				f, _, err := rangetree.OpenFrozen2D(data)
-				e24Sink = f
-				return err
-			},
-			copyDec: func(data []byte) error {
-				f, err := rangetree.UnmarshalFrozen2D(data)
-				e24Sink = f
-				return err
-			},
-			refreeze: func() error {
-				f, err := rt.Freeze()
-				e24Sink = f
-				return err
-			},
-		},
-		{
-			name: "segtree", kind: flat.StoreKindSegTree,
-			marshal: func() ([]byte, error) {
-				f, err := it.Freeze()
-				if err != nil {
-					return nil, err
-				}
-				return f.MarshalBinary()
-			},
-			open: func(data []byte) error {
-				f, _, err := segtree.OpenFrozenIntersector(data)
-				e24Sink = f
-				return err
-			},
-			copyDec: func(data []byte) error {
-				f, err := segtree.UnmarshalFrozenIntersector(data)
-				e24Sink = f
-				return err
-			},
-			refreeze: func() error {
-				f, err := it.Freeze()
 				e24Sink = f
 				return err
 			},

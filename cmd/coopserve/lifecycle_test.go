@@ -321,6 +321,52 @@ func TestSnapshotFallbackOnCorruption(t *testing.T) {
 	}
 }
 
+// TestBadShapeFlags: a shape the generators or the query handler cannot
+// serve is refused by newServer with an error naming its flag, and a
+// small shape that can be served boots and answers oracle-exact. None
+// panics, and none reports ready while answering 500.
+func TestBadShapeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func(*serverConfig)
+		flag string // the flag the error names; empty: the shape must serve
+	}{
+		{"batch=0", func(c *serverConfig) { c.BatchSize = 0 }, "-batch"},
+		{"batch=-1", func(c *serverConfig) { c.BatchSize = -1 }, "-batch"},
+		{"shards=-1", func(c *serverConfig) { c.Shards = -1 }, "-shards"},
+		{"entries=0", func(c *serverConfig) { c.Entries = 0 }, "-entries"},
+		{"entries=-5", func(c *serverConfig) { c.Entries = -5 }, "-entries"},
+		{"entries=1", func(c *serverConfig) { c.Entries = 1 }, ""},
+		{"entries=10,leaves=128", func(c *serverConfig) { c.Entries, c.Leaves = 10, 128 }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := lifecycleConfig()
+			tc.cfg(&cfg)
+			s, err := newServer(cfg)
+			if tc.flag != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.flag) {
+					t.Fatalf("newServer error = %v, want one naming %s", err, tc.flag)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.handler())
+			defer ts.Close()
+			if code, body := getStatus(t, ts, "/readyz"); code != http.StatusOK {
+				t.Fatalf("/readyz = %d %q", code, body)
+			}
+			req, check := oracleRequest(t, cfg, 8, 3)
+			resp, out := postQuery(t, ts, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST /query = %d", resp.StatusCode)
+			}
+			check(t, out.Answers)
+		})
+	}
+}
+
 // countingBoot builds a server with cfg and reports how many catalog
 // shard structures its boot built or decoded. Startup never fails on a
 // bad snapshot, so an error here fails the test.

@@ -11,6 +11,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -93,6 +94,21 @@ func defaultServerConfig() serverConfig {
 	}
 }
 
+// validate rejects the shape flags that build or the query handler cannot
+// serve, before anything is drawn. The packages the other shape flags size
+// (tree, subdivision, spatial, engine) reject their own bad values.
+func (c serverConfig) validate() error {
+	switch {
+	case c.BatchSize < 1:
+		return fmt.Errorf("-batch=%d: want at least 1", c.BatchSize)
+	case c.Shards < 0:
+		return fmt.Errorf("-shards=%d: want at least 0", c.Shards)
+	case c.Entries < 1:
+		return fmt.Errorf("-entries=%d: want at least 1", c.Entries)
+	}
+	return nil
+}
+
 // Lifecycle states: the server starts building, flips to ready when the
 // structures are live, and moves to draining on SIGTERM, never back.
 // Overload is not a state — it is ready plus a saturated inflight gauge.
@@ -107,7 +123,7 @@ const (
 // CPU/heap plus the simulated-steps profile), and JSONL span streaming.
 // Requests pass a lifecycle gate (building/draining → 503), an admission
 // gate (inflight cap → 503 + Retry-After), and run under a per-request
-// deadline threaded into the engine's context-aware search path.
+// deadline that the engine checks before each query.
 type server struct {
 	cfg  serverConfig
 	eng  *engine.Engine
@@ -189,6 +205,9 @@ func newServer(cfg serverConfig) (*server, error) {
 // generation) serves the exact same subdivision and complex as a
 // from-scratch build.
 func (s *server) build() error {
+	if err := s.cfg.validate(); err != nil {
+		return err
+	}
 	gc := newCollector()
 	pl, sp, err := s.buildGeometry(gc)
 	if err != nil {
@@ -458,7 +477,7 @@ func randomCatalogs(t *tree.Tree, total int, rng *rand.Rand) []catalog.Catalog {
 		case 1:
 			size = rng.Intn(2*total/(t.N()+1) + 1)
 		default:
-			size = rng.Intn(4 * total / (t.N() + 1))
+			size = rng.Intn(max(1, 4*total/(t.N()+1)))
 		}
 		seen := map[catalog.Key]bool{}
 		keys := make([]catalog.Key, 0, size)
@@ -576,8 +595,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := sc.qs
 	// The request context carries the client disconnect; the configured
-	// per-request deadline stacks on top. Both propagate into the engine's
-	// context-aware search path, as does the correlation id (inbound
+	// per-request deadline stacks on top. Both reach the engine, which
+	// checks them before each query. So does the correlation id (inbound
 	// X-Request-ID honored, minted otherwise) that every span and flight
 	// record of this request will carry.
 	reqID := s.requestID(r)
@@ -697,14 +716,7 @@ func (s *server) handleStepsProfile(w http.ResponseWriter, r *http.Request) {
 		steps[label] = v
 		labels = append(labels, label)
 	}
-	// Sorted for deterministic output.
-	for i := 0; i < len(labels); i++ {
-		for j := i + 1; j < len(labels); j++ {
-			if labels[j] < labels[i] {
-				labels[i], labels[j] = labels[j], labels[i]
-			}
-		}
-	}
+	slices.Sort(labels) // deterministic output
 	for _, label := range labels {
 		samples = append(samples, obs.ProfileSample{
 			Stack:  strings.Split(label, "/"),

@@ -168,8 +168,8 @@ func (s *server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-// handleStatusz serves a dependency-free HTML status page: lifecycle and
-// restore provenance, live windowed quantiles, SLO burn rates, per-shard
+// handleStatusz serves a dependency-free HTML status page: lifecycle
+// state, live windowed quantiles, SLO burn rates, per-shard
 // cache and finger-hit rates, and the recent slow and failed queries from
 // the flight recorder. Everything dynamic is HTML-escaped; the page
 // degrades gracefully while building, after a restart (records are

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"fraccascade/internal/cascade"
@@ -37,47 +36,40 @@ type DegradedStats struct {
 	Redrives int
 }
 
-// searchControl carries the optional cancellation and degradation hooks
-// threaded through the explicit search loop. A nil control — or nil
-// fields — reproduces the plain SearchExplicit behaviour exactly.
+// searchControl carries the census threaded through the explicit search
+// loop by SearchExplicitDegraded. A nil control — or a nil census —
+// reproduces the plain SearchExplicit behaviour exactly.
 type searchControl struct {
-	ctx    context.Context
 	census Census
 	ds     *DegradedStats
 }
 
-// check runs between hops (and before the first): it honours context
-// cancellation, then consults the census and re-derives the substructure
-// for the surviving processor count. It returns the possibly-switched
-// substructure and the live processor count to plan the next hop with.
+// check runs between hops (and before the first): it consults the census
+// and re-derives the substructure for the surviving processor count. It
+// returns the possibly-switched substructure and the live processor count
+// to plan the next hop with.
 func (ctl *searchControl) check(st *Structure, sub *Substructure, p int, stats *Stats) (*Substructure, int, error) {
-	if ctl.ctx != nil {
-		if err := ctl.ctx.Err(); err != nil {
-			return sub, p, fmt.Errorf("core: search cancelled after %d steps: %w", stats.Steps, err)
-		}
+	if ctl.census == nil {
+		return sub, p, nil
 	}
-	if ctl.census != nil {
-		live := ctl.census.LiveAt(stats.Steps)
-		if live < 1 {
-			return sub, p, fmt.Errorf("core: no live processors at step %d", stats.Steps)
+	live := ctl.census.LiveAt(stats.Steps)
+	if live < 1 {
+		return sub, p, fmt.Errorf("core: no live processors at step %d", stats.Steps)
+	}
+	if live < ctl.ds.MinLiveP {
+		ctl.ds.MinLiveP = live
+	}
+	if live != p {
+		si := st.SelectSub(live)
+		if st.subs[si] != sub {
+			// The current node need not be a block root of the new
+			// T_i; BlockAt then returns nil and the loop descends
+			// sequentially until it realigns on a block boundary.
+			sub = st.subs[si]
+			stats.Sub = si
+			ctl.ds.Redrives++
 		}
-		if ctl.ds != nil && live < ctl.ds.MinLiveP {
-			ctl.ds.MinLiveP = live
-		}
-		if live != p {
-			si := st.SelectSub(live)
-			if st.subs[si] != sub {
-				// The current node need not be a block root of the new
-				// T_i; BlockAt then returns nil and the loop descends
-				// sequentially until it realigns on a block boundary.
-				sub = st.subs[si]
-				stats.Sub = si
-				if ctl.ds != nil {
-					ctl.ds.Redrives++
-				}
-			}
-			p = live
-		}
+		p = live
 	}
 	return sub, p, nil
 }
@@ -90,16 +82,6 @@ func (ctl *searchControl) check(st *Structure, sub *Substructure, p int, stats *
 // least one processor survives; the step count degrades gracefully to the
 // Theorem 1 shape for the smallest surviving count.
 func (st *Structure) SearchExplicitDegraded(y catalog.Key, path []tree.NodeID, p int, census Census) ([]cascade.Result, DegradedStats, error) {
-	return st.searchDegraded(nil, y, path, p, census)
-}
-
-// SearchExplicitDegradedContext is SearchExplicitDegraded that additionally
-// honours context cancellation between hops.
-func (st *Structure) SearchExplicitDegradedContext(ctx context.Context, y catalog.Key, path []tree.NodeID, p int, census Census) ([]cascade.Result, DegradedStats, error) {
-	return st.searchDegraded(ctx, y, path, p, census)
-}
-
-func (st *Structure) searchDegraded(ctx context.Context, y catalog.Key, path []tree.NodeID, p int, census Census) ([]cascade.Result, DegradedStats, error) {
 	if err := st.t.ValidatePath(path); err != nil {
 		return nil, DegradedStats{}, err
 	}
@@ -123,38 +105,10 @@ func (st *Structure) searchDegraded(ctx context.Context, y catalog.Key, path []t
 	si := st.SelectSub(p)
 	sub := st.subs[si]
 	ds.Stats = Stats{Sub: si, P: start}
-	ctl := &searchControl{ctx: ctx, census: census, ds: &ds}
+	ctl := &searchControl{census: census, ds: &ds}
 	results, err := st.searchSegmentCtl(sub, y, path, p, &ds.Stats, ctl)
 	if err != nil {
 		return nil, ds, err
 	}
 	return results, ds, nil
-}
-
-// SearchExplicitContext is SearchExplicit that honours cancellation and
-// deadlines: the context is checked before the entry search and between
-// hops, so a cancelled search returns promptly with ctx's error instead of
-// finishing the walk.
-func (st *Structure) SearchExplicitContext(ctx context.Context, y catalog.Key, path []tree.NodeID, p int) ([]cascade.Result, Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, fmt.Errorf("core: search cancelled: %w", err)
-	}
-	if err := st.t.ValidatePath(path); err != nil {
-		return nil, Stats{}, err
-	}
-	if path[0] != st.t.Root() {
-		return nil, Stats{}, fmt.Errorf("core: path must start at the root")
-	}
-	if p < 1 {
-		p = 1
-	}
-	si := st.SelectSub(p)
-	sub := st.subs[si]
-	stats := Stats{Sub: si, P: p}
-	ctl := &searchControl{ctx: ctx}
-	results, err := st.searchSegmentCtl(sub, y, path, p, &stats, ctl)
-	if err != nil {
-		return nil, stats, err
-	}
-	return results, stats, nil
 }

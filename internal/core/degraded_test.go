@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -196,39 +194,5 @@ func TestDegradedAllDead(t *testing.T) {
 	}
 	if _, _, err := st.SearchExplicitDegraded(100, path, p, late); err == nil {
 		t.Error("search outliving every processor should fail")
-	}
-}
-
-// TestSearchExplicitContext: background context matches plain; cancelled
-// context fails with context.Canceled; deadline in the past likewise.
-func TestSearchExplicitContext(t *testing.T) {
-	st, _, rng := buildStructure(t, 1<<5, 1500, 17, Config{})
-	path := randomLeafPath(st.Tree(), rng)
-	y := catalog.Key(rng.Intn(6000))
-
-	got, gs, err := st.SearchExplicitContext(context.Background(), y, path, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, ws, err := st.SearchExplicit(y, path, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs != ws {
-		t.Errorf("context stats %+v != plain %+v", gs, ws)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d differs", i)
-		}
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := st.SearchExplicitContext(cancelled, y, path, 32); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled search error = %v, want context.Canceled", err)
-	}
-	if _, _, err := st.SearchExplicitDegradedContext(cancelled, y, path, 32, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled degraded search error = %v, want context.Canceled", err)
 	}
 }

@@ -78,8 +78,8 @@ func (st *Structure) searchSegment(sub *Substructure, y catalog.Key, seg []tree.
 }
 
 // searchSegmentCtl is searchSegment with an optional control hook checked
-// between hops: context cancellation and census-driven substructure
-// re-derivation (see degraded.go). A nil ctl is the fault-free fast path.
+// between hops: census-driven substructure re-derivation (see
+// degraded.go). A nil ctl is the fault-free fast path.
 func (st *Structure) searchSegmentCtl(sub *Substructure, y catalog.Key, seg []tree.NodeID, p int, stats *Stats, ctl *searchControl) ([]cascade.Result, error) {
 	head := st.s.Aug(seg[0])
 	pos := head.Succ(y)

@@ -16,7 +16,6 @@
 package dynamic
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -414,54 +413,6 @@ func (d *Structure) correct(v tree.NodeID, y catalog.Key, r cascade.Result) casc
 // corrects every result against the pending overlays.
 func (d *Structure) SearchExplicit(y catalog.Key, path []tree.NodeID, p int) ([]cascade.Result, core.Stats, error) {
 	results, stats, err := d.st.SearchExplicit(y, path, p)
-	if err != nil {
-		return nil, stats, err
-	}
-	for i := range results {
-		results[i] = d.correct(path[i], y, results[i])
-	}
-	return results, stats, nil
-}
-
-// SearchExplicitWithEntry is SearchExplicit seeded with a cached entry
-// position for the current static structure (see
-// core.SearchExplicitWithEntry); overlay corrections are applied to every
-// result exactly as in SearchExplicit. Entry positions refer to the static
-// structure, so a cached position is only meaningful while Generation() is
-// unchanged — a stale one simply fails the validity check and the full
-// entry search runs (used = false). Pending overlay mutations never affect
-// entry validity: they are corrections applied after the static descent.
-func (d *Structure) SearchExplicitWithEntry(y catalog.Key, path []tree.NodeID, p, entryPos int) ([]cascade.Result, core.Stats, bool, error) {
-	results, stats, used, err := d.st.SearchExplicitWithEntry(y, path, p, entryPos)
-	if err != nil {
-		return nil, stats, used, err
-	}
-	for i := range results {
-		results[i] = d.correct(path[i], y, results[i])
-	}
-	return results, stats, used, err
-}
-
-// SearchExplicitFromFinger is SearchExplicit entered by galloping from a
-// finger position in the root catalog (see core.SearchExplicitFromFinger);
-// overlay corrections are applied to every result exactly as in
-// SearchExplicit. Like cached entry positions, fingers refer to the static
-// structure and are only meaningful while Generation() is unchanged.
-func (d *Structure) SearchExplicitFromFinger(y catalog.Key, path []tree.NodeID, p, finger int) ([]cascade.Result, core.Stats, bool, error) {
-	results, stats, used, err := d.st.SearchExplicitFromFinger(y, path, p, finger)
-	if err != nil {
-		return nil, stats, used, err
-	}
-	for i := range results {
-		results[i] = d.correct(path[i], y, results[i])
-	}
-	return results, stats, used, err
-}
-
-// SearchExplicitContext is SearchExplicit honouring cancellation and
-// deadlines between hops of the underlying static search.
-func (d *Structure) SearchExplicitContext(ctx context.Context, y catalog.Key, path []tree.NodeID, p int) ([]cascade.Result, core.Stats, error) {
-	results, stats, err := d.st.SearchExplicitContext(ctx, y, path, p)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -130,31 +129,5 @@ func TestFlushBackoffIsCapped(t *testing.T) {
 		if i > 0 && dur < slept[i-1] {
 			t.Errorf("backoff %d = %v shrank from %v", i, dur, slept[i-1])
 		}
-	}
-}
-
-func TestDynamicSearchExplicitContext(t *testing.T) {
-	d, _, bt, rng := setup(t, 8, 200, 44, 64)
-	path := fullPaths(bt)[0]
-	y := catalog.Key(rng.Intn(800))
-
-	got, _, err := d.SearchExplicitContext(context.Background(), y, path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := d.SearchExplicit(y, path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d: context variant %+v != plain %+v", i, got[i], want[i])
-		}
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := d.SearchExplicitContext(cancelled, y, path, 8); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled search error = %v, want context.Canceled", err)
 	}
 }

@@ -27,15 +27,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // MarshalBinary encodes the structure as a catalog-kind store.
 func (f *Structure) MarshalBinary() ([]byte, error) {
 	b := NewStoreBuilder(StoreKindCatalog)
-	f.AppendToStore(b)
+	f.appendToStore(b)
 	return b.Marshal()
 }
 
-// AppendToStore appends the structure's metadata words and sections to a
-// store builder, so backends layered on the catalog structure (rangetree,
-// segtree) can embed it inside their own store kind. DecodeFromStore is
-// the inverse.
-func (f *Structure) AppendToStore(b *StoreBuilder) {
+// appendToStore appends the structure's metadata words and sections to a
+// store builder. decodeFromStore is the inverse.
+func (f *Structure) appendToStore(b *StoreBuilder) {
 	b.Meta(uint64(int64(f.params.B)))
 	b.Meta(uint64(int64(f.params.F)))
 	b.Meta(math.Float64bits(f.params.Alpha))
@@ -77,7 +75,7 @@ func decodeStructure(st *Store) (*Structure, error) {
 		return nil, fmt.Errorf("flat: store kind %d, want catalog (%d)", st.Kind(), StoreKindCatalog)
 	}
 	c := NewStoreCursor(st)
-	g, err := DecodeFromStore(c)
+	g, err := decodeFromStore(c)
 	if err != nil {
 		return nil, err
 	}
@@ -87,11 +85,10 @@ func decodeStructure(st *Store) (*Structure, error) {
 	return g, nil
 }
 
-// DecodeFromStore reads one embedded structure off the cursor (the inverse
-// of AppendToStore) and fully validates it. It does not require the cursor
-// to be exhausted — the embedding backend reads its own fields around it
-// and calls Finish itself.
-func DecodeFromStore(c *StoreCursor) (*Structure, error) {
+// decodeFromStore reads one structure off the cursor (the inverse of
+// appendToStore) and fully validates it. The caller checks the cursor is
+// exhausted with Finish.
+func decodeFromStore(c *StoreCursor) (*Structure, error) {
 	var g Structure
 	g.params = core.Params{
 		B:       int(int64(c.Meta())),

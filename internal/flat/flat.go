@@ -190,24 +190,9 @@ func (f *Structure) resultAt(v int32, pos int) cascade.Result {
 }
 
 // CatalogLen returns node v's augmented catalog length — the exported
-// counterpart of catLen for the frozen backends layered on top of the
-// catalog structure (rangetree, segtree).
+// counterpart of catLen for the frozen planar locator layered on top of
+// the catalog structure.
 func (f *Structure) CatalogLen(v tree.NodeID) int { return f.catLen(v) }
-
-// IsNative reports whether entry pos of node v's augmented catalog is a
-// native entry. Native entries are exactly the self-referencing ones:
-// catalog.FromEntries pins NativeSucc == own index for natives and a
-// strictly later index for dummies.
-func (f *Structure) IsNative(v tree.NodeID, pos int) bool {
-	return f.nativeSucc[int(f.catStart[v])+pos] == int32(pos)
-}
-
-// PayloadAt returns the raw payload stored at entry pos of node v's
-// augmented catalog (catalog.At(pos).Payload, not the native-successor
-// resolution of resultAt).
-func (f *Structure) PayloadAt(v tree.NodeID, pos int) int32 {
-	return f.payloads[int(f.catStart[v])+pos]
-}
 
 // DescendPos is cascade.Descend on the flat layout with the walk count
 // dropped: the successor position of y at v's ci-th child, reached via the
@@ -215,12 +200,6 @@ func (f *Structure) PayloadAt(v tree.NodeID, pos int) int32 {
 func (f *Structure) DescendPos(y catalog.Key, v tree.NodeID, ci, pos int) int {
 	return f.descend(y, v, ci, pos)
 }
-
-// ChildIndexOf returns the rank of child c among v's children, or −1.
-func (f *Structure) ChildIndexOf(v, c tree.NodeID) int { return f.childIndex(v, c) }
-
-// ParentOf returns v's parent, or tree.Nil at the root.
-func (f *Structure) ParentOf(v tree.NodeID) tree.NodeID { return f.parent[v] }
 
 // AppendRootPath appends the root-to-v path to buf and returns it
 // (tree.RootPath into a caller-owned buffer, so steady-state callers

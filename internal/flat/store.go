@@ -44,27 +44,9 @@ const (
 
 // Store kinds: one per frozen backend family.
 const (
-	StoreKindCatalog   = uint32(1)
-	StoreKindSpatial   = uint32(2)
-	StoreKindRangeTree = uint32(3)
-	StoreKindSegTree   = uint32(4)
+	StoreKindCatalog = uint32(1)
+	StoreKindSpatial = uint32(2)
 )
-
-// StoreKindName returns a short label for a store kind, for logs and
-// benchmark rows.
-func StoreKindName(kind uint32) string {
-	switch kind {
-	case StoreKindCatalog:
-		return "catalog"
-	case StoreKindSpatial:
-		return "spatial"
-	case StoreKindRangeTree:
-		return "rangetree"
-	case StoreKindSegTree:
-		return "segtree"
-	}
-	return fmt.Sprintf("kind%d", kind)
-}
 
 // storeHeaderFixed is magic + version + kind + meta count + section count.
 const storeHeaderFixed = 8 + 4 + 4 + 4 + 4

@@ -17,8 +17,6 @@ package parallel
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"fraccascade/internal/pram"
 )
@@ -298,43 +296,4 @@ func ReduceMaxPRAM(m pram.Executor, base, n, resultAddr int) error {
 	}
 	m.Store(resultAddr, m.Load(base))
 	return nil
-}
-
-// ForEach partitions [0, n) into contiguous chunks of at least grain
-// elements and runs fn on the chunks concurrently with up to GOMAXPROCS
-// workers. It is the host-parallel counterpart of a PRAM "for all i" round,
-// used by the preprocessing code for real concurrency during construction.
-func ForEach(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	chunks := (n + grain - 1) / grain
-	if chunks > workers {
-		chunks = workers
-	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	per := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

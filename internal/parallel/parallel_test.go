@@ -277,22 +277,6 @@ func TestReduceMaxPRAM(t *testing.T) {
 	}
 }
 
-func TestForEachCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1000} {
-		seen := make([]int32, n)
-		ForEach(n, 8, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
 func TestQuickCoopSearchAgainstSort(t *testing.T) {
 	f := func(raw []uint16, yRaw uint16, pRaw uint8) bool {
 		keys := make([]int64, len(raw))

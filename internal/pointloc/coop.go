@@ -1,7 +1,6 @@
 package pointloc
 
 import (
-	"context"
 	"fmt"
 
 	"fraccascade/internal/core"
@@ -35,14 +34,7 @@ const coopHopCostSteps = 6
 // "same region of S(U)" from the proof of Theorem 4) is evaluated and
 // checked for existence on every hop.
 func (l *Locator) LocateCoop(q geom.Point, p int) (int, core.Stats, error) {
-	r, ds, err := l.locateCoopCtl(nil, q, p, nil)
-	return r, ds.Stats, err
-}
-
-// LocateCoopContext is LocateCoop honouring cancellation and deadlines:
-// the context is checked before the root search and between hops.
-func (l *Locator) LocateCoopContext(ctx context.Context, q geom.Point, p int) (int, core.Stats, error) {
-	r, ds, err := l.locateCoopCtl(ctx, q, p, nil)
+	r, ds, err := l.locateCoopCtl(q, p, nil)
 	return r, ds.Stats, err
 }
 
@@ -51,17 +43,12 @@ func (l *Locator) LocateCoopContext(ctx context.Context, q geom.Point, p int) (i
 // processor count (see core.SearchExplicitDegraded). The located region is
 // identical to the fault-free answer as long as one processor survives.
 func (l *Locator) LocateCoopDegraded(q geom.Point, p int, census core.Census) (int, core.DegradedStats, error) {
-	return l.locateCoopCtl(nil, q, p, census)
+	return l.locateCoopCtl(q, p, census)
 }
 
-// locateCoopCtl is the control-aware body shared by the LocateCoop
-// variants; nil ctx and census give the fault-free behaviour exactly.
-func (l *Locator) locateCoopCtl(ctx context.Context, q geom.Point, p int, census core.Census) (int, core.DegradedStats, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, core.DegradedStats{}, fmt.Errorf("pointloc: locate cancelled: %w", err)
-		}
-	}
+// locateCoopCtl is the census-aware body shared by the LocateCoop
+// variants; a nil census gives the fault-free behaviour exactly.
+func (l *Locator) locateCoopCtl(q geom.Point, p int, census core.Census) (int, core.DegradedStats, error) {
 	if err := l.checkQuery(q); err != nil {
 		return 0, core.DegradedStats{}, err
 	}
@@ -95,11 +82,6 @@ func (l *Locator) locateCoopCtl(ctx context.Context, q geom.Point, p int, census
 	stats.Steps += stats.RootRounds
 
 	for !l.t.IsLeaf(v) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, ds, fmt.Errorf("pointloc: locate cancelled after %d steps: %w", stats.Steps, err)
-			}
-		}
 		if census != nil {
 			live := census.LiveAt(stats.Steps)
 			if live < 1 {

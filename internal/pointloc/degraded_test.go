@@ -1,8 +1,6 @@
 package pointloc
 
 import (
-	"context"
-	"errors"
 	"testing"
 
 	"fraccascade/internal/core"
@@ -61,23 +59,6 @@ func TestLocateCoopDegradedNoFaultsMatchesPlain(t *testing.T) {
 		if got != plain || ds.Stats != ps || ds.Redrives != 0 {
 			t.Fatalf("fault-free degraded (%d, %+v) != plain (%d, %+v)", got, ds, plain, ps)
 		}
-	}
-}
-
-func TestLocateCoopContext(t *testing.T) {
-	l, s, rng := buildLocator(t, 24, 14, 78, core.Config{})
-	pt, want := s.RandomInteriorPoint(rng)
-	got, _, err := l.LocateCoopContext(context.Background(), pt, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("region %d != brute %d", got, want)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := l.LocateCoopContext(cancelled, pt, 32); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled locate error = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package spatial
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // Census reports how many processor slots are live at a synchronous step.
 // It is declared consumer-side (this package does not import internal/core)
@@ -24,30 +21,13 @@ type DegradedStats struct {
 	Redrives int
 }
 
-// LocateCoopContext is LocateCoop honouring cancellation and deadlines:
-// the context is checked between hops.
-func (l *Locator) LocateCoopContext(ctx context.Context, x, y, z int64, p int) (int, Stats, error) {
-	cell, ds, err := l.locateCtl(ctx, x, y, z, p, nil)
-	return cell, ds.Stats, err
-}
-
 // LocateCoopDegraded is LocateCoop under processor failures: the census is
 // consulted between hops; when the surviving count p′ < p changes the hop
 // geometry, the hop height Θ(log p′) and the per-surface processor share
 // are re-derived and the search continues, preserving the located cell.
+// A nil census reproduces LocateCoop exactly.
 func (l *Locator) LocateCoopDegraded(x, y, z int64, p int, census Census) (int, DegradedStats, error) {
-	return l.locateCtl(nil, x, y, z, p, census)
-}
-
-// locateCtl is the control-aware body of the cooperative spatial search;
-// nil ctx and census reproduce LocateCoop exactly.
-func (l *Locator) locateCtl(ctx context.Context, x, y, z int64, p int, census Census) (int, DegradedStats, error) {
 	var ds DegradedStats
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, ds, fmt.Errorf("spatial: locate cancelled: %w", err)
-		}
-	}
 	if err := l.checkQuery(x, y, z); err != nil {
 		return 0, ds, err
 	}
@@ -73,11 +53,6 @@ func (l *Locator) locateCtl(ctx context.Context, x, y, z int64, p int, census Ce
 	br := bracket{maxEL: 0, minER: int32(l.r)}
 	v := l.t.Root()
 	for !l.t.IsLeaf(v) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, ds, fmt.Errorf("spatial: locate cancelled after %d steps: %w", stats.Steps, err)
-			}
-		}
 		if census != nil {
 			live := census.LiveAt(stats.Steps)
 			if live < 1 {

@@ -1,8 +1,6 @@
 package spatial
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -71,27 +69,5 @@ func TestLocateCoopDegradedNoFaultsMatchesPlain(t *testing.T) {
 		if got != plain || ds.Stats != ps || ds.Redrives != 0 {
 			t.Fatalf("fault-free degraded (%d, %+v) != plain (%d, %+v)", got, ds, plain, ps)
 		}
-	}
-}
-
-func TestLocateCoopContextSpatial(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	c := mustGen(t, 25, 4, rng)
-	l, err := NewLocator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y, z, want := c.RandomInteriorPoint(rng)
-	got, _, err := l.LocateCoopContext(context.Background(), x, y, z, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("cell %d != brute %d", got, want)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := l.LocateCoopContext(cancelled, x, y, z, 64); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled locate error = %v, want context.Canceled", err)
 	}
 }

@@ -128,9 +128,6 @@ func (l *Locator) Freeze() (*Frozen, error) {
 	return f, nil
 }
 
-// Cells returns the real cell count.
-func (f *Frozen) Cells() int { return int(f.r) }
-
 // isLeaf reports whether node v has no children.
 func (f *Frozen) isLeaf(v int32) bool { return f.childStart[v+1] == f.childStart[v] }
 

@@ -35,9 +35,6 @@ type Locator struct {
 	Debug bool
 }
 
-// Cells returns the real cell count of the located complex.
-func (l *Locator) Cells() int { return l.r }
-
 // NewLocator preprocesses the complex: builds the surface tree, assigns
 // proper facets by LCA, and builds each surface's planar structure, using
 // all cores for the per-surface builds.
