@@ -85,8 +85,9 @@ var e24Columns = benchfmt.Columns{Keys: []string{"kind", "mode"}, Metrics: []ben
 // and refrozen (no usable sidecar: re-freeze from the pointer structure).
 // The mmap rows are the tentpole claim: restore cost stays flat as
 // structures grow because nothing is copied until queries touch pages.
-// coopserve writes no sidecar: it decodes its varint snapshot and then
-// freezes each catalog shard, the refrozen path after a decode.
+// The sidecar is written the way coopserve writes its own after a boot is
+// ready: snapshot.SaveFlat streaming each frozen layout's store, and a
+// coopserve restart restores its catalog shards by the mmap rows' path.
 func runE24(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	fmt.Println("snapshot cold-start: per-backend restore latency and pinned heap, mmap vs deserialized vs refrozen")
@@ -114,7 +115,7 @@ func runE24(seed int64) {
 	type kindFixture struct {
 		name     string
 		kind     uint32
-		marshal  func() ([]byte, error)
+		store    func() (*flat.StoreBuilder, error)
 		open     func(data []byte) error // zero-copy decode
 		copyDec  func(data []byte) error // copying decode
 		refreeze func() error
@@ -122,12 +123,12 @@ func runE24(seed int64) {
 	fixtures := []kindFixture{
 		{
 			name: "catalog", kind: flat.StoreKindCatalog,
-			marshal: func() ([]byte, error) {
+			store: func() (*flat.StoreBuilder, error) {
 				f, err := flat.Freeze(st)
 				if err != nil {
 					return nil, err
 				}
-				return f.MarshalBinary()
+				return f.StoreBuilder(), nil
 			},
 			open: func(data []byte) error {
 				f, _, err := flat.OpenStructure(data)
@@ -148,12 +149,12 @@ func runE24(seed int64) {
 		},
 		{
 			name: "spatial", kind: flat.StoreKindSpatial,
-			marshal: func() ([]byte, error) {
+			store: func() (*flat.StoreBuilder, error) {
 				f, err := sp.Freeze()
 				if err != nil {
 					return nil, err
 				}
-				return f.MarshalBinary()
+				return f.StoreBuilder(), nil
 			},
 			open: func(data []byte) error {
 				f, _, err := spatial.OpenFrozen(data)
@@ -180,15 +181,13 @@ func runE24(seed int64) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "snapshot.flat")
-	blobs := make([]snapshot.FlatBlob, len(fixtures))
+	stores := make([]*flat.StoreBuilder, len(fixtures))
 	for i, fx := range fixtures {
-		data, err := fx.marshal()
-		if err != nil {
+		if stores[i], err = fx.store(); err != nil {
 			panic(err)
 		}
-		blobs[i] = snapshot.FlatBlob{Kind: fx.kind, Data: data}
 	}
-	if err := snapshot.SaveFlat(path, 1, blobs); err != nil {
+	if err := snapshot.SaveFlat(path, 1, stores); err != nil {
 		panic(err)
 	}
 

@@ -19,6 +19,7 @@ import (
 
 	"fraccascade/internal/core"
 	"fraccascade/internal/dynamic"
+	"fraccascade/internal/flat"
 	"fraccascade/internal/snapshot"
 	"fraccascade/internal/tree"
 )
@@ -233,8 +234,14 @@ func TestSnapshotLifecycle(t *testing.T) {
 		t.Fatalf("seed query = %d", resp.StatusCode)
 	}
 
-	// SIGTERM path minus the signal: drain, stop.
+	// SIGTERM path minus the signal: drain, stop. A sidecar write in
+	// progress holds the drain until it ends.
 	first.beginDrain()
+	first.writing.Store(true)
+	if first.awaitDrain(10 * time.Millisecond) {
+		t.Fatal("drain finished while a sidecar write was in progress")
+	}
+	first.writing.Store(false)
 	if !first.awaitDrain(cfg.DrainTimeout) {
 		t.Fatal("drain timed out")
 	}
@@ -264,6 +271,38 @@ func TestSnapshotLifecycle(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Answers, got.Answers) {
 		t.Fatal("restored server answers diverge")
+	}
+}
+
+// TestDrainWaitsForSidecarWrite: a drain that begins as soon as the
+// server turns ready, while build may still be streaming the sidecar,
+// returns only once the sidecar is in place, and the next boot maps it.
+func TestDrainWaitsForSidecarWrite(t *testing.T) {
+	cfg := lifecycleConfig()
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
+	s := newServerShell(cfg)
+	done := make(chan error, 1)
+	go func() { done <- s.build() }()
+	for s.state.Load() != stateReady {
+		select {
+		case err := <-done:
+			t.Fatalf("build returned %v without turning ready", err)
+		default:
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	s.beginDrain()
+	if !s.awaitDrain(10 * time.Second) {
+		t.Fatal("drain timed out")
+	}
+	if _, err := os.Stat(sidecarPath(cfg.SnapshotPath)); err != nil {
+		t.Fatalf("drain returned before the sidecar was written: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if next, made := countingBoot(t, cfg); next.view == nil || made != 0 {
+		t.Fatalf("the boot after the drain: mapped %v, %d shard structures made", next.view != nil, made)
 	}
 }
 
@@ -319,6 +358,175 @@ func TestSnapshotFallbackOnCorruption(t *testing.T) {
 			t.Fatalf("%s: the rebuild's snapshot was not restored", tc.name)
 		}
 	}
+}
+
+// TestSnapshotFlagChangesRebuild: a restart whose -seed, -entries or
+// -leaves differ from the boot that wrote the snapshot refuses the
+// snapshot by its header's generation, before it decodes or maps anything,
+// and builds every shard for its own flags; with the same flags it maps
+// the sidecar. Either way it answers like the brute-force oracle for its
+// flags, and the next boot with those flags restores.
+func TestSnapshotFlagChangesRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(*serverConfig)
+	}{
+		{"unchanged", func(*serverConfig) {}},
+		{"seed 7 to 8", func(c *serverConfig) { c.Seed = 8 }},
+		{"entries 800 to 1600", func(c *serverConfig) { c.Entries = 1600 }},
+		{"leaves 16 to 32", func(c *serverConfig) { c.Leaves = 32 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := lifecycleConfig()
+			cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
+			if _, err := newServer(cfg); err != nil {
+				t.Fatal(err)
+			}
+			next := cfg
+			tc.change(&next)
+			changed := next != cfg
+			s, made := countingBoot(t, next)
+			if s.loadedSnapshot == changed || (s.view != nil) == changed {
+				t.Fatalf("loaded %v, mapped %v; want both %v", s.loadedSnapshot, s.view != nil, !changed)
+			}
+			want := 0 // a mapped restore makes no shard structure
+			if changed {
+				want = next.Shards
+			}
+			if made != want {
+				t.Fatalf("boot made %d shard structures, want %d", made, want)
+			}
+			req, check := oracleRequest(t, next, 24, 5)
+			check(t, queryAnswers(t, s, req))
+			again, made := countingBoot(t, next)
+			if again.view == nil || made != 0 {
+				t.Fatalf("the boot after: mapped %v, %d shard structures made; want a mapped restore", again.view != nil, made)
+			}
+			check(t, queryAnswers(t, again, req))
+		})
+	}
+}
+
+// TestSidecarRestore: a restart maps the sidecar the build boot wrote,
+// building and decoding no shard, and answers exactly as the build boot
+// did. A sidecar that is truncated, corrupt, holds the wrong number of
+// blobs or is bound to another snapshot sends the restart to the decoding
+// path; a missing snapshot sends it to a build that rewrites both files.
+// Every boot answers like the oracle, and the boot after each fallback
+// maps again.
+func TestSidecarRestore(t *testing.T) {
+	cfg := lifecycleConfig()
+	req, check := oracleRequest(t, cfg, 24, 13)
+	// The sidecar's header and table: magic, version, blob count,
+	// generation, one 24-byte row per blob, CRC. Its first blob starts at
+	// 4096.
+	header := int64(8 + 4 + 4 + 8 + 24*cfg.Shards + 4)
+	other := lifecycleConfig()
+	other.Seed++
+	other.SnapshotPath = filepath.Join(t.TempDir(), "other.snap")
+	if _, err := newServer(other); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, first *server, snap, side string)
+		made   int  // shard structures the restart decodes or builds
+		loaded bool // whether the restart restores
+	}{
+		{"intact", func(*testing.T, *server, string, string) {}, 0, true},
+		{"truncated to its header", func(t *testing.T, _ *server, _, side string) {
+			truncate(t, side, header)
+		}, cfg.Shards, true},
+		{"truncated mid-blob", func(t *testing.T, _ *server, _, side string) {
+			truncate(t, side, 4096+64)
+		}, cfg.Shards, true},
+		{"bit flipped in a blob", func(t *testing.T, _ *server, _, side string) {
+			data, err := os.ReadFile(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-10] ^= 0x08
+			if err := os.WriteFile(side, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, cfg.Shards, true},
+		{"one blob for two shards", func(t *testing.T, first *server, _, side string) {
+			v, err := snapshot.OpenFlat(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := v.Generation
+			v.Close()
+			if err := snapshot.SaveFlat(side, bound, []*flat.StoreBuilder{first.catalogs[0].StoreBuilder()}); err != nil {
+				t.Fatal(err)
+			}
+		}, cfg.Shards, true},
+		{"bound to another snapshot", func(t *testing.T, _ *server, _, side string) {
+			data, err := os.ReadFile(sidecarPath(other.SnapshotPath))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(side, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, cfg.Shards, true},
+		{"snapshot deleted", func(t *testing.T, _ *server, snap, _ string) {
+			if err := os.Remove(snap); err != nil {
+				t.Fatal(err)
+			}
+		}, cfg.Shards, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfg
+			cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
+			first, made := countingBoot(t, cfg)
+			if first.loadedSnapshot || made != cfg.Shards {
+				t.Fatalf("first boot: loaded %v, %d shard structures made", first.loadedSnapshot, made)
+			}
+			want := queryAnswers(t, first, req)
+			check(t, want)
+			tc.damage(t, first, cfg.SnapshotPath, sidecarPath(cfg.SnapshotPath))
+
+			s, made := countingBoot(t, cfg)
+			if s.loadedSnapshot != tc.loaded || (s.view != nil) != (tc.made == 0) || made != tc.made {
+				t.Fatalf("restart: loaded %v, mapped %v, %d shard structures made; want loaded %v, mapped %v, %d made",
+					s.loadedSnapshot, s.view != nil, made, tc.loaded, tc.made == 0, tc.made)
+			}
+			got := queryAnswers(t, s, req)
+			check(t, got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("restart answers differ from the build boot's")
+			}
+			// The fallback rewrote what was missing or bad: the next boot
+			// maps.
+			next, made := countingBoot(t, cfg)
+			if !next.loadedSnapshot || next.view == nil || made != 0 {
+				t.Fatalf("the boot after: loaded %v, mapped %v, %d shard structures made; want a mapped restore",
+					next.loadedSnapshot, next.view != nil, made)
+			}
+			check(t, queryAnswers(t, next, req))
+		})
+	}
+}
+
+// truncate cuts the file at path to size bytes.
+func truncate(t *testing.T, path string, size int64) {
+	t.Helper()
+	if err := os.Truncate(path, size); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queryAnswers posts req to s and returns the answers of its 200.
+func queryAnswers(t *testing.T, s *server, req queryRequest) []wireAnswer {
+	t.Helper()
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	resp, out := postQuery(t, ts, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /query = %d", resp.StatusCode)
+	}
+	return out.Answers
 }
 
 // TestBadShapeFlags: a shape the generators or the query handler cannot

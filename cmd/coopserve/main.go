@@ -31,12 +31,17 @@
 //
 // Every structure is served from its frozen layout: the catalog shards from
 // internal/flat, point location from the frozen locators. Boot builds (or
-// restores) each pointer structure, freezes it and drops it before the
-// next, so none is reachable once the daemon is ready. With -snapshot the
-// daemon restores its catalog shards from a crash-safe snapshot on start,
-// one shard at a time (falling back to rebuild on any corruption), and
-// saves one after building. The shards never change while serving, so
-// SIGTERM only drains in-flight queries: the file on disk is already
+// decodes) each pointer structure, freezes it and drops it before the
+// next, so none is reachable once the daemon is ready. With -snapshot=PATH
+// the daemon saves a crash-safe snapshot of its catalog shards at build,
+// before it is ready, and once ready streams the frozen shards into a
+// page-aligned sidecar, PATH.flat, bound to the snapshot's exact bytes. A
+// restart whose flags match the snapshot maps the bound sidecar and serves
+// straight from the mapping, building and decoding no shard; without a
+// usable sidecar it decodes the snapshot one shard at a time and rewrites
+// the sidecar once ready, and any defect in the snapshot rebuilds. The
+// shards never change while serving, so SIGTERM only drains in-flight
+// queries and a sidecar write in progress: the files on disk are already
 // current. Requests run under -request-timeout and are shed with 503 +
 // Retry-After past -max-inflight.
 //
@@ -77,10 +82,10 @@ func main() {
 	flag.IntVar(&cfg.Tiles, "tiles", cfg.Tiles, "spatial complex tiles")
 	flag.IntVar(&cfg.BuildParallelism, "build-parallelism", cfg.BuildParallelism, "host workers for shard builds, freezes, and snapshot restores (0 = all cores, 1 = sequential)")
 	flag.BoolVar(&cfg.FingerCache, "finger-cache", cfg.FingerCache, "serve catalog queries with distance-sensitive finger search from cached entry points")
-	flag.StringVar(&cfg.SnapshotPath, "snapshot", cfg.SnapshotPath, "snapshot path: load on start, save after build (empty = disabled)")
+	flag.StringVar(&cfg.SnapshotPath, "snapshot", cfg.SnapshotPath, "snapshot path: restore on start (mapping the frozen shards from the bound sidecar PATH.flat when present), save after build, write the sidecar once ready (empty = disabled)")
 	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline on POST /query (0 = none)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /query cap before shedding with 503 (0 = unlimited)")
-	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "how long SIGTERM waits for in-flight queries")
+	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "how long SIGTERM waits for in-flight queries and a sidecar write in progress")
 	flag.IntVar(&cfg.FlightRecords, "flight-records", cfg.FlightRecords, "per-query flight-recorder reservoir size behind /debug/slowlog and /statusz (0 disables the recorder, wall timing, and the latency windows)")
 	flag.DurationVar(&cfg.SLOLatency, "slo-latency", cfg.SLOLatency, "latency SLO threshold surfaced as burn-rate gauges on /metrics")
 	flag.Float64Var(&cfg.SLOObjective, "slo-objective", cfg.SLOObjective, "fraction of queries that must finish within -slo-latency (0 < objective < 1)")
@@ -101,16 +106,9 @@ func main() {
 	// Serve immediately — /healthz answers and /readyz reports "building"
 	// while the structures come up in the background.
 	go func() {
-		start := time.Now()
 		if err := srv.build(); err != nil {
 			log.Fatalf("coopserve: build: %v", err)
 		}
-		src := "built"
-		if srv.loadedSnapshot {
-			src = "restored from " + cfg.SnapshotPath
-		}
-		log.Printf("coopserve: ready in %v (%s): %d shards, %d-leaf trees, P=%d, batch=%d",
-			time.Since(start).Round(time.Millisecond), src, cfg.Shards, cfg.Leaves, cfg.Procs, cfg.BatchSize)
 	}()
 	log.Printf("coopserve: listening on %s", *addr)
 	errc := make(chan error, 1)
@@ -125,7 +123,7 @@ func main() {
 		log.Printf("coopserve: %v: draining (%d in flight)", got, srv.inflight.Load())
 		srv.beginDrain()
 		if !srv.awaitDrain(cfg.DrainTimeout) {
-			log.Printf("coopserve: drain timeout with %d still in flight", srv.inflight.Load())
+			log.Printf("coopserve: drain timeout with %d still in flight (sidecar write in progress: %v)", srv.inflight.Load(), srv.writing.Load())
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"log"
 	"math/rand"
 	"net/http"
@@ -44,10 +46,10 @@ type serverConfig struct {
 
 	BuildParallelism int           // host workers for builds, freezes, and snapshot restores (0 = all cores)
 	FingerCache      bool          // distance-sensitive finger search from cached entries
-	SnapshotPath     string        // load-on-start / save-on-build path
+	SnapshotPath     string        // load-on-start / save-on-build path; its sidecar is SnapshotPath+".flat"
 	RequestTimeout   time.Duration // per-request deadline on POST /query (0 = none)
 	MaxInflight      int           // admission-control cap on concurrent queries (0 = unlimited)
-	DrainTimeout     time.Duration // how long SIGTERM waits for in-flight queries
+	DrainTimeout     time.Duration // how long SIGTERM waits for in-flight queries and a sidecar write
 
 	// FlightRecords sizes the per-query flight recorder's uniform
 	// reservoir (errors and slowest-K pools ride along at fixed sizes);
@@ -109,6 +111,24 @@ func (c serverConfig) validate() error {
 	return nil
 }
 
+// generation is the snapshot header's generation coopserve writes: a
+// fingerprint of the flags that decide the catalog shards' contents
+// (-seed, -shards, -leaves, -entries), so a restore refuses a snapshot
+// written for other flags before it decodes or maps anything.
+func (c serverConfig) generation() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range []int64{c.Seed, int64(c.Shards), int64(c.Leaves), int64(c.Entries)} {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// sidecarPath is where the frozen catalog shards of the snapshot at path
+// are mapped from.
+func sidecarPath(path string) string { return path + ".flat" }
+
 // Lifecycle states: the server starts building, flips to ready when the
 // structures are live, and moves to draining on SIGTERM, never back.
 // Overload is not a state — it is ready plus a saturated inflight gauge.
@@ -143,6 +163,12 @@ type server struct {
 	// loadedSnapshot reports whether build restored the catalog shards from
 	// cfg.SnapshotPath instead of rebuilding them from the seed.
 	loadedSnapshot bool
+	// view is the mapped sidecar the catalog shards are served from after a
+	// mapped restore, nil otherwise. It stays open for the server's life.
+	view *snapshot.FlatView
+	// writing is set from just before the server turns ready until its
+	// sidecar write ends, on a boot that writes one; the drain waits for it.
+	writing atomic.Bool
 
 	obsShed      *obs.Counter // admission-control 503s
 	obsPanics    *obs.Counter // handler panics recovered to 500s
@@ -199,12 +225,15 @@ func newServer(cfg serverConfig) (*server, error) {
 // ready. Each pointer structure is built or decoded, frozen and dropped
 // before the next one starts, with the collection rule applied in
 // between (see collector), so at most one is live at a time and none is
-// reachable once the server is ready. The geometry comes first, while the
-// heap holds nothing else. The catalog shards and the geometry draw from
-// independently seeded streams so a snapshot restore (which skips shard
-// generation) serves the exact same subdivision and complex as a
-// from-scratch build.
+// reachable once the server is ready; a mapped restore creates none. The
+// geometry comes first, while the heap holds nothing else. The catalog
+// shards and the geometry draw from independently seeded streams so a
+// snapshot restore (which skips shard generation) serves the exact same
+// subdivision and complex as a from-scratch build. A boot that built or
+// decoded its shards then, once ready, streams them into the sidecar
+// beside the snapshot, so the next boot maps them.
 func (s *server) build() error {
+	start := time.Now()
 	if err := s.cfg.validate(); err != nil {
 		return err
 	}
@@ -213,9 +242,9 @@ func (s *server) build() error {
 	if err != nil {
 		return err
 	}
-	catalogs := s.restoreShards(gc)
+	catalogs, bind := s.restoreShards(gc)
 	if catalogs == nil {
-		if catalogs, err = s.buildShards(gc); err != nil {
+		if catalogs, bind, err = s.buildShards(gc); err != nil {
 			return err
 		}
 	}
@@ -231,7 +260,27 @@ func (s *server) build() error {
 	if err != nil {
 		return err
 	}
-	s.state.Store(stateReady)
+	// The write is marked before the server turns ready, so a drain that
+	// sees it ready waits for the write. A drain that began during the
+	// build means the process is exiting: write nothing.
+	save := bind != (snapshot.Binding{})
+	s.writing.Store(save)
+	if !s.state.CompareAndSwap(stateBuilding, stateReady) {
+		s.writing.Store(false)
+		return nil
+	}
+	src := "built"
+	if s.view != nil {
+		src = "restored from " + s.cfg.SnapshotPath + ", mapped"
+	} else if s.loadedSnapshot {
+		src = "restored from " + s.cfg.SnapshotPath + ", decoded"
+	}
+	log.Printf("coopserve: ready in %v (%s): %d shards, %d-leaf trees, P=%d, batch=%d",
+		time.Since(start).Round(time.Millisecond), src, s.cfg.Shards, s.cfg.Leaves, s.cfg.Procs, s.cfg.BatchSize)
+	if save {
+		s.saveSidecar(bind)
+		s.writing.Store(false)
+	}
 	return nil
 }
 
@@ -334,9 +383,9 @@ func (s *server) notePointers(objs ...any) {
 // buildShards draws each catalog shard's catalogs from the cfg.Seed
 // stream in shard order, builds it, hands it to the snapshot writer (with
 // a snapshot path), freezes it and drops it, and returns the frozen
-// shards. A snapshot that fails to save only logs: the shards serve
-// anyway.
-func (s *server) buildShards(gc *collector) ([]*flat.Structure, error) {
+// shards and the Binding of the snapshot it wrote. A snapshot that fails
+// to save only logs, and the Binding is zero: the shards serve anyway.
+func (s *server) buildShards(gc *collector) ([]*flat.Structure, snapshot.Binding, error) {
 	rng := rand.New(rand.NewSource(s.cfg.Seed))
 	frozen := make([]*flat.Structure, 0, s.cfg.Shards)
 	var buildErr error
@@ -353,16 +402,19 @@ func (s *server) buildShards(gc *collector) ([]*flat.Structure, error) {
 		buildErr = err
 		return snapshot.Shard{}, err
 	}
+	var bind snapshot.Binding
 	if path := s.cfg.SnapshotPath; path != "" {
 		kinds := make([]snapshot.Kind, s.cfg.Shards)
 		for i := range kinds {
 			kinds[i] = snapshot.KindStatic
 		}
-		err := snapshot.SaveShards(path, 0, kinds, next)
+		var err error
+		bind, err = snapshot.SaveShards(path, s.cfg.generation(), kinds, next)
 		switch {
 		case buildErr != nil:
-			return nil, buildErr
+			return nil, snapshot.Binding{}, buildErr
 		case err != nil:
+			bind = snapshot.Binding{}
 			log.Printf("coopserve: snapshot save failed (serving anyway): %v", err)
 		default:
 			s.obsSnapSave.Inc()
@@ -372,10 +424,10 @@ func (s *server) buildShards(gc *collector) ([]*flat.Structure, error) {
 	// rest here.
 	for len(frozen) < s.cfg.Shards {
 		if _, err := next(len(frozen)); err != nil {
-			return nil, err
+			return nil, snapshot.Binding{}, err
 		}
 	}
-	return frozen, nil
+	return frozen, bind, nil
 }
 
 // buildShard draws one shard's catalogs from rng and builds its pointer
@@ -394,22 +446,94 @@ func (s *server) buildShard(rng *rand.Rand) (*core.Structure, error) {
 }
 
 // restoreShards restores the catalog shards from the configured snapshot
-// one at a time — decode, freeze, drop — and returns the frozen shards. It
-// checks the manifest (shard count, every kind static) before it decodes
-// any shard. Any failure, a shard that fails to decode included, logs,
-// discards the shards already frozen and returns nil, and build rebuilds
-// every shard from the seed: a bad file never aborts startup.
-func (s *server) restoreShards(gc *collector) []*flat.Structure {
+// and returns them, or nil when build must build them from the seed. It
+// streams the snapshot once to check its header and generation against
+// the flags and to compute its Binding, and decodes nothing for a file
+// written for other flags. It maps the shards from a sidecar bound to
+// that Binding (mapShards) and returns a zero Binding: there is nothing to
+// write. Without one it logs why and decodes the snapshot (decodeShards),
+// returning the Binding for build to bind a new sidecar to. A bad file
+// never aborts startup.
+func (s *server) restoreShards(gc *collector) ([]*flat.Structure, snapshot.Binding) {
 	path := s.cfg.SnapshotPath
 	if path == "" {
-		return nil
+		return nil, snapshot.Binding{}
 	}
 	// The file's bytes count toward the first shard's decode, so the
 	// rule runs before the read rather than between it and the decode.
 	gc.next()
+	gen, bind, err := snapshot.Bind(path)
+	if err != nil {
+		log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", path, err)
+		return nil, snapshot.Binding{}
+	}
+	if gen != s.cfg.generation() {
+		log.Printf("coopserve: snapshot %s was written for other -seed/-shards/-leaves/-entries; rebuilding", path)
+		return nil, snapshot.Binding{}
+	}
+	frozen, err := s.mapShards(bind)
+	if err == nil {
+		bind = snapshot.Binding{} // a mapped boot writes nothing
+	} else {
+		log.Printf("coopserve: sidecar %s unusable, decoding the snapshot: %v", sidecarPath(path), err)
+		frozen = s.decodeShards(gc, bind)
+	}
+	if frozen == nil {
+		return nil, snapshot.Binding{}
+	}
+	s.loadedSnapshot = true
+	s.obsSnapLoad.Inc()
+	return frozen, bind
+}
+
+// mapShards maps the sidecar beside the snapshot read-only and opens one
+// catalog shard from each of its blobs, zero-copy. It refuses a sidecar
+// that is not bound to bind or does not hold exactly one blob per shard,
+// and every blob passes its store CRC and the structure's full validation
+// before it serves. On success the mapping stays open for the server's
+// life (s.view); a save replaces the file by rename, so the mapping keeps
+// the inode it was opened on.
+func (s *server) mapShards(bind snapshot.Binding) (frozen []*flat.Structure, err error) {
+	v, err := snapshot.OpenFlat(sidecarPath(s.cfg.SnapshotPath))
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			v.Close()
+		}
+	}()
+	if v.Generation != bind.Word() {
+		return nil, fmt.Errorf("bound to another snapshot (%#x, this one is %#x)", v.Generation, bind.Word())
+	}
+	if len(v.Blobs) != s.cfg.Shards {
+		return nil, fmt.Errorf("%d blobs for %d shards", len(v.Blobs), s.cfg.Shards)
+	}
+	frozen = make([]*flat.Structure, len(v.Blobs))
+	for i, b := range v.Blobs {
+		if frozen[i], _, err = flat.OpenStructure(b.Data); err != nil {
+			return nil, fmt.Errorf("blob %d: %w", i, err)
+		}
+	}
+	s.view = v
+	return frozen, nil
+}
+
+// decodeShards decodes the snapshot one shard at a time — decode, freeze,
+// drop — and returns the frozen shards. It checks that the bytes it read
+// are the ones bound (bind) and the manifest (shard count, every kind
+// static) before it decodes any shard. Any failure, a shard that fails to
+// decode included, logs, discards the shards already frozen and returns
+// nil, and build rebuilds every shard from the seed.
+func (s *server) decodeShards(gc *collector, bind snapshot.Binding) []*flat.Structure {
+	path := s.cfg.SnapshotPath
 	r, err := snapshot.OpenShards(path, s.cfg.BuildParallelism)
 	if err != nil {
 		log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", path, err)
+		return nil
+	}
+	if r.Binding() != bind {
+		log.Printf("coopserve: snapshot %s changed while restoring; rebuilding", path)
 		return nil
 	}
 	kinds := r.Kinds()
@@ -439,22 +563,39 @@ func (s *server) restoreShards(gc *collector) []*flat.Structure {
 			return nil
 		}
 	}
-	s.loadedSnapshot = true
-	s.obsSnapLoad.Inc()
 	return frozen
+}
+
+// saveSidecar streams the served catalog shards into the sidecar beside
+// the snapshot, bound to bind: the snapshot bytes the shards were built
+// with or decoded from. A failed save only logs: the shards serve anyway,
+// and the next boot decodes the snapshot.
+func (s *server) saveSidecar(bind snapshot.Binding) {
+	start := time.Now()
+	stores := make([]*flat.StoreBuilder, len(s.catalogs))
+	for i, f := range s.catalogs {
+		stores[i] = f.StoreBuilder()
+	}
+	path := sidecarPath(s.cfg.SnapshotPath)
+	if err := snapshot.SaveFlat(path, bind.Word(), stores); err != nil {
+		log.Printf("coopserve: sidecar save failed (serving anyway): %v", err)
+		return
+	}
+	log.Printf("coopserve: sidecar %s written in %v", path, time.Since(start).Round(time.Millisecond))
 }
 
 // beginDrain moves the server to draining: new queries are refused with
 // 503 while in-flight ones run to completion.
 func (s *server) beginDrain() { s.state.Store(stateDraining) }
 
-// awaitDrain polls until no queries are in flight or the timeout lapses,
-// reporting whether the server drained fully. (http.Server.Shutdown
-// provides the connection-level guarantee; this bounds the wait.)
+// awaitDrain polls until no queries are in flight and no sidecar write is
+// in progress, or the timeout lapses, reporting whether the server drained
+// fully. It never waits for a build. (http.Server.Shutdown provides the
+// connection-level guarantee; this bounds the wait.)
 func (s *server) awaitDrain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		if s.inflight.Load() == 0 {
+		if s.inflight.Load() == 0 && !s.writing.Load() {
 			return true
 		}
 		if !time.Now().Before(deadline) {

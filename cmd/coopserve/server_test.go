@@ -488,10 +488,11 @@ func TestStepsProfileEndpoint(t *testing.T) {
 }
 
 // TestNoPointerGeometryAfterBuild pins the memory property of serving
-// only frozen layouts, on a build boot and on a restore boot: once build
-// returns, no pointer structure it created or decoded is reachable — the
-// subdivision, the complex, both locators and every catalog shard's
-// core.Structure. Each gets a finalizer that must run after a few GCs
+// only frozen layouts, on a build boot, a decoding restore and a mapped
+// restore: once build returns, no pointer structure it created or decoded
+// is reachable — the subdivision, the complex, both locators and every
+// catalog shard's core.Structure — and a mapped restore creates no shard
+// structure at all. Each gets a finalizer that must run after a few GCs
 // while the server stays live, so an edit that keeps one (a server field,
 // an engine reference, a closure) fails here. The server must still answer
 // every catalog, planar and spatial query like the brute-force oracle over
@@ -500,7 +501,18 @@ func TestNoPointerGeometryAfterBuild(t *testing.T) {
 	cfg := lifecycleConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 	req, check := oracleRequest(t, cfg, 40, 99)
-	for _, restore := range []bool{false, true} {
+	for _, mode := range []string{"built", "decoded", "mapped"} {
+		restore, shardsMade := mode != "built", int32(cfg.Shards)
+		switch mode {
+		case "decoded":
+			// Without its sidecar the restore decodes every shard, then
+			// writes the sidecar the mapped boot maps.
+			if err := os.Remove(sidecarPath(cfg.SnapshotPath)); err != nil {
+				t.Fatal(err)
+			}
+		case "mapped":
+			shardsMade = 0
+		}
 		s := newServerShell(cfg)
 		var built, shards, freed atomic.Int32
 		s.pointerBuilt = func(obj any) {
@@ -513,12 +525,12 @@ func TestNoPointerGeometryAfterBuild(t *testing.T) {
 		if err := s.build(); err != nil {
 			t.Fatal(err)
 		}
-		if s.loadedSnapshot != restore {
-			t.Fatalf("restore=%v: boot loaded the snapshot: %v", restore, s.loadedSnapshot)
+		if s.loadedSnapshot != restore || (s.view != nil) != (mode == "mapped") {
+			t.Fatalf("%s: boot loaded the snapshot: %v, mapped: %v", mode, s.loadedSnapshot, s.view != nil)
 		}
-		if n, m := built.Load(), shards.Load(); n != 4+int32(cfg.Shards) || m != int32(cfg.Shards) {
-			t.Fatalf("restore=%v: build reported %d pointer structures (%d catalog shards), want 4 geometry and %d shards",
-				restore, n, m, cfg.Shards)
+		if n, m := built.Load(), shards.Load(); n != 4+shardsMade || m != shardsMade {
+			t.Fatalf("%s: build reported %d pointer structures (%d catalog shards), want 4 geometry and %d shards",
+				mode, n, m, shardsMade)
 		}
 		// Finalizers of objects that point at each other run one GC apart.
 		for i := 0; i < 50 && freed.Load() < built.Load(); i++ {
@@ -526,14 +538,14 @@ func TestNoPointerGeometryAfterBuild(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		if freed.Load() != built.Load() {
-			t.Fatalf("restore=%v: %d of %d pointer structures still reachable after build",
-				restore, built.Load()-freed.Load(), built.Load())
+			t.Fatalf("%s: %d of %d pointer structures still reachable after build",
+				mode, built.Load()-freed.Load(), built.Load())
 		}
 		ts := httptest.NewServer(s.handler())
 		resp, out := postQuery(t, ts, req)
 		ts.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("restore=%v: POST /query = %d", restore, resp.StatusCode)
+			t.Fatalf("%s: POST /query = %d", mode, resp.StatusCode)
 		}
 		check(t, out.Answers)
 		runtime.KeepAlive(s)

@@ -25,10 +25,15 @@ import (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // MarshalBinary encodes the structure as a catalog-kind store.
-func (f *Structure) MarshalBinary() ([]byte, error) {
+func (f *Structure) MarshalBinary() ([]byte, error) { return f.StoreBuilder().Marshal() }
+
+// StoreBuilder returns the structure's catalog-kind store, whose sections
+// alias the structure's arrays: WriteTo streams the encoding from them
+// without building it in memory.
+func (f *Structure) StoreBuilder() *StoreBuilder {
 	b := NewStoreBuilder(StoreKindCatalog)
 	f.appendToStore(b)
-	return b.Marshal()
+	return b
 }
 
 // appendToStore appends the structure's metadata words and sections to a

@@ -1,9 +1,11 @@
 package flat
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"unsafe"
 )
 
@@ -95,62 +97,146 @@ func (b *StoreBuilder) I64s(s []int64) {
 // align8 rounds n up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// Marshal lays the store out and returns the encoded bytes.
-func (b *StoreBuilder) Marshal() ([]byte, error) {
+// storeChunk is the buffer WriteTo encodes through: small enough that
+// streaming a store allocates next to nothing, large enough that one write
+// per chunk costs little.
+const storeChunk = 32 << 10
+
+// Kind returns the store kind the builder writes.
+func (b *StoreBuilder) Kind() uint32 { return b.kind }
+
+// len returns the section's element count.
+func (s builderSection) len() int {
+	if s.width == 8 {
+		return len(s.i64)
+	}
+	return len(s.i32)
+}
+
+// headerLen returns the length of the header and the section table.
+func (b *StoreBuilder) headerLen() int {
+	return storeHeaderFixed + 8*len(b.meta) + storeSectionEntry*len(b.secs)
+}
+
+// arenaStart returns the offset of the first section: the header and
+// table, rounded up to the page size.
+func (b *StoreBuilder) arenaStart() int {
+	return (b.headerLen() + storePageAlign - 1) &^ (storePageAlign - 1)
+}
+
+// Size returns the length of the encoded store in bytes.
+func (b *StoreBuilder) Size() int {
+	off := b.arenaStart()
+	for _, s := range b.secs {
+		off = align8(off + s.width*s.len())
+	}
+	return off + 4 // trailing CRC
+}
+
+// WriteTo streams the encoded store to w through one storeChunk-byte
+// buffer, checksumming as it goes, so it never holds the encoding: the
+// sections are read straight from the arrays the builder was handed. The
+// bytes are Marshal's, Size of them.
+func (b *StoreBuilder) WriteTo(w io.Writer) (int64, error) {
 	if len(b.secs) > storeMaxSections {
-		return nil, fmt.Errorf("flat: %d sections exceed the store limit", len(b.secs))
+		return 0, fmt.Errorf("flat: %d sections exceed the store limit", len(b.secs))
 	}
-	headerLen := storeHeaderFixed + 8*len(b.meta) + storeSectionEntry*len(b.secs)
-	arenaStart := (headerLen + storePageAlign - 1) &^ (storePageAlign - 1)
-	// Lay out section offsets.
-	offs := make([]int, len(b.secs))
-	off := arenaStart
-	for i, s := range b.secs {
-		offs[i] = off
-		n := len(s.i32)
-		if s.width == 8 {
-			n = len(s.i64)
-		}
-		off = align8(off + s.width*n)
-	}
-	total := off + 4 // trailing CRC
-	buf := make([]byte, total)
-	copy(buf, storeMagic)
-	binary.LittleEndian.PutUint32(buf[8:], storeVersion)
-	binary.LittleEndian.PutUint32(buf[12:], b.kind)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(b.meta)))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(len(b.secs)))
-	p := storeHeaderFixed
+	e := &storeWriter{w: w, buf: make([]byte, 0, storeChunk)}
+	e.reserve(storeHeaderFixed)
+	e.buf = append(e.buf, storeMagic...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, storeVersion)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, b.kind)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(b.meta)))
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(b.secs)))
 	for _, m := range b.meta {
-		binary.LittleEndian.PutUint64(buf[p:], m)
-		p += 8
+		e.reserve(8)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, m)
 	}
-	for i, s := range b.secs {
-		n := len(s.i32)
-		if s.width == 8 {
-			n = len(s.i64)
-		}
-		binary.LittleEndian.PutUint32(buf[p:], uint32(s.width))
-		binary.LittleEndian.PutUint64(buf[p+8:], uint64(offs[i]))
-		binary.LittleEndian.PutUint64(buf[p+16:], uint64(n))
-		p += storeSectionEntry
+	arenaStart := b.arenaStart()
+	off := arenaStart
+	for _, s := range b.secs {
+		e.reserve(storeSectionEntry)
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(s.width))
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, 0)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(off))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(s.len()))
+		off = align8(off + s.width*s.len())
 	}
-	for i, s := range b.secs {
-		p := offs[i]
-		if s.width == 4 {
-			for _, v := range s.i32 {
-				binary.LittleEndian.PutUint32(buf[p:], uint32(v))
-				p += 4
+	e.zeros(arenaStart - b.headerLen())
+	for _, s := range b.secs {
+		for vs := s.i32; len(vs) > 0; {
+			k := min(len(vs), (cap(e.buf)-len(e.buf))/4)
+			for _, v := range vs[:k] {
+				e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
 			}
-		} else {
-			for _, v := range s.i64 {
-				binary.LittleEndian.PutUint64(buf[p:], uint64(v))
-				p += 8
+			if vs = vs[k:]; len(vs) > 0 {
+				e.flush()
 			}
 		}
+		for vs := s.i64; len(vs) > 0; {
+			k := min(len(vs), (cap(e.buf)-len(e.buf))/8)
+			for _, v := range vs[:k] {
+				e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
+			}
+			if vs = vs[k:]; len(vs) > 0 {
+				e.flush()
+			}
+		}
+		n := s.width * s.len()
+		e.zeros(align8(n) - n)
 	}
-	binary.LittleEndian.PutUint32(buf[total-4:], crc32.Checksum(buf[:total-4], crcTable))
-	return buf, nil
+	e.flush()
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, e.crc)
+	e.flush()
+	return e.n, e.err
+}
+
+// Marshal lays the store out and returns the encoded bytes: WriteTo into
+// one buffer of Size bytes.
+func (b *StoreBuilder) Marshal() ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, b.Size()))
+	if _, err := b.WriteTo(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// storeWriter is WriteTo's output: one fixed buffer, the running CRC-32C
+// of everything flushed, and a sticky write error.
+type storeWriter struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
+	n   int64
+	err error
+}
+
+// flush checksums and writes the buffered bytes and empties the buffer.
+func (e *storeWriter) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		e.crc = crc32.Update(e.crc, crcTable, e.buf)
+		var k int
+		k, e.err = e.w.Write(e.buf)
+		e.n += int64(k)
+	}
+	e.buf = e.buf[:0]
+}
+
+// reserve flushes unless n more bytes fit in the buffer.
+func (e *storeWriter) reserve(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.flush()
+	}
+}
+
+// zeros appends n zero bytes of padding.
+func (e *storeWriter) zeros(n int) {
+	for n > 0 {
+		e.reserve(1)
+		k := min(n, cap(e.buf)-len(e.buf))
+		e.buf = append(e.buf, make([]byte, k)...)
+		n -= k
+	}
 }
 
 // Store is a decoded (or aliased) section arena.

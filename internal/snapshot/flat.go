@@ -5,7 +5,8 @@
 //	magic (8 bytes)  89 46 43 46 4C 41 54 0A   ("\x89FCFLAT\n")
 //	version (u32 LE) currently 2
 //	blob count (u32 LE)
-//	generation (u64 LE) of the snapshot the sidecar was frozen against
+//	generation (u64 LE) caller-defined; coopserve writes the Binding.Word
+//	                 of the snapshot whose shards the sidecar holds
 //	blob table, one 24-byte row per blob:
 //	    kind (u32 LE)    the blob's flat store kind (catalog, spatial, ...)
 //	    reserved (u32)   zero
@@ -23,17 +24,22 @@
 //
 // The header CRC covers only the table; each blob carries its own
 // full-content CRC inside the flat.Store container, which flat.OpenStore
-// verifies on first touch. The sidecar stays a pure cache: any defect at
-// either level surfaces as a typed error and the caller refreezes from the
-// snapshot proper.
+// verifies before it hands out any section. The sidecar stays a pure
+// cache: any defect at either level surfaces as a typed error and the
+// caller restores from the snapshot proper. SaveFlat replaces the file by
+// rename, so a live mapping keeps the old inode; only an outside writer
+// that truncates the mapped file in place can fault it (SIGBUS).
 package snapshot
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+
+	"fraccascade/internal/flat"
 )
 
 const (
@@ -56,41 +62,53 @@ type FlatBlob struct {
 	Data []byte
 }
 
-// EncodeFlat serialises a v2 sidecar. Blob payloads are laid out on 4096
-// boundaries in table order.
-func EncodeFlat(generation uint64, blobs []FlatBlob) []byte {
-	headerLen := flatHeaderFixed + flatTableEntry*len(blobs) + 4
-	offsets := make([]uint64, len(blobs))
-	size := alignUp(headerLen, flatPageAlign)
-	if len(blobs) == 0 {
-		size = headerLen
+// zeroPage is the padding writeFlat writes in front of each blob.
+var zeroPage [flatPageAlign]byte
+
+// writeFlat streams a v2 sidecar of stores to w: the header and table,
+// then each store on a 4096 boundary in table order, written from its own
+// arrays by StoreBuilder.WriteTo. It never holds a store's encoding in
+// memory.
+func writeFlat(w io.Writer, generation uint64, stores []*flat.StoreBuilder) error {
+	headerLen := flatHeaderFixed + flatTableEntry*len(stores) + 4
+	sizes := make([]int, len(stores))
+	offsets := make([]int, len(stores))
+	end := headerLen
+	for i, st := range stores {
+		offsets[i] = alignUp(end, flatPageAlign)
+		sizes[i] = st.Size()
+		end = offsets[i] + sizes[i]
 	}
-	for i, b := range blobs {
-		offsets[i] = uint64(size)
-		size += len(b.Data)
-		if i+1 < len(blobs) {
-			size = alignUp(size, flatPageAlign)
+	hdr := make([]byte, 0, headerLen)
+	hdr = append(hdr, flatMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, flatVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(stores)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, generation)
+	for i, st := range stores {
+		hdr = binary.LittleEndian.AppendUint32(hdr, st.Kind())
+		hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(offsets[i]))
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(sizes[i]))
+	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, castagnoli))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	end = headerLen
+	for i, st := range stores {
+		if _, err := w.Write(zeroPage[:offsets[i]-end]); err != nil {
+			return err
 		}
-	}
-	data := make([]byte, 0, size)
-	data = append(data, flatMagic...)
-	data = binary.LittleEndian.AppendUint32(data, flatVersion)
-	data = binary.LittleEndian.AppendUint32(data, uint32(len(blobs)))
-	data = binary.LittleEndian.AppendUint64(data, generation)
-	for i, b := range blobs {
-		data = binary.LittleEndian.AppendUint32(data, b.Kind)
-		data = binary.LittleEndian.AppendUint32(data, 0)
-		data = binary.LittleEndian.AppendUint64(data, offsets[i])
-		data = binary.LittleEndian.AppendUint64(data, uint64(len(b.Data)))
-	}
-	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
-	for i, b := range blobs {
-		for len(data) < int(offsets[i]) {
-			data = append(data, 0)
+		n, err := st.WriteTo(w)
+		if err != nil {
+			return err
 		}
-		data = append(data, b.Data...)
+		if n != int64(sizes[i]) {
+			return fmt.Errorf("snapshot: sidecar blob %d wrote %d bytes, its size is %d", i, n, sizes[i])
+		}
+		end = offsets[i] + sizes[i]
 	}
-	return data
+	return nil
 }
 
 // DecodeFlat parses a v2 sidecar, returning the generation it was written
@@ -180,28 +198,19 @@ func alignUp(n, align int) int {
 	return (n + align - 1) &^ (align - 1)
 }
 
-// SaveFlat writes the sidecar crash-safely next to the snapshot (same
-// temp + rename + dir-sync discipline as Save).
-func SaveFlat(path string, generation uint64, blobs []FlatBlob) error {
-	return SaveFlatFS(OSFS{}, path, generation, blobs)
-}
-
-// SaveFlatFS is SaveFlat over an injectable filesystem.
-func SaveFlatFS(fsys FS, path string, generation uint64, blobs []FlatBlob) error {
-	data := EncodeFlat(generation, blobs)
+// SaveFlat writes a v2 sidecar of stores to path as crash-safely as Save:
+// writeFlat into a temp file in the same directory, fsync, rename over
+// path, fsync the directory. It streams: its heap does not grow with the
+// stores. A failed save removes its temp file and leaves path as it was.
+func SaveFlat(path string, generation uint64, stores []*flat.StoreBuilder) error {
 	dir := filepath.Dir(path)
-	tmp, err := fsys.WriteTemp(dir, ".snapshot-flat-*.tmp", data)
+	tmp, err := writeTemp(dir, ".snapshot-flat-*.tmp", func(w io.Writer) error {
+		return writeFlat(w, generation, stores)
+	})
 	if err != nil {
 		return fmt.Errorf("snapshot: write flat temp in %s: %w", dir, err)
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("snapshot: rename %s -> %s: %w", tmp, path, err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("snapshot: sync %s: %w", dir, err)
-	}
-	return nil
+	return commit(OSFS{}, tmp, path)
 }
 
 // LoadFlat reads and parses the sidecar at path into private memory (no

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -28,6 +29,16 @@ type OSFS struct{}
 
 // WriteTemp implements FS using os.CreateTemp + Write + Sync.
 func (OSFS) WriteTemp(dir, pattern string, data []byte) (string, error) {
+	return writeTemp(dir, pattern, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeTemp creates a uniquely named file in dir from pattern, hands it to
+// write, fsyncs and closes it, and returns its path. On any failure it
+// removes the file.
+func writeTemp(dir, pattern string, write func(io.Writer) error) (string, error) {
 	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return "", err
@@ -38,7 +49,7 @@ func (OSFS) WriteTemp(dir, pattern string, data []byte) (string, error) {
 		os.Remove(name)
 		return "", err
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		return cleanup(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -80,7 +91,11 @@ func SaveFS(fsys FS, path string, st *Store) error {
 	if st == nil {
 		return fmt.Errorf("snapshot: empty store")
 	}
-	return saveShards(fsys, path, st.Generation, st.kinds(), st.shard)
+	data, err := encodeShards(st.Generation, st.kinds(), st.shard)
+	if err != nil {
+		return err
+	}
+	return writeFile(fsys, path, data)
 }
 
 // SaveShards writes a snapshot of len(kinds) shards to path as crash-safely
@@ -88,27 +103,37 @@ func SaveFS(fsys FS, path string, st *Store) error {
 // encodes that shard before it asks for the next. A caller that builds each
 // shard inside next and keeps nothing of it holds at most one shard's
 // pointer structure at a time. The bytes equal Encode's for a store of the
-// same shards. An error from next aborts the save and is returned as is.
-func SaveShards(path string, generation uint64, kinds []Kind, next func(i int) (Shard, error)) error {
-	return saveShards(OSFS{}, path, generation, kinds, next)
-}
-
-func saveShards(fsys FS, path string, generation uint64, kinds []Kind, next func(i int) (Shard, error)) error {
+// same shards, and the returned Binding names them. An error from next
+// aborts the save and is returned as is.
+func SaveShards(path string, generation uint64, kinds []Kind, next func(i int) (Shard, error)) (Binding, error) {
 	data, err := encodeShards(generation, kinds, next)
 	if err != nil {
-		return err
+		return Binding{}, err
 	}
+	return bindingOf(data), writeFile(OSFS{}, path, data)
+}
+
+// writeFile writes data to a temp file in path's directory through fsys
+// and commits it over path.
+func writeFile(fsys FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.WriteTemp(dir, ".snapshot-*.tmp", data)
 	if err != nil {
 		return fmt.Errorf("snapshot: write temp in %s: %w", dir, err)
 	}
+	return commit(fsys, tmp, path)
+}
+
+// commit renames a written temp file over path and fsyncs the directory,
+// so the rename itself is durable.
+func commit(fsys FS, tmp, path string) error {
 	if err := fsys.Rename(tmp, path); err != nil {
 		// Best effort: the temp file is garbage either way; the previous
-		// snapshot at path is untouched.
+		// file at path is untouched.
 		_ = fsys.Remove(tmp)
 		return fmt.Errorf("snapshot: rename %s -> %s: %w", tmp, path, err)
 	}
+	dir := filepath.Dir(path)
 	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("snapshot: sync %s: %w", dir, err)
 	}

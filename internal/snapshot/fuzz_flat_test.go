@@ -17,9 +17,9 @@ import (
 // refreezing from the snapshot proper.
 func FuzzFlatMmap(f *testing.F) {
 	_, blobs := frozenBlobs(f, 76)
-	valid := EncodeFlat(11, blobs)
+	valid := encodeFlat(f, 11, blobs)
 	f.Add(valid)
-	f.Add(EncodeFlat(0, nil))
+	f.Add(encodeFlat(f, 0, nil))
 	f.Add([]byte{})
 	f.Add([]byte(flatMagic))
 	f.Add(valid[:flatHeaderFixed+4])

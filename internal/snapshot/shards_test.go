@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,7 +40,8 @@ func TestShardWriterMatchesEncode(t *testing.T) {
 			asked = append(asked, i)
 			return store.Shards[i], nil
 		}
-		if err := SaveShards(path, store.Generation, store.kinds(), next); err != nil {
+		bind, err := SaveShards(path, store.Generation, store.kinds(), next)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got, err := os.ReadFile(path)
@@ -48,6 +50,16 @@ func TestShardWriterMatchesEncode(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: SaveShards wrote %d bytes that differ from Encode's %d", name, len(got), len(want))
+		}
+		// The binding SaveShards returns is the one Bind streams from the
+		// file and the one OpenShards reports for the bytes it decodes.
+		gen, streamed, err := Bind(path)
+		if err != nil || gen != store.Generation || streamed != bind || bind != bindingOf(want) {
+			t.Fatalf("%s: Bind = %d %+v (err %v), want generation %d and SaveShards' %+v", name, gen, streamed, err, store.Generation, bind)
+		}
+		r, err := OpenShards(path, 1)
+		if err != nil || r.Binding() != bind {
+			t.Fatalf("%s: OpenShards reports %+v (err %v), want %+v", name, r.Binding(), err, bind)
 		}
 		for i, n := range asked {
 			if n != i || len(asked) != len(store.Shards) {
@@ -61,15 +73,58 @@ func TestShardWriterMatchesEncode(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shards.snap")
 	boom := errors.New("boom")
 	kinds := []Kind{KindStatic, KindStatic}
-	if err := SaveShards(path, 0, kinds, func(int) (Shard, error) { return Shard{}, boom }); !errors.Is(err, boom) {
+	if _, err := SaveShards(path, 0, kinds, func(int) (Shard, error) { return Shard{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("SaveShards returned %v, want next's error", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("failed save left a file: %v", err)
 	}
+	if _, _, err := Bind(path); !os.IsNotExist(err) {
+		t.Fatalf("Bind on a missing file: %v, want not-exist", err)
+	}
+	// Bind checks the header: a cut or damaged one is corruption.
+	data, err := Encode(shardStores(t)["static"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{data[:headerSize-1], append([]byte{data[0] ^ 1}, data[1:]...)} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Bind(path); !IsCorrupt(err) {
+			t.Fatalf("Bind on a %d-byte file with a bad header: %v, want corruption", len(bad), err)
+		}
+	}
 	d := churn(t, 4, 8, 12)
-	if err := SaveShards(path, 0, kinds[:1], func(int) (Shard, error) { return Shard{Kind: KindDynamic, Dynamic: d}, nil }); err == nil {
+	if _, err := SaveShards(path, 0, kinds[:1], func(int) (Shard, error) { return Shard{Kind: KindDynamic, Dynamic: d}, nil }); err == nil {
 		t.Fatal("SaveShards accepted a shard whose kind disagrees with the manifest")
+	}
+}
+
+// TestBindingSeesSealedChanges: two snapshots that differ only inside a
+// region sealed by its own CRC-32C — here the header's generation — have
+// different Bindings. A CRC-32C of the whole file would not see the
+// difference: a CRC-32C over a block followed by the block's CRC-32C is a
+// constant.
+func TestBindingSeesSealedChanges(t *testing.T) {
+	store := shardStores(t)["static"]
+	a, err := Encode(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Generation++
+	b, err := Encode(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(a, b) || len(a) != len(b) {
+		t.Fatal("the generation change did not keep the length and change the bytes")
+	}
+	if crc32.Checksum(a, castagnoli) != crc32.Checksum(b, castagnoli) {
+		t.Fatal("whole-file CRC-32C saw the sealed change; the premise of this test is gone")
+	}
+	if bindingOf(a) == bindingOf(b) {
+		t.Fatalf("snapshots differing in generation share the binding %+v", bindingOf(a))
 	}
 }
 

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 
@@ -159,6 +161,7 @@ func DecodeParallel(data []byte, parallelism int) (*Store, error) {
 // manifest — so a caller can refuse a snapshot by its Kinds before paying
 // for a decode, and can drop each shard before it decodes the next.
 type ShardReader struct {
+	data        []byte
 	generation  uint64
 	kinds       []Kind
 	secs        []section
@@ -184,6 +187,62 @@ func OpenShards(path string, parallelism int) (*ShardReader, error) {
 		return nil, err
 	}
 	return newShardReader(data, parallelism)
+}
+
+// Binding names the exact bytes of one snapshot file: their CRC-32 and
+// their length. A sidecar frozen from a snapshot's shards carries the
+// snapshot's binding as its generation (Word), so a restore can tell
+// whether the sidecar beside a snapshot was written from those very bytes.
+//
+// The CRC uses the IEEE polynomial, not the file's own Castagnoli one: the
+// header and every section end in their own CRC-32C, and a CRC-32C over a
+// block followed by that block's CRC-32C is a constant, so a CRC-32C of the
+// whole file would depend on nothing but the section lengths.
+type Binding struct {
+	CRC  uint32
+	Size int64
+}
+
+// Word packs the binding into a sidecar header's 64-bit generation: the
+// CRC in the high half, the low 32 bits of the length in the low half.
+func (b Binding) Word() uint64 { return uint64(b.CRC)<<32 | uint64(uint32(b.Size)) }
+
+// bindingOf returns the Binding of data.
+func bindingOf(data []byte) Binding {
+	return Binding{CRC: crc32.ChecksumIEEE(data), Size: int64(len(data))}
+}
+
+// bindChunk is the buffer Bind streams a snapshot through.
+const bindChunk = 32 << 10
+
+// Bind returns the generation in the header of the snapshot at path and
+// the file's Binding. It checks the header (magic, version, checksum) as a
+// load does but decodes nothing, and streams the file through a
+// bindChunk-byte buffer, so the file is never in memory. A missing or
+// unreadable file returns the I/O error, a bad header a *CorruptionError.
+func Bind(path string) (generation uint64, b Binding, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, Binding{}, err
+	}
+	defer f.Close()
+	buf := make([]byte, bindChunk)
+	n, err := io.ReadFull(f, buf[:headerSize])
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return 0, Binding{}, err
+	}
+	if generation, _, _, err = parseHeader(buf[:n]); err != nil {
+		return 0, Binding{}, err
+	}
+	b = bindingOf(buf[:n])
+	for err != io.EOF {
+		if n, err = f.Read(buf); err != nil && err != io.EOF {
+			return 0, Binding{}, err
+		}
+		b.CRC = crc32.Update(b.CRC, crc32.IEEETable, buf[:n])
+		b.Size += int64(n)
+	}
+	return generation, b, nil
 }
 
 // newShardReader frames the sections of data and reads its manifest.
@@ -217,11 +276,14 @@ func newShardReader(data []byte, parallelism int) (*ShardReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardReader{generation: generation, kinds: kinds, secs: secs, parallelism: parallelism, idx: 1}, nil
+	return &ShardReader{data: data, generation: generation, kinds: kinds, secs: secs, parallelism: parallelism, idx: 1}, nil
 }
 
 // Kinds returns the manifest: one kind per shard, in shard order.
 func (r *ShardReader) Kinds() []Kind { return r.kinds }
+
+// Binding returns the Binding of the bytes the reader decodes.
+func (r *ShardReader) Binding() Binding { return bindingOf(r.data) }
 
 // Next decodes the next shard in manifest order. The last shard's Next
 // also rejects sections beyond the manifest's shards. Every decode error is

@@ -367,7 +367,12 @@ func (f *Frozen) resetDir(sc *Scratch) {
 }
 
 // MarshalBinary encodes the frozen locator as a spatial-kind store.
-func (f *Frozen) MarshalBinary() ([]byte, error) {
+func (f *Frozen) MarshalBinary() ([]byte, error) { return f.StoreBuilder().Marshal() }
+
+// StoreBuilder returns the frozen locator's spatial-kind store, whose
+// sections alias the locator's arrays, for streaming (WriteTo) or
+// marshalling.
+func (f *Frozen) StoreBuilder() *flat.StoreBuilder {
 	b := flat.NewStoreBuilder(flat.StoreKindSpatial)
 	b.Meta(uint64(int64(f.r)))
 	b.Meta(uint64(int64(f.rPad)))
@@ -392,7 +397,7 @@ func (f *Frozen) MarshalBinary() ([]byte, error) {
 	b.I32s(f.nodeSlabBase)
 	b.I32s(f.slabFacetStart)
 	b.I32s(f.slabFacets)
-	return b.Marshal()
+	return b
 }
 
 // OpenFrozen decodes and fully validates a spatial-kind store blob, with

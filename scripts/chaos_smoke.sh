@@ -8,9 +8,12 @@
 # Part 2 exercises the real daemon lifecycle: boot coopserve with -snapshot,
 # wait for ready, serve a query batch, SIGTERM it, and assert that it exits 0
 # and left the snapshot it wrote at build byte for byte untouched (its shards
-# are static, so the drain writes nothing); then boot a second instance
-# against the same path and assert it restores from the snapshot instead of
-# rebuilding, and serves the same answers.
+# are static, so the drain writes nothing but waits for the sidecar the boot
+# writes once ready); then boot a second instance against the same path and
+# assert it restores by mapping that sidecar instead of rebuilding, and
+# serves the same answers. A third boot, over a truncated sidecar, must
+# restore by decoding the snapshot and serve byte-identical answers; a boot
+# with another -seed over the same path must refuse the snapshot and build.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,21 +86,62 @@ if ! cmp -s "$SNAP" "$WORK/built.snap" || [ "$(ls -i "$SNAP" | awk '{print $1}')
     exit 1
 fi
 
-# Second boot: must restore from the snapshot (no rebuild) and serve the
-# same answers the first boot did.
-"$WORK/coopserve" "${SERVE_FLAGS[@]}" >"$WORK/boot2.log" 2>&1 &
-SERVE_PID=$!
-wait_ready
-grep -q "restored from $SNAP" "$WORK/boot2.log"
+# boot N [flags...]: start a daemon logging to bootN.log and wait for ready.
+boot() {
+    local n=$1
+    shift
+    "$WORK/coopserve" "${SERVE_FLAGS[@]}" "$@" >"$WORK/boot$n.log" 2>&1 &
+    SERVE_PID=$!
+    wait_ready
+}
+
+# stop: SIGTERM the daemon and wait for it to exit.
+stop() {
+    kill -TERM "$SERVE_PID"
+    wait "$SERVE_PID" || true
+    SERVE_PID=""
+}
+
+# expect_log N PATTERN: boot N's log must contain PATTERN.
+expect_log() {
+    if ! grep -qF "$2" "$WORK/boot$1.log"; then
+        echo "chaos-smoke: boot $1 did not log \"$2\":" >&2
+        cat "$WORK/boot$1.log" >&2
+        exit 1
+    fi
+}
+
+# Second boot: must restore by mapping the sidecar (no rebuild, no decode)
+# and serve the same answers the first boot did.
+boot 2
+expect_log 2 "restored from $SNAP, mapped"
 SECOND=$(query)
 echo "second boot answers: $SECOND"
 if [ "$FIRST" != "$SECOND" ]; then
     echo "chaos-smoke: restored daemon served different answers" >&2
     exit 1
 fi
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID" || true
-SERVE_PID=""
+stop
+
+# Third boot, over a sidecar cut short: must fall back to decoding the
+# snapshot and serve byte-identical answers.
+head -c 100 "$SNAP.flat" >"$WORK/cut.flat"
+mv "$WORK/cut.flat" "$SNAP.flat"
+boot 3
+expect_log 3 "restored from $SNAP, decoded"
+THIRD=$(query)
+echo "third boot answers: $THIRD"
+if [ "$FIRST" != "$THIRD" ]; then
+    echo "chaos-smoke: the decoding restore served different answers" >&2
+    exit 1
+fi
+stop
+
+# A boot with another -seed over the same path must refuse the snapshot
+# (its header's generation names other flags) and build.
+boot 4 -seed=2
+expect_log 4 "(built)"
+stop
 
 echo
 echo "chaos-smoke: ok"
