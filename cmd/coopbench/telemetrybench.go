@@ -106,9 +106,10 @@ var e25Columns = benchfmt.Columns{Keys: []string{"n", "batch"}, Metrics: []bench
 }}
 
 // runE25 prices the serving telemetry: identical engine workloads executed
-// with the flight recorder off (the 0-alloc nil path coopserve runs under
-// -flight-records=0) and on (recorder, plus the SLO and its rolling window
-// fed per answer, exactly the coopserve serving loop). The ratio column is
+// with the flight recorder off (the engine's 0-alloc nil path, which
+// library callers run; coopserve always records) and on (recorder, plus
+// the SLO and its rolling window fed per answer, exactly the coopserve
+// serving loop). The ratio column is
 // what the bench gate holds (e25Columns); both arms replay the E20
 // batched mix over the engine's one catalog layout, the frozen shards.
 func runE25(seed int64) {
@@ -122,9 +123,8 @@ func runE25(seed int64) {
 		batches := e25Batches(seed, trees, total, batch)
 		offNS := e25Time(eOff, batches, nil)
 
-		// Enabled arm: recorder sized like coopserve's default, plus
-		// the SLO, whose rolling window is the latency window, fed per
-		// answer.
+		// Enabled arm: recorder sized like coopserve's, plus the SLO,
+		// whose rolling window is the latency window, fed per answer.
 		rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: 2048})
 		slo := obs.NewSLO(250*time.Millisecond, 0.99, 10*time.Second, 12)
 		eOn, trees, total := e25Engine(seed, rec)

@@ -24,15 +24,6 @@ import (
 	"fraccascade/internal/tree"
 )
 
-// lifecycleConfig is the small-structure config the lifecycle suite uses.
-func lifecycleConfig() serverConfig {
-	return serverConfig{
-		Seed: 7, Procs: 512, BatchSize: 8,
-		Leaves: 1 << 4, Entries: 800, Shards: 2,
-		Regions: 24, Tiles: 20,
-	}
-}
-
 func getStatus(t *testing.T, ts *httptest.Server, path string) (int, string) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
@@ -56,7 +47,7 @@ func counterValue(t *testing.T, s *server, name string) int64 {
 // TestReadyzNamesLifecycleStates: /readyz distinguishes building, ready,
 // draining, and overloaded, and POST /query honours the same gates.
 func TestReadyzNamesLifecycleStates(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	cfg.MaxInflight = 2
 	s := newServerShell(cfg)
 	ts := httptest.NewServer(s.handler())
@@ -96,7 +87,7 @@ func TestReadyzNamesLifecycleStates(t *testing.T) {
 // TestAdmissionControlShedsAndRecovers: past the inflight cap, /query sheds
 // with 503 + Retry-After and a counter; once load clears, it serves again.
 func TestAdmissionControlShedsAndRecovers(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	cfg.MaxInflight = 1
 	s, err := newServer(cfg)
 	if err != nil {
@@ -137,7 +128,7 @@ func TestAdmissionControlShedsAndRecovers(t *testing.T) {
 // TestRequestDeadline: an unmeetable per-request deadline turns into 504
 // and the timeout counter, not a hang.
 func TestRequestDeadline(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	cfg.RequestTimeout = time.Nanosecond
 	s, err := newServer(cfg)
 	if err != nil {
@@ -158,7 +149,7 @@ func TestRequestDeadline(t *testing.T) {
 // TestClientDisconnect: a canceled request context (the client hung up)
 // stops the work and is counted, without fabricating a response.
 func TestClientDisconnect(t *testing.T) {
-	s, err := newServer(lifecycleConfig())
+	s, err := newServer(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +170,7 @@ func TestClientDisconnect(t *testing.T) {
 // TestPanicRecovery: a panicking handler yields 500 plus the panic counter;
 // the server keeps serving.
 func TestPanicRecovery(t *testing.T) {
-	s := newServerShell(lifecycleConfig())
+	s := newServerShell(testConfig())
 	h := s.withRecovery(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))
@@ -206,7 +197,7 @@ func TestPanicRecovery(t *testing.T) {
 // file is already current), and a new server restores from it — skipping
 // the rebuild — with identical answers.
 func TestSnapshotLifecycle(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 	cfg.DrainTimeout = 2 * time.Second
 
@@ -214,8 +205,8 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.loadedSnapshot {
-		t.Fatal("first boot claims a snapshot load")
+	if first.view != nil {
+		t.Fatal("first boot claims a restore")
 	}
 	if n := counterValue(t, first, "serve.snapshot.saves"); n != 1 {
 		t.Fatalf("save-on-build counter = %d, want 1", n)
@@ -254,7 +245,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.loadedSnapshot {
+	if second.view == nil {
 		t.Fatal("restart rebuilt instead of restoring")
 	}
 	if n := counterValue(t, second, "serve.snapshot.loads"); n != 1 {
@@ -278,7 +269,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 // server turns ready, while build may still be streaming the sidecar,
 // returns only once the sidecar is in place, and the next boot maps it.
 func TestDrainWaitsForSidecarWrite(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 	s := newServerShell(cfg)
 	done := make(chan error, 1)
@@ -308,21 +299,21 @@ func TestDrainWaitsForSidecarWrite(t *testing.T) {
 
 // TestSnapshotFallbackOnCorruption: a damaged snapshot logs and falls back
 // to rebuilding every shard from the seed — startup never fails on bad
-// bytes. The damage may fail the checksums before any shard is decoded (a
-// flipped byte), or only the last shard's decode, after the shards before
-// it were decoded and frozen (a corrupt count with its checksum
-// re-sealed). Either way the boot loads nothing, serves oracle-exact
-// answers, and saves a snapshot that the next boot restores.
+// bytes. The damage may be one the snapshot's own checksums catch (a
+// flipped byte), or one only a decode of the last shard would (a corrupt
+// count with its checksum re-sealed). Either way it changes the bytes the
+// sidecar is bound to, so the boot maps nothing: it builds every shard,
+// serves oracle-exact answers, and rewrites the snapshot and the sidecar,
+// which the next boot maps.
 func TestSnapshotFallbackOnCorruption(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	req, check := oracleRequest(t, cfg, 24, 11)
 	for _, tc := range []struct {
 		name    string
 		corrupt func(*testing.T, []byte)
-		decoded int // shard structures decoded before the failure
 	}{
-		{"flipped byte", func(_ *testing.T, data []byte) { data[len(data)/2] ^= 0x40 }, 0},
-		{"last shard", corruptLastShardTree, cfg.Shards - 1},
+		{"flipped byte", func(_ *testing.T, data []byte) { data[len(data)/2] ^= 0x40 }},
+		{"last shard", corruptLastShardTree},
 	} {
 		cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 		if _, err := newServer(cfg); err != nil {
@@ -337,11 +328,11 @@ func TestSnapshotFallbackOnCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		s, made := countingBoot(t, cfg)
-		if s.loadedSnapshot || counterValue(t, s, "serve.snapshot.loads") != 0 {
+		if s.view != nil || counterValue(t, s, "serve.snapshot.loads") != 0 {
 			t.Fatalf("%s: corrupt snapshot was served", tc.name)
 		}
-		if want := tc.decoded + cfg.Shards; made != want {
-			t.Fatalf("%s: boot made %d shard structures, want %d decoded and %d rebuilt", tc.name, made, tc.decoded, cfg.Shards)
+		if made != cfg.Shards {
+			t.Fatalf("%s: boot made %d shard structures, want %d built", tc.name, made, cfg.Shards)
 		}
 		ts := httptest.NewServer(s.handler())
 		resp, out := postQuery(t, ts, req)
@@ -354,18 +345,18 @@ func TestSnapshotFallbackOnCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !next.loadedSnapshot {
-			t.Fatalf("%s: the rebuild's snapshot was not restored", tc.name)
+		if next.view == nil {
+			t.Fatalf("%s: the rebuild's sidecar was not mapped", tc.name)
 		}
 	}
 }
 
 // TestSnapshotFlagChangesRebuild: a restart whose -seed, -entries or
 // -leaves differ from the boot that wrote the snapshot refuses the
-// snapshot by its header's generation, before it decodes or maps anything,
-// and builds every shard for its own flags; with the same flags it maps
-// the sidecar. Either way it answers like the brute-force oracle for its
-// flags, and the next boot with those flags restores.
+// snapshot by its header's generation, before it maps anything, and builds
+// every shard for its own flags; with the same flags it maps the sidecar.
+// Either way it answers like the brute-force oracle for its flags, and the
+// next boot with those flags maps.
 func TestSnapshotFlagChangesRebuild(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -377,7 +368,7 @@ func TestSnapshotFlagChangesRebuild(t *testing.T) {
 		{"leaves 16 to 32", func(c *serverConfig) { c.Leaves = 32 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := lifecycleConfig()
+			cfg := testConfig()
 			cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 			if _, err := newServer(cfg); err != nil {
 				t.Fatal(err)
@@ -386,8 +377,8 @@ func TestSnapshotFlagChangesRebuild(t *testing.T) {
 			tc.change(&next)
 			changed := next != cfg
 			s, made := countingBoot(t, next)
-			if s.loadedSnapshot == changed || (s.view != nil) == changed {
-				t.Fatalf("loaded %v, mapped %v; want both %v", s.loadedSnapshot, s.view != nil, !changed)
+			if (s.view != nil) == changed {
+				t.Fatalf("mapped %v, want %v", s.view != nil, !changed)
 			}
 			want := 0 // a mapped restore makes no shard structure
 			if changed {
@@ -408,20 +399,19 @@ func TestSnapshotFlagChangesRebuild(t *testing.T) {
 }
 
 // TestSidecarRestore: a restart maps the sidecar the build boot wrote,
-// building and decoding no shard, and answers exactly as the build boot
-// did. A sidecar that is truncated, corrupt, holds the wrong number of
-// blobs or is bound to another snapshot sends the restart to the decoding
-// path; a missing snapshot sends it to a build that rewrites both files.
-// Every boot answers like the oracle, and the boot after each fallback
-// maps again.
+// building no shard, and answers exactly as the build boot did. A sidecar
+// that is truncated, corrupt, holds the wrong number of blobs or is bound
+// to another snapshot, and a missing snapshot, send the restart to a build
+// that rewrites both files. Every boot answers like the oracle, and the
+// boot after each build maps again.
 func TestSidecarRestore(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	req, check := oracleRequest(t, cfg, 24, 13)
 	// The sidecar's header and table: magic, version, blob count,
 	// generation, one 24-byte row per blob, CRC. Its first blob starts at
 	// 4096.
 	header := int64(8 + 4 + 4 + 8 + 24*cfg.Shards + 4)
-	other := lifecycleConfig()
+	other := testConfig()
 	other.Seed++
 	other.SnapshotPath = filepath.Join(t.TempDir(), "other.snap")
 	if _, err := newServer(other); err != nil {
@@ -430,16 +420,15 @@ func TestSidecarRestore(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, first *server, snap, side string)
-		made   int  // shard structures the restart decodes or builds
-		loaded bool // whether the restart restores
+		mapped bool // whether the restart maps; otherwise it builds
 	}{
-		{"intact", func(*testing.T, *server, string, string) {}, 0, true},
+		{"intact", func(*testing.T, *server, string, string) {}, true},
 		{"truncated to its header", func(t *testing.T, _ *server, _, side string) {
 			truncate(t, side, header)
-		}, cfg.Shards, true},
+		}, false},
 		{"truncated mid-blob", func(t *testing.T, _ *server, _, side string) {
 			truncate(t, side, 4096+64)
-		}, cfg.Shards, true},
+		}, false},
 		{"bit flipped in a blob", func(t *testing.T, _ *server, _, side string) {
 			data, err := os.ReadFile(side)
 			if err != nil {
@@ -449,7 +438,7 @@ func TestSidecarRestore(t *testing.T) {
 			if err := os.WriteFile(side, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, cfg.Shards, true},
+		}, false},
 		{"one blob for two shards", func(t *testing.T, first *server, _, side string) {
 			v, err := snapshot.OpenFlat(side)
 			if err != nil {
@@ -460,7 +449,7 @@ func TestSidecarRestore(t *testing.T) {
 			if err := snapshot.SaveFlat(side, bound, []*flat.StoreBuilder{first.catalogs[0].StoreBuilder()}); err != nil {
 				t.Fatal(err)
 			}
-		}, cfg.Shards, true},
+		}, false},
 		{"bound to another snapshot", func(t *testing.T, _ *server, _, side string) {
 			data, err := os.ReadFile(sidecarPath(other.SnapshotPath))
 			if err != nil {
@@ -469,40 +458,43 @@ func TestSidecarRestore(t *testing.T) {
 			if err := os.WriteFile(side, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, cfg.Shards, true},
+		}, false},
 		{"snapshot deleted", func(t *testing.T, _ *server, snap, _ string) {
 			if err := os.Remove(snap); err != nil {
 				t.Fatal(err)
 			}
-		}, cfg.Shards, false},
+		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cfg
 			cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 			first, made := countingBoot(t, cfg)
-			if first.loadedSnapshot || made != cfg.Shards {
-				t.Fatalf("first boot: loaded %v, %d shard structures made", first.loadedSnapshot, made)
+			if first.view != nil || made != cfg.Shards {
+				t.Fatalf("first boot: mapped %v, %d shard structures made", first.view != nil, made)
 			}
 			want := queryAnswers(t, first, req)
 			check(t, want)
 			tc.damage(t, first, cfg.SnapshotPath, sidecarPath(cfg.SnapshotPath))
 
 			s, made := countingBoot(t, cfg)
-			if s.loadedSnapshot != tc.loaded || (s.view != nil) != (tc.made == 0) || made != tc.made {
-				t.Fatalf("restart: loaded %v, mapped %v, %d shard structures made; want loaded %v, mapped %v, %d made",
-					s.loadedSnapshot, s.view != nil, made, tc.loaded, tc.made == 0, tc.made)
+			wantMade, loads := cfg.Shards, int64(0)
+			if tc.mapped {
+				wantMade, loads = 0, 1
+			}
+			if (s.view != nil) != tc.mapped || made != wantMade || counterValue(t, s, "serve.snapshot.loads") != loads {
+				t.Fatalf("restart: mapped %v, %d shard structures made, %d loads counted; want mapped %v, %d made, %d loads",
+					s.view != nil, made, counterValue(t, s, "serve.snapshot.loads"), tc.mapped, wantMade, loads)
 			}
 			got := queryAnswers(t, s, req)
 			check(t, got)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatal("restart answers differ from the build boot's")
 			}
-			// The fallback rewrote what was missing or bad: the next boot
-			// maps.
+			// A build rewrote what was missing or bad: the next boot maps.
 			next, made := countingBoot(t, cfg)
-			if !next.loadedSnapshot || next.view == nil || made != 0 {
-				t.Fatalf("the boot after: loaded %v, mapped %v, %d shard structures made; want a mapped restore",
-					next.loadedSnapshot, next.view != nil, made)
+			if next.view == nil || made != 0 {
+				t.Fatalf("the boot after: mapped %v, %d shard structures made; want a mapped restore",
+					next.view != nil, made)
 			}
 			check(t, queryAnswers(t, next, req))
 		})
@@ -548,7 +540,7 @@ func TestBadShapeFlags(t *testing.T) {
 		{"entries=10,leaves=128", func(c *serverConfig) { c.Entries, c.Leaves = 10, 128 }, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := lifecycleConfig()
+			cfg := testConfig()
 			tc.cfg(&cfg)
 			s, err := newServer(cfg)
 			if tc.flag != "" {
@@ -576,7 +568,7 @@ func TestBadShapeFlags(t *testing.T) {
 }
 
 // countingBoot builds a server with cfg and reports how many catalog
-// shard structures its boot built or decoded. Startup never fails on a
+// shard structures its boot built. Startup never fails on a
 // bad snapshot, so an error here fails the test.
 func countingBoot(t *testing.T, cfg serverConfig) (*server, int) {
 	t.Helper()
@@ -595,10 +587,10 @@ func countingBoot(t *testing.T, cfg serverConfig) (*server, int) {
 
 // TestSnapshotShapeMismatchRebuilds: a snapshot whose manifest disagrees
 // with the flags — another shard count, or a dynamic shard, which
-// coopserve does not serve — is refused before any shard is decoded, and
-// the boot builds every shard from the seed instead.
+// coopserve does not serve — is refused before anything is mapped, and the
+// boot builds every shard from the seed instead.
 func TestSnapshotShapeMismatchRebuilds(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 	if _, err := newServer(cfg); err != nil {
 		t.Fatal(err)
@@ -606,10 +598,10 @@ func TestSnapshotShapeMismatchRebuilds(t *testing.T) {
 	// Same file (2 shards), 3-shard flags.
 	wide := cfg
 	wide.Shards = 3
-	s, decoded := countingBoot(t, wide)
-	if s.loadedSnapshot || decoded != wide.Shards {
-		t.Fatalf("2-shard snapshot for 3-shard flags: loaded %v, %d shard structures (want a rebuild of %d)",
-			s.loadedSnapshot, decoded, wide.Shards)
+	s, built := countingBoot(t, wide)
+	if s.view != nil || built != wide.Shards {
+		t.Fatalf("2-shard snapshot for 3-shard flags: mapped %v, %d shard structures (want a rebuild of %d)",
+			s.view != nil, built, wide.Shards)
 	}
 
 	// A 2-shard snapshot whose second shard is dynamic, written the way
@@ -639,10 +631,10 @@ func TestSnapshotShapeMismatchRebuilds(t *testing.T) {
 	if err := snapshot.Save(cfg.SnapshotPath, &snapshot.Store{Shards: shards}); err != nil {
 		t.Fatal(err)
 	}
-	s, decoded = countingBoot(t, cfg)
-	if s.loadedSnapshot || decoded != cfg.Shards {
-		t.Fatalf("snapshot with a dynamic shard: loaded %v, %d shard structures (want a rebuild of %d)",
-			s.loadedSnapshot, decoded, cfg.Shards)
+	s, built = countingBoot(t, cfg)
+	if s.view != nil || built != cfg.Shards {
+		t.Fatalf("snapshot with a dynamic shard: mapped %v, %d shard structures (want a rebuild of %d)",
+			s.view != nil, built, cfg.Shards)
 	}
 }
 

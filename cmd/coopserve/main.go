@@ -11,7 +11,7 @@
 //	                          history, follow=1 keeps tailing live spans)
 //	GET  /statusz             human-readable status page: live windowed
 //	                          latency quantiles, SLO burn rates,
-//	                          cache/finger rates, recent slow queries
+//	                          cache hit rates, recent slow queries
 //	GET  /debug/slowlog       flight-recorder dump (JSON), filterable by
 //	                          ?shard=N&kind=K&min_ms=F&errors=1&limit=N
 //	GET  /debug/pprof/        host CPU/heap/goroutine profiles
@@ -22,28 +22,27 @@
 // minted otherwise), echoed on the response and stamped on the request's
 // spans and flight records. The engine writes each query once, as a
 // flight record, into a record ring behind /spans and into the always-on
-// flight recorder (sized by -flight-records; 0 disables it and the
-// per-query wall clocks entirely), which tail-samples records — all
-// errors, the slowest per window, and a uniform reservoir — behind
-// /debug/slowlog and /statusz. Each answer's wall time feeds one rolling
-// window behind the latency quantiles and the -slo-latency/-slo-objective
-// burn-rate gauges on /metrics.
+// flight recorder, which tail-samples records — all errors, the slowest
+// per window, and a uniform reservoir of 2048 — behind /debug/slowlog and
+// /statusz. Each answer's wall time feeds one rolling window behind the
+// latency quantiles and the -slo-latency/-slo-objective burn-rate gauges
+// on /metrics.
 //
 // Every structure is served from its frozen layout: the catalog shards from
-// internal/flat, point location from the frozen locators. Boot builds (or
-// decodes) each pointer structure, freezes it and drops it before the
-// next, so none is reachable once the daemon is ready. With -snapshot=PATH
-// the daemon saves a crash-safe snapshot of its catalog shards at build,
-// before it is ready, and once ready streams the frozen shards into a
-// page-aligned sidecar, PATH.flat, bound to the snapshot's exact bytes. A
-// restart whose flags match the snapshot maps the bound sidecar and serves
-// straight from the mapping, building and decoding no shard; without a
-// usable sidecar it decodes the snapshot one shard at a time and rewrites
-// the sidecar once ready, and any defect in the snapshot rebuilds. The
-// shards never change while serving, so SIGTERM only drains in-flight
-// queries and a sidecar write in progress: the files on disk are already
-// current. Requests run under -request-timeout and are shed with 503 +
-// Retry-After past -max-inflight.
+// internal/flat, point location from the frozen locators. Boot builds each
+// pointer structure, freezes it and drops it before the next, so none is
+// reachable once the daemon is ready. With -snapshot=PATH the daemon saves
+// a crash-safe snapshot of its catalog shards at build, before it is
+// ready, and once ready streams the frozen shards into a page-aligned
+// sidecar, PATH.flat, bound to the snapshot's exact bytes. A restart maps
+// or builds: when its flags match the snapshot and the sidecar is bound to
+// it, it maps the sidecar and serves straight from the mapping, building
+// no shard; anything else — a missing, stale, truncated or corrupt
+// sidecar, or any defect in the snapshot — builds from the seed, which
+// rewrites both files. The shards never change while serving, so SIGTERM
+// only drains in-flight queries and a sidecar write in progress: the files
+// on disk are already current. Requests run under -request-timeout and are
+// shed with 503 + Retry-After past -max-inflight.
 //
 // Usage:
 //
@@ -69,26 +68,31 @@ import (
 // geomPoint builds the planar query point.
 func geomPoint(x, y int64) geom.Point { return geom.Point{X: x, Y: y} }
 
+// registerFlags defines coopserve's flags on fs, each over the field of
+// cfg it sets and defaulting to that field's value, and returns the listen
+// address flag.
+func registerFlags(fs *flag.FlagSet, cfg *serverConfig) *string {
+	addr := fs.String("addr", ":8080", "listen address")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "structure generator seed")
+	fs.IntVar(&cfg.Procs, "procs", cfg.Procs, "total simulated processor budget per batch")
+	fs.IntVar(&cfg.BatchSize, "batch", cfg.BatchSize, "queries per engine batch")
+	fs.IntVar(&cfg.Leaves, "leaves", cfg.Leaves, "catalog-tree leaves per shard")
+	fs.IntVar(&cfg.Entries, "entries", cfg.Entries, "approximate catalog entries per shard")
+	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "catalog shards")
+	fs.IntVar(&cfg.Regions, "regions", cfg.Regions, "planar subdivision regions")
+	fs.IntVar(&cfg.Tiles, "tiles", cfg.Tiles, "spatial complex tiles")
+	fs.StringVar(&cfg.SnapshotPath, "snapshot", cfg.SnapshotPath, "snapshot path: on start map the frozen shards from the sidecar PATH.flat when it is bound to this snapshot, else build them and save the snapshot; write the sidecar once ready (empty = disabled)")
+	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline on POST /query (0 = none)")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /query cap before shedding with 503 (0 = unlimited)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "how long SIGTERM waits for in-flight queries and a sidecar write in progress")
+	fs.DurationVar(&cfg.SLOLatency, "slo-latency", cfg.SLOLatency, "latency SLO threshold surfaced as burn-rate gauges on /metrics")
+	fs.Float64Var(&cfg.SLOObjective, "slo-objective", cfg.SLOObjective, "fraction of queries that must finish within -slo-latency (0 < objective < 1)")
+	return addr
+}
+
 func main() {
 	cfg := defaultServerConfig()
-	addr := flag.String("addr", ":8080", "listen address")
-	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "structure generator seed")
-	flag.IntVar(&cfg.Procs, "procs", cfg.Procs, "total simulated processor budget per batch")
-	flag.IntVar(&cfg.BatchSize, "batch", cfg.BatchSize, "queries per engine batch")
-	flag.IntVar(&cfg.Leaves, "leaves", cfg.Leaves, "catalog-tree leaves per shard")
-	flag.IntVar(&cfg.Entries, "entries", cfg.Entries, "approximate catalog entries per shard")
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "catalog shards")
-	flag.IntVar(&cfg.Regions, "regions", cfg.Regions, "planar subdivision regions")
-	flag.IntVar(&cfg.Tiles, "tiles", cfg.Tiles, "spatial complex tiles")
-	flag.IntVar(&cfg.BuildParallelism, "build-parallelism", cfg.BuildParallelism, "host workers for shard builds, freezes, and snapshot restores (0 = all cores, 1 = sequential)")
-	flag.BoolVar(&cfg.FingerCache, "finger-cache", cfg.FingerCache, "serve catalog queries with distance-sensitive finger search from cached entry points")
-	flag.StringVar(&cfg.SnapshotPath, "snapshot", cfg.SnapshotPath, "snapshot path: restore on start (mapping the frozen shards from the bound sidecar PATH.flat when present), save after build, write the sidecar once ready (empty = disabled)")
-	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline on POST /query (0 = none)")
-	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /query cap before shedding with 503 (0 = unlimited)")
-	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "how long SIGTERM waits for in-flight queries and a sidecar write in progress")
-	flag.IntVar(&cfg.FlightRecords, "flight-records", cfg.FlightRecords, "per-query flight-recorder reservoir size behind /debug/slowlog and /statusz (0 disables the recorder, wall timing, and the latency windows)")
-	flag.DurationVar(&cfg.SLOLatency, "slo-latency", cfg.SLOLatency, "latency SLO threshold surfaced as burn-rate gauges on /metrics")
-	flag.Float64Var(&cfg.SLOObjective, "slo-objective", cfg.SLOObjective, "fraction of queries that must finish within -slo-latency (0 < objective < 1)")
+	addr := registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
 	srv := newServerShell(cfg)

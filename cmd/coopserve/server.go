@@ -34,6 +34,7 @@ import (
 // serverConfig sizes the served structures and the engine, and configures
 // the hardened request lifecycle. The zero values of the lifecycle knobs
 // disable them (no snapshot, no per-request deadline, unlimited inflight).
+// Builds and freezes use every core GOMAXPROCS allows.
 type serverConfig struct {
 	Seed      int64
 	Procs     int
@@ -44,22 +45,14 @@ type serverConfig struct {
 	Regions   int // planar subdivision regions
 	Tiles     int // spatial complex tiles
 
-	BuildParallelism int           // host workers for builds, freezes, and snapshot restores (0 = all cores)
-	FingerCache      bool          // distance-sensitive finger search from cached entries
-	SnapshotPath     string        // load-on-start / save-on-build path; its sidecar is SnapshotPath+".flat"
-	RequestTimeout   time.Duration // per-request deadline on POST /query (0 = none)
-	MaxInflight      int           // admission-control cap on concurrent queries (0 = unlimited)
-	DrainTimeout     time.Duration // how long SIGTERM waits for in-flight queries and a sidecar write
+	SnapshotPath   string        // load-on-start / save-on-build path; its sidecar is SnapshotPath+".flat"
+	RequestTimeout time.Duration // per-request deadline on POST /query (0 = none)
+	MaxInflight    int           // admission-control cap on concurrent queries (0 = unlimited)
+	DrainTimeout   time.Duration // how long SIGTERM waits for in-flight queries and a sidecar write
 
-	// FlightRecords sizes the per-query flight recorder's uniform
-	// reservoir (errors and slowest-K pools ride along at fixed sizes);
-	// 0 disables the recorder, per-query wall timing, and the rolling
-	// latency windows wholesale — the engine hot path then takes no clock
-	// readings and records nothing (the 0-alloc disabled path).
-	FlightRecords int
 	// SLOLatency and SLOObjective define the latency SLO surfaced on
 	// /metrics and /statusz: SLOObjective (e.g. 0.99) of queries must
-	// finish within SLOLatency. Only meaningful with FlightRecords > 0.
+	// finish within SLOLatency.
 	SLOLatency   time.Duration
 	SLOObjective float64
 }
@@ -74,8 +67,13 @@ const (
 )
 
 // ringRecords is the capacity of the record ring behind /spans: the last
-// 2048 queries, 442 KB of flight records.
-const ringRecords = 2048
+// 2048 queries, 442 KB of flight records. flightRecords is the flight
+// recorder's uniform reservoir behind /debug/slowlog and /statusz (its
+// error and slowest-per-window pools ride along at fixed sizes).
+const (
+	ringRecords   = 2048
+	flightRecords = 2048
+)
 
 func defaultServerConfig() serverConfig {
 	return serverConfig{
@@ -90,7 +88,6 @@ func defaultServerConfig() serverConfig {
 		RequestTimeout: 10 * time.Second,
 		MaxInflight:    256,
 		DrainTimeout:   10 * time.Second,
-		FlightRecords:  2048,
 		SLOLatency:     250 * time.Millisecond,
 		SLOObjective:   0.99,
 	}
@@ -114,7 +111,7 @@ func (c serverConfig) validate() error {
 // generation is the snapshot header's generation coopserve writes: a
 // fingerprint of the flags that decide the catalog shards' contents
 // (-seed, -shards, -leaves, -entries), so a restore refuses a snapshot
-// written for other flags before it decodes or maps anything.
+// written for other flags before it maps anything.
 func (c serverConfig) generation() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -145,26 +142,26 @@ const (
 // gate (inflight cap → 503 + Retry-After), and run under a per-request
 // deadline that the engine checks before each query.
 type server struct {
-	cfg  serverConfig
-	eng  *engine.Engine
+	cfg serverConfig
+	// eng is published by build once it is wired, so a handler that loads
+	// it (/statusz polls while the server builds) sees it whole; nil until
+	// then.
+	eng  atomic.Pointer[engine.Engine]
 	reg  *obs.Registry
 	ring *obs.Ring // the last ringRecords queries' records, behind /spans
 	// catalogs are the frozen catalog shards the engine serves; the query
 	// handler reads their shapes to check leaves and build root paths.
 	catalogs []*flat.Structure
 	// pointerBuilt, when set before build, is handed every pointer
-	// structure build creates or decodes: the subdivision, the complex,
-	// both locators and each catalog shard's core.Structure. Tests attach
-	// finalizers through it to prove none outlives its freeze.
+	// structure build creates: the subdivision, the complex, both locators
+	// and each catalog shard's core.Structure. Tests attach finalizers
+	// through it to prove none outlives its freeze.
 	pointerBuilt func(obj any)
 
 	state    atomic.Int32
 	inflight atomic.Int64
-	// loadedSnapshot reports whether build restored the catalog shards from
-	// cfg.SnapshotPath instead of rebuilding them from the seed.
-	loadedSnapshot bool
 	// view is the mapped sidecar the catalog shards are served from after a
-	// mapped restore, nil otherwise. It stays open for the server's life.
+	// restore, nil after a build. It stays open for the server's life.
 	view *snapshot.FlatView
 	// writing is set from just before the server turns ready until its
 	// sidecar write ends, on a boot that writes one; the drain waits for it.
@@ -175,12 +172,12 @@ type server struct {
 	obsTimeouts  *obs.Counter // per-request deadlines fired
 	obsCanceled  *obs.Counter // client disconnects observed mid-query
 	obsSnapSave  *obs.Counter // snapshots written
-	obsSnapLoad  *obs.Counter // snapshots restored on start
+	obsSnapLoad  *obs.Counter // restores that mapped the sidecar on start
 	obsQueryErrs *obs.Counter // per-query engine failures (sums BatchReport.Errors)
 
-	// Serving telemetry (both nil with FlightRecords == 0): the per-query
-	// flight recorder behind /debug/slowlog and /statusz, and the SLO
-	// whose rolling window feeds the live quantile and burn-rate gauges.
+	// Serving telemetry: the per-query flight recorder behind
+	// /debug/slowlog and /statusz, and the SLO whose rolling window feeds
+	// the live quantile and burn-rate gauges.
 	recorder *obs.FlightRecorder
 	slo      *obs.SLO
 	started  time.Time
@@ -220,18 +217,18 @@ func newServer(cfg serverConfig) (*server, error) {
 	return s, nil
 }
 
-// build builds and freezes the geometric locators, restores or builds and
+// build builds and freezes the geometric locators, maps or builds and
 // freezes the catalog shards, wires the engine, and flips the server to
-// ready. Each pointer structure is built or decoded, frozen and dropped
-// before the next one starts, with the collection rule applied in
-// between (see collector), so at most one is live at a time and none is
-// reachable once the server is ready; a mapped restore creates none. The
-// geometry comes first, while the heap holds nothing else. The catalog
-// shards and the geometry draw from independently seeded streams so a
-// snapshot restore (which skips shard generation) serves the exact same
-// subdivision and complex as a from-scratch build. A boot that built or
-// decoded its shards then, once ready, streams them into the sidecar
-// beside the snapshot, so the next boot maps them.
+// ready. Each pointer structure is built, frozen and dropped before the
+// next one starts, with the collection rule applied in between (see
+// collector), so at most one is live at a time and none is reachable once
+// the server is ready; a mapped restore creates none. The geometry comes
+// first, while the heap holds nothing else. The catalog shards and the
+// geometry draw from independently seeded streams so a restore (which
+// skips shard generation) serves the exact same subdivision and complex as
+// a from-scratch build. A boot that built its shards with a snapshot path
+// then, once ready, streams them into the sidecar beside the snapshot, so
+// the next boot maps them.
 func (s *server) build() error {
 	start := time.Now()
 	if err := s.cfg.validate(); err != nil {
@@ -242,24 +239,25 @@ func (s *server) build() error {
 	if err != nil {
 		return err
 	}
-	catalogs, bind := s.restoreShards(gc)
+	var bind snapshot.Binding
+	catalogs := s.restoreShards(gc)
 	if catalogs == nil {
 		if catalogs, bind, err = s.buildShards(gc); err != nil {
 			return err
 		}
 	}
 	s.catalogs = catalogs
-	s.eng, err = engine.NewFrozen(engine.Config{
-		Procs:       s.cfg.Procs,
-		BatchSize:   s.cfg.BatchSize,
-		FingerCache: s.cfg.FingerCache,
-		Obs:         s.reg,
-		Tracer:      s.ring,
-		Recorder:    s.recorder,
+	eng, err := engine.NewFrozen(engine.Config{
+		Procs:     s.cfg.Procs,
+		BatchSize: s.cfg.BatchSize,
+		Obs:       s.reg,
+		Tracer:    s.ring,
+		Recorder:  s.recorder,
 	}, catalogs, pl, sp)
 	if err != nil {
 		return err
 	}
+	s.eng.Store(eng)
 	// The write is marked before the server turns ready, so a drain that
 	// sees it ready waits for the write. A drain that began during the
 	// build means the process is exiting: write nothing.
@@ -272,8 +270,6 @@ func (s *server) build() error {
 	src := "built"
 	if s.view != nil {
 		src = "restored from " + s.cfg.SnapshotPath + ", mapped"
-	} else if s.loadedSnapshot {
-		src = "restored from " + s.cfg.SnapshotPath + ", decoded"
 	}
 	log.Printf("coopserve: ready in %v (%s): %d shards, %d-leaf trees, P=%d, batch=%d",
 		time.Since(start).Round(time.Millisecond), src, s.cfg.Shards, s.cfg.Leaves, s.cfg.Procs, s.cfg.BatchSize)
@@ -302,8 +298,8 @@ func (s *server) buildGeometry(gc *collector) (*pointloc.Frozen, *spatial.Frozen
 }
 
 // collector applies the boot's collection rule: before the next pointer
-// structure is built or decoded, collect if the previous one allocated at
-// least collectAfterBytes. Its pointer structures are garbage by then.
+// structure is built, collect if the previous one allocated at least
+// collectAfterBytes. Its pointer structures are garbage by then.
 // Left to the pacer, whose goal was set while they were live, the next
 // build grows the heap on top of them; a collection here marks only the
 // frozen layouts built so far.
@@ -320,16 +316,15 @@ func (c *collector) next() {
 	c.mark = heapAllocBytes()
 }
 
-// collectAfterBytes is the allocation of one pointer structure's build or
-// decode above which the collector runs before the next one. Measured on a
+// collectAfterBytes is the allocation of one pointer structure's build
+// above which the collector runs before the next one. Measured on a
 // 2-vCPU host: at 8192 regions the planar build allocates about 70 MB, and
 // the collection takes peak RSS at ready on the geo-mixed shape from
 // 58–86 MB down to 54–68 MB. On the catalog-cold shape (2 shards of 2^19
-// entries over 1024-leaf trees) the rule takes the median peak from 155
-// to 126 MB on a restore and from 212 to 203 MB on a build, at the same
-// time to ready. At coopserve's default sizes a structure allocates
-// under 16 MB, and a forced collection (1–5 ms) would add up to a quarter
-// to a 16 ms boot.
+// entries over 1024-leaf trees) the rule takes the median peak of a build
+// from 212 to 203 MB, at the same time to ready. At coopserve's default
+// sizes a structure allocates under 16 MB, and a forced collection
+// (1–5 ms) would add up to a quarter to a 16 ms boot.
 const collectAfterBytes = 16 << 20
 
 // heapAllocBytes returns the bytes allocated on the heap since the process
@@ -347,12 +342,12 @@ func (s *server) freezePlanar(rng *rand.Rand) (*pointloc.Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	loc, err := pointloc.Build(sub, core.Config{Parallelism: s.cfg.BuildParallelism})
+	loc, err := pointloc.Build(sub, core.Config{})
 	if err != nil {
 		return nil, err
 	}
 	s.notePointers(sub, loc)
-	return loc.Freeze(s.cfg.BuildParallelism)
+	return loc.Freeze(0)
 }
 
 // freezeSpatial draws the complex from rng and returns its frozen spatial
@@ -362,7 +357,7 @@ func (s *server) freezeSpatial(rng *rand.Rand) (*spatial.Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	loc, err := spatial.NewLocatorParallel(cx, s.cfg.BuildParallelism)
+	loc, err := spatial.NewLocator(cx)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +389,7 @@ func (s *server) buildShards(gc *collector) ([]*flat.Structure, snapshot.Binding
 		st, err := s.buildShard(rng)
 		if err == nil {
 			var f *flat.Structure
-			if f, err = flat.FreezeParallel(st, s.cfg.BuildParallelism); err == nil {
+			if f, err = flat.FreezeParallel(st, 0); err == nil {
 				frozen = append(frozen, f)
 				return snapshot.Shard{Kind: snapshot.KindStatic, Static: st}, nil
 			}
@@ -437,7 +432,7 @@ func (s *server) buildShard(rng *rand.Rand) (*core.Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.Build(bt, randomCatalogs(bt, s.cfg.Entries, rng), core.Config{Parallelism: s.cfg.BuildParallelism})
+	st, err := core.Build(bt, randomCatalogs(bt, s.cfg.Entries, rng), core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -445,45 +440,37 @@ func (s *server) buildShard(rng *rand.Rand) (*core.Structure, error) {
 	return st, nil
 }
 
-// restoreShards restores the catalog shards from the configured snapshot
-// and returns them, or nil when build must build them from the seed. It
-// streams the snapshot once to check its header and generation against
-// the flags and to compute its Binding, and decodes nothing for a file
-// written for other flags. It maps the shards from a sidecar bound to
-// that Binding (mapShards) and returns a zero Binding: there is nothing to
-// write. Without one it logs why and decodes the snapshot (decodeShards),
-// returning the Binding for build to bind a new sidecar to. A bad file
-// never aborts startup.
-func (s *server) restoreShards(gc *collector) ([]*flat.Structure, snapshot.Binding) {
+// restoreShards maps the catalog shards from the sidecar of the
+// configured snapshot and returns them, or nil when build must build them
+// from the seed, which rewrites both files. It streams the snapshot once to
+// check its header and generation against the flags and to compute its
+// Binding, and maps nothing for a file written for other flags or a sidecar
+// not bound to those exact bytes (mapShards). A bad file never aborts
+// startup: it logs why and builds.
+func (s *server) restoreShards(gc *collector) []*flat.Structure {
 	path := s.cfg.SnapshotPath
 	if path == "" {
-		return nil, snapshot.Binding{}
+		return nil
 	}
-	// The file's bytes count toward the first shard's decode, so the
-	// rule runs before the read rather than between it and the decode.
+	// The geometry's garbage goes first, as it would before a first
+	// shard build.
 	gc.next()
 	gen, bind, err := snapshot.Bind(path)
 	if err != nil {
 		log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", path, err)
-		return nil, snapshot.Binding{}
+		return nil
 	}
 	if gen != s.cfg.generation() {
 		log.Printf("coopserve: snapshot %s was written for other -seed/-shards/-leaves/-entries; rebuilding", path)
-		return nil, snapshot.Binding{}
+		return nil
 	}
 	frozen, err := s.mapShards(bind)
-	if err == nil {
-		bind = snapshot.Binding{} // a mapped boot writes nothing
-	} else {
-		log.Printf("coopserve: sidecar %s unusable, decoding the snapshot: %v", sidecarPath(path), err)
-		frozen = s.decodeShards(gc, bind)
+	if err != nil {
+		log.Printf("coopserve: sidecar %s unusable, rebuilding: %v", sidecarPath(path), err)
+		return nil
 	}
-	if frozen == nil {
-		return nil, snapshot.Binding{}
-	}
-	s.loadedSnapshot = true
 	s.obsSnapLoad.Inc()
-	return frozen, bind
+	return frozen
 }
 
 // mapShards maps the sidecar beside the snapshot read-only and opens one
@@ -519,57 +506,10 @@ func (s *server) mapShards(bind snapshot.Binding) (frozen []*flat.Structure, err
 	return frozen, nil
 }
 
-// decodeShards decodes the snapshot one shard at a time — decode, freeze,
-// drop — and returns the frozen shards. It checks that the bytes it read
-// are the ones bound (bind) and the manifest (shard count, every kind
-// static) before it decodes any shard. Any failure, a shard that fails to
-// decode included, logs, discards the shards already frozen and returns
-// nil, and build rebuilds every shard from the seed.
-func (s *server) decodeShards(gc *collector, bind snapshot.Binding) []*flat.Structure {
-	path := s.cfg.SnapshotPath
-	r, err := snapshot.OpenShards(path, s.cfg.BuildParallelism)
-	if err != nil {
-		log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", path, err)
-		return nil
-	}
-	if r.Binding() != bind {
-		log.Printf("coopserve: snapshot %s changed while restoring; rebuilding", path)
-		return nil
-	}
-	kinds := r.Kinds()
-	if len(kinds) != s.cfg.Shards {
-		log.Printf("coopserve: snapshot has %d shards, flags want %d; rebuilding", len(kinds), s.cfg.Shards)
-		return nil
-	}
-	for i, kind := range kinds {
-		if kind != snapshot.KindStatic {
-			log.Printf("coopserve: snapshot shard %d has kind %d, coopserve serves static shards only; rebuilding", i, kind)
-			return nil
-		}
-	}
-	frozen := make([]*flat.Structure, len(kinds))
-	for i := range frozen {
-		if i > 0 {
-			gc.next()
-		}
-		sh, err := r.Next()
-		if err != nil {
-			log.Printf("coopserve: snapshot %s unusable, rebuilding: %v", path, err)
-			return nil
-		}
-		s.notePointers(sh.Static)
-		if frozen[i], err = flat.FreezeParallel(sh.Static, s.cfg.BuildParallelism); err != nil {
-			log.Printf("coopserve: snapshot %s shard %d does not freeze, rebuilding: %v", path, i, err)
-			return nil
-		}
-	}
-	return frozen
-}
-
 // saveSidecar streams the served catalog shards into the sidecar beside
 // the snapshot, bound to bind: the snapshot bytes the shards were built
-// with or decoded from. A failed save only logs: the shards serve anyway,
-// and the next boot decodes the snapshot.
+// with. A failed save only logs: the shards serve anyway, and the next
+// boot builds them again.
 func (s *server) saveSidecar(bind snapshot.Binding) {
 	start := time.Now()
 	stores := make([]*flat.StoreBuilder, len(s.catalogs))
@@ -748,9 +688,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
+	eng := s.eng.Load() // set before the server turned ready
 	for lo := 0; lo < len(qs); lo += s.cfg.BatchSize {
 		hi := min(lo+s.cfg.BatchSize, len(qs))
-		answers, rep, err := s.eng.ExecuteBatchContext(ctx, qs[lo:hi])
+		answers, rep, err := eng.ExecuteBatchContext(ctx, qs[lo:hi])
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -29,17 +29,28 @@ import (
 	"fraccascade/internal/tree"
 )
 
-// testServer builds a small server so the httptest suite stays fast.
-func testServer(t testing.TB) *server {
-	t.Helper()
-	cfg := serverConfig{
-		Seed: 7, Procs: 512, BatchSize: 8,
-		Leaves: 1 << 4, Entries: 800, Shards: 2,
-		Regions: 24, Tiles: 20,
+// testConfig is the configuration every coopserve test starts from: the
+// served defaults (telemetry, deadlines, admission control) over small
+// structures, so the suite stays fast.
+func testConfig() serverConfig {
+	cfg := defaultServerConfig()
+	cfg.Seed, cfg.Procs, cfg.BatchSize = 7, 512, 8
+	cfg.Leaves, cfg.Entries, cfg.Shards = 1<<4, 800, 2
+	cfg.Regions, cfg.Tiles = 24, 20
+	return cfg
+}
+
+// testServer builds a server with testConfig, changed by mutate when it is
+// not nil.
+func testServer(tb testing.TB, mutate func(*serverConfig)) *server {
+	tb.Helper()
+	cfg := testConfig()
+	if mutate != nil {
+		mutate(&cfg)
 	}
 	s, err := newServer(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
@@ -69,7 +80,7 @@ func postQuery(t *testing.T, ts *httptest.Server, req queryRequest) (*http.Respo
 // decompositions summing to the step count, cache attribution on catalog
 // answers, and batch reports covering the whole request.
 func TestQueryEndpoint(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -125,7 +136,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 // TestQueryEndpointRejections covers the request-validation paths.
 func TestQueryEndpointRejections(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -163,7 +174,7 @@ func TestQueryEndpointRejections(t *testing.T) {
 // TestMetricsEndpoint checks /metrics is lint-clean Prometheus text and
 // reflects traffic served through /query.
 func TestMetricsEndpoint(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -200,7 +211,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestHealthEndpoints(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -229,7 +240,7 @@ func TestHealthEndpoints(t *testing.T) {
 // TestSpansEndpoint replays ring history as JSONL and checks the spans
 // decode with phase children referencing their parents.
 func TestSpansEndpoint(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -296,7 +307,7 @@ func TestSpansEndpoint(t *testing.T) {
 // with no gap or overlap; limit closes a follow stream; and a client that
 // disconnects ends the handler (httptest.Server.Close waits for it).
 func TestSpansFollowMode(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	closed := false
 	defer func() {
@@ -402,7 +413,7 @@ func TestSpansFollowMode(t *testing.T) {
 }
 
 func TestPprofIndexEndpoint(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -425,7 +436,7 @@ func TestPprofIndexEndpoint(t *testing.T) {
 // the go tool is on PATH — feeds it to `go tool pprof -top` to prove the
 // acceptance criterion end to end.
 func TestStepsProfileEndpoint(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -488,30 +499,22 @@ func TestStepsProfileEndpoint(t *testing.T) {
 }
 
 // TestNoPointerGeometryAfterBuild pins the memory property of serving
-// only frozen layouts, on a build boot, a decoding restore and a mapped
-// restore: once build returns, no pointer structure it created or decoded
-// is reachable — the subdivision, the complex, both locators and every
-// catalog shard's core.Structure — and a mapped restore creates no shard
-// structure at all. Each gets a finalizer that must run after a few GCs
+// only frozen layouts, on a build boot and a mapped restore: once build
+// returns, no pointer structure it created is reachable — the subdivision,
+// the complex, both locators and every catalog shard's core.Structure —
+// and a mapped restore creates no shard structure at all. Each gets a finalizer that must run after a few GCs
 // while the server stays live, so an edit that keeps one (a server field,
 // an engine reference, a closure) fails here. The server must still answer
 // every catalog, planar and spatial query like the brute-force oracle over
 // the same seeded structures.
 func TestNoPointerGeometryAfterBuild(t *testing.T) {
-	cfg := lifecycleConfig()
+	cfg := testConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 	req, check := oracleRequest(t, cfg, 40, 99)
-	for _, mode := range []string{"built", "decoded", "mapped"} {
-		restore, shardsMade := mode != "built", int32(cfg.Shards)
-		switch mode {
-		case "decoded":
-			// Without its sidecar the restore decodes every shard, then
-			// writes the sidecar the mapped boot maps.
-			if err := os.Remove(sidecarPath(cfg.SnapshotPath)); err != nil {
-				t.Fatal(err)
-			}
-		case "mapped":
-			shardsMade = 0
+	for _, mode := range []string{"built", "mapped"} {
+		shardsMade := int32(cfg.Shards)
+		if mode == "mapped" {
+			shardsMade = 0 // the built boot wrote the sidecar this one maps
 		}
 		s := newServerShell(cfg)
 		var built, shards, freed atomic.Int32
@@ -525,8 +528,8 @@ func TestNoPointerGeometryAfterBuild(t *testing.T) {
 		if err := s.build(); err != nil {
 			t.Fatal(err)
 		}
-		if s.loadedSnapshot != restore || (s.view != nil) != (mode == "mapped") {
-			t.Fatalf("%s: boot loaded the snapshot: %v, mapped: %v", mode, s.loadedSnapshot, s.view != nil)
+		if (s.view != nil) != (mode == "mapped") {
+			t.Fatalf("%s: boot mapped the sidecar: %v", mode, s.view != nil)
 		}
 		if n, m := built.Load(), shards.Load(); n != 4+shardsMade || m != shardsMade {
 			t.Fatalf("%s: build reported %d pointer structures (%d catalog shards), want 4 geometry and %d shards",

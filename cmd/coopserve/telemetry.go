@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -14,20 +15,12 @@ import (
 	"fraccascade/internal/obs"
 )
 
-// initTelemetry wires the serving telemetry: the flight recorder, the
-// latency SLO with its rolling window, and their /metrics families.
-// With FlightRecords == 0 everything stays nil — the engine then takes no
-// per-query clock readings and the recorder hot path is the 0-alloc nil
-// no-op — and none of the families are registered, so scrapes don't show
-// dead series.
+// initTelemetry wires the serving telemetry: the correlation-id prefix,
+// the flight recorder, the latency SLO with its rolling window, and their
+// /metrics families.
 func (s *server) initTelemetry() {
-	// Correlation ids are minted whether or not the recorder is on — spans
-	// and response headers carry them either way.
 	s.bootID = fmt.Sprintf("%06x%04x", time.Now().UnixNano()&0xffffff, os.Getpid()&0xffff)
-	if s.cfg.FlightRecords <= 0 {
-		return
-	}
-	s.recorder = obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: s.cfg.FlightRecords})
+	s.recorder = obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: flightRecords})
 	s.slo = obs.NewSLO(s.cfg.SLOLatency, s.cfg.SLOObjective, telemetrySubWindow, telemetrySubCount)
 
 	// Live windowed quantiles (nanoseconds over the last 2 minutes;
@@ -81,12 +74,8 @@ func sanitizeRequestID(id string) string {
 }
 
 // observeAnswers feeds the SLO's rolling window with each answer's host
-// wall time. A no-op with telemetry disabled (the engine did not measure
-// wall times either).
+// wall time.
 func (s *server) observeAnswers(answers []engine.Answer) {
-	if s.slo == nil {
-		return
-	}
 	for i := range answers {
 		s.slo.Observe(answers[i].WallNS)
 	}
@@ -94,9 +83,9 @@ func (s *server) observeAnswers(answers []engine.Answer) {
 
 // handleSlowlog dumps the flight recorder as JSON, newest first. Query
 // params: shard=N (default all), kind=catalog|point|spatial, min_ms=F
-// (minimum wall milliseconds), errors=1 (failures only), limit=N
-// (default 100, 0 = everything retained). With telemetry disabled the
-// endpoint degrades to an empty enabled=false dump rather than erroring.
+// (minimum wall milliseconds, finite and within int64 nanoseconds),
+// errors=1 (failures only), limit=N (default 100, 0 = everything
+// retained). Enabled is always true: the recorder is always on.
 func (s *server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	type slowlogResponse struct {
 		Enabled bool               `json:"enabled"`
@@ -106,7 +95,7 @@ func (s *server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 		Count   int                `json:"count"`
 		Records []obs.FlightRecord `json:"records"`
 	}
-	resp := slowlogResponse{Records: []obs.FlightRecord{}}
+	resp := slowlogResponse{Enabled: true, Records: []obs.FlightRecord{}}
 	q := r.URL.Query()
 	shard := -1
 	if v := q.Get("shard"); v != "" {
@@ -119,12 +108,16 @@ func (s *server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	}
 	minWall := int64(0)
 	if v := q.Get("min_ms"); v != "" {
+		// float64(math.MaxInt64) is 2^63, the first value int64 cannot
+		// hold. The negated test also rejects NaN and +Inf, whose int64
+		// conversion is undefined (MinInt64 on amd64, keeping every record).
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		ns := f * float64(time.Millisecond)
+		if err != nil || f < 0 || !(ns < math.MaxInt64) {
 			http.Error(w, "bad min_ms", http.StatusBadRequest)
 			return
 		}
-		minWall = int64(f * float64(time.Millisecond))
+		minWall = int64(ns)
 	}
 	limit := 100
 	if v := q.Get("limit"); v != "" {
@@ -138,27 +131,24 @@ func (s *server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	kind := q.Get("kind")
 	errsOnly := q.Get("errors") == "1"
 
-	if s.recorder != nil {
-		st := s.recorder.Stats()
-		resp.Enabled = true
-		resp.Total, resp.Errored, resp.Dropped = st.Total, st.Errored, st.Dropped
-		for _, rec := range s.recorder.Records() {
-			if shard >= 0 && (rec.Kind != "catalog" || rec.Shard != shard) {
-				continue
-			}
-			if kind != "" && rec.Kind != kind {
-				continue
-			}
-			if rec.WallNS < minWall {
-				continue
-			}
-			if errsOnly && rec.Err == "" {
-				continue
-			}
-			resp.Records = append(resp.Records, rec)
-			if limit > 0 && len(resp.Records) >= limit {
-				break
-			}
+	st := s.recorder.Stats()
+	resp.Total, resp.Errored, resp.Dropped = st.Total, st.Errored, st.Dropped
+	for _, rec := range s.recorder.Records() {
+		if shard >= 0 && (rec.Kind != "catalog" || rec.Shard != shard) {
+			continue
+		}
+		if kind != "" && rec.Kind != kind {
+			continue
+		}
+		if rec.WallNS < minWall {
+			continue
+		}
+		if errsOnly && rec.Err == "" {
+			continue
+		}
+		resp.Records = append(resp.Records, rec)
+		if limit > 0 && len(resp.Records) >= limit {
+			break
 		}
 	}
 	resp.Count = len(resp.Records)
@@ -169,11 +159,10 @@ func (s *server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatusz serves a dependency-free HTML status page: lifecycle
-// state, live windowed quantiles, SLO burn rates, per-shard
-// cache and finger-hit rates, and the recent slow and failed queries from
-// the flight recorder. Everything dynamic is HTML-escaped; the page
-// degrades gracefully while building, after a restart (records are
-// in-memory only), and with telemetry disabled.
+// state, live windowed quantiles, SLO burn rates, per-shard cache hit
+// rates, and the recent slow and failed queries from the flight recorder.
+// Everything dynamic is HTML-escaped; the page degrades gracefully while
+// building and after a restart (records are in-memory only).
 func (s *server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	var stateName string
@@ -201,21 +190,17 @@ th{background:#eee}td.l,th.l{text-align:left}
 		html.EscapeString(time.Since(s.started).Round(time.Second).String()),
 		s.cfg.Procs, s.cfg.BatchSize, s.cfg.Shards)
 
-	if s.eng == nil {
+	eng := s.eng.Load()
+	if eng == nil {
 		fmt.Fprint(w, `<p class="warn">structures are still building; no engine yet.</p></body></html>`)
 		return
 	}
 
-	m := s.eng.Metrics()
+	m := eng.Metrics()
 	fmt.Fprintf(w, `<h2>engine</h2>
 <table><tr><th class="l">queries</th><th>batches</th><th>errors</th><th>steps total</th></tr>
 <tr><td class="l">%d</td><td>%d</td><td>%d</td><td>%d</td></tr></table>
 `, m.Queries, m.Batches, m.Errors, m.StepsTotal)
-
-	if s.slo == nil {
-		fmt.Fprint(w, `<p class="dim">telemetry disabled (-flight-records=0): no live quantiles, SLO, or slowlog.</p></body></html>`)
-		return
-	}
 
 	win := s.slo.Snapshot()
 	fmt.Fprintf(w, `<h2>latency (last %s window)</h2>
@@ -237,16 +222,12 @@ th{background:#eee}td.l,th.l{text-align:left}
 `, s.slo.Objective()*100, s.slo.Threshold(), good, total, cls(burnShort), burnShort, cls(burnLong), burnLong)
 
 	fmt.Fprint(w, `<h2>entry caches</h2>
-<table><tr><th class="l">shard</th><th>hits</th><th>misses</th><th>hit rate</th><th>finger hits</th><th>finger rate</th><th>size</th></tr>
+<table><tr><th class="l">shard</th><th>hits</th><th>misses</th><th>hit rate</th><th>size</th></tr>
 `)
-	for i := 0; i < s.eng.NumShards(); i++ {
-		cs := s.eng.CacheStatsFor(i)
-		fingerRate := 0.0
-		if cs.Misses > 0 {
-			fingerRate = float64(cs.FingerHits) / float64(cs.Misses)
-		}
-		fmt.Fprintf(w, `<tr><td class="l">%d</td><td>%d</td><td>%d</td><td>%.1f%%</td><td>%d</td><td>%.1f%%</td><td>%d</td></tr>
-`, i, cs.Hits, cs.Misses, cs.HitRate()*100, cs.FingerHits, fingerRate*100, cs.Size)
+	for i := 0; i < eng.NumShards(); i++ {
+		cs := eng.CacheStatsFor(i)
+		fmt.Fprintf(w, `<tr><td class="l">%d</td><td>%d</td><td>%d</td><td>%.1f%%</td><td>%d</td></tr>
+`, i, cs.Hits, cs.Misses, cs.HitRate()*100, cs.Size)
 	}
 	fmt.Fprint(w, `</table>
 `)
@@ -285,14 +266,14 @@ th{background:#eee}td.l,th.l{text-align:left}
 // strings escaped).
 func writeRecordTable(w http.ResponseWriter, title string, recs []obs.FlightRecord) {
 	fmt.Fprintf(w, `<h2>%s</h2>
-<table><tr><th class="l">request id</th><th>kind</th><th>shard</th><th>wall</th><th>steps</th><th>cache</th><th>finger d</th><th class="l">error</th></tr>
+<table><tr><th class="l">request id</th><th>kind</th><th>shard</th><th>wall</th><th>steps</th><th>cache</th><th class="l">error</th></tr>
 `, html.EscapeString(title))
 	for _, rec := range recs {
-		fmt.Fprintf(w, `<tr><td class="l">%s</td><td>%s</td><td>%d</td><td>%s</td><td>%d</td><td>%s</td><td>%d</td><td class="l">%s</td></tr>
+		fmt.Fprintf(w, `<tr><td class="l">%s</td><td>%s</td><td>%d</td><td>%s</td><td>%d</td><td>%s</td><td class="l">%s</td></tr>
 `,
 			html.EscapeString(rec.RequestID), html.EscapeString(rec.Kind), rec.Shard,
 			time.Duration(rec.WallNS), rec.Steps, html.EscapeString(rec.Cache),
-			rec.FingerD, html.EscapeString(rec.Err))
+			html.EscapeString(rec.Err))
 	}
 	fmt.Fprint(w, `</table>
 `)

@@ -17,26 +17,6 @@ import (
 	"fraccascade/internal/tree"
 )
 
-// telemetryServer builds a small server with the flight recorder and the
-// latency windows on (testServer leaves them disabled).
-func telemetryServer(t *testing.T, mutate func(*serverConfig)) *server {
-	t.Helper()
-	cfg := serverConfig{
-		Seed: 7, Procs: 512, BatchSize: 8,
-		Leaves: 1 << 4, Entries: 800, Shards: 2,
-		Regions: 24, Tiles: 20,
-		FlightRecords: 256, SLOLatency: 250 * time.Millisecond, SLOObjective: 0.99,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // seedTraffic pushes a mixed workload through POST /query.
 func seedTraffic(t *testing.T, ts *httptest.Server) {
 	t.Helper()
@@ -62,7 +42,7 @@ func injectEngineError(t *testing.T, s *server) {
 		Kind: engine.KindCatalog, Shard: 99, Key: catalog.Key(1),
 		Path: s.catalogs[0].AppendRootPath(tree.NodeID(0), nil),
 	}}
-	_, rep, err := s.eng.ExecuteBatch(qs)
+	_, rep, err := s.eng.Load().ExecuteBatch(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +81,7 @@ func getSlowlog(t *testing.T, ts *httptest.Server, params string) (int, slowlogD
 // stamped on every span and flight record of the request; without one a
 // unique id is minted; a header with control bytes is discarded.
 func TestRequestIDCorrelation(t *testing.T) {
-	s := telemetryServer(t, nil)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -181,7 +161,7 @@ func TestRequestIDCorrelation(t *testing.T) {
 // kind, minimum latency, errors-only, and limit, plus parameter
 // validation.
 func TestSlowlogEndpoint(t *testing.T) {
-	s := telemetryServer(t, nil)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 	seedTraffic(t, ts)
@@ -241,27 +221,10 @@ func TestSlowlogEndpoint(t *testing.T) {
 		t.Fatalf("limit=2 returned %d records", lim.Count)
 	}
 
-	for _, bad := range []string{"?shard=x", "?shard=-2", "?min_ms=-1", "?min_ms=nope", "?limit=-3"} {
+	for _, bad := range []string{"?shard=x", "?shard=-2", "?min_ms=-1", "?min_ms=nope", "?min_ms=NaN", "?min_ms=inf", "?min_ms=1e300", "?limit=-3"} {
 		if code, _ := getSlowlog(t, ts, bad); code != http.StatusBadRequest {
 			t.Fatalf("slowlog%s = %d, want 400", bad, code)
 		}
-	}
-}
-
-// TestSlowlogDisabled pins the graceful degradation: with the recorder
-// off the endpoint still answers 200 with an empty enabled=false dump.
-func TestSlowlogDisabled(t *testing.T) {
-	s := testServer(t) // FlightRecords unset → telemetry off
-	ts := httptest.NewServer(s.routes())
-	defer ts.Close()
-	seedTraffic(t, ts)
-
-	code, dump := getSlowlog(t, ts, "")
-	if code != http.StatusOK {
-		t.Fatalf("disabled slowlog = %d, want 200", code)
-	}
-	if dump.Enabled || dump.Total != 0 || dump.Count != 0 || len(dump.Records) != 0 {
-		t.Fatalf("disabled slowlog not empty: %+v", dump)
 	}
 }
 
@@ -287,9 +250,9 @@ func getStatusz(t *testing.T, ts *httptest.Server) string {
 
 // TestStatuszEndpoint checks the status page across its states: serving
 // with traffic (quantiles, SLO, caches, slow and failed queries), fresh
-// with no traffic, telemetry disabled, and still building.
+// with no traffic, and still building.
 func TestStatuszEndpoint(t *testing.T) {
-	s := telemetryServer(t, nil)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 	seedTraffic(t, ts)
@@ -298,7 +261,7 @@ func TestStatuszEndpoint(t *testing.T) {
 	body := getStatusz(t, ts)
 	for _, want := range []string{
 		"coopserve", "ready", "engine", "latency", "slo", "burn",
-		"entry caches", "finger", "flight recorder",
+		"entry caches", "flight recorder",
 		"slowest recent queries", "recent failures", "/debug/slowlog",
 	} {
 		if !strings.Contains(body, want) {
@@ -310,27 +273,93 @@ func TestStatuszEndpoint(t *testing.T) {
 	}
 
 	// Fresh server: graceful with nothing recorded yet.
-	s2 := telemetryServer(t, nil)
+	s2 := testServer(t, nil)
 	ts2 := httptest.NewServer(s2.routes())
 	defer ts2.Close()
 	if body := getStatusz(t, ts2); !strings.Contains(body, "no queries recorded yet") {
 		t.Fatalf("fresh statusz not graceful:\n%s", body)
 	}
 
-	// Telemetry disabled: the page still serves.
-	s3 := testServer(t)
+	// Still building (no engine yet): the shell serves a building page.
+	s3 := newServerShell(s.cfg)
 	ts3 := httptest.NewServer(s3.routes())
 	defer ts3.Close()
-	if body := getStatusz(t, ts3); !strings.Contains(body, "telemetry disabled") {
-		t.Fatalf("disabled statusz does not say so:\n%s", body)
-	}
-
-	// Still building (no engine yet): the shell serves a building page.
-	s4 := newServerShell(s.cfg)
-	ts4 := httptest.NewServer(s4.routes())
-	defer ts4.Close()
-	if body := getStatusz(t, ts4); !strings.Contains(body, "building") {
+	if body := getStatusz(t, ts3); !strings.Contains(body, "building") {
 		t.Fatalf("building statusz does not say so:\n%s", body)
+	}
+}
+
+// TestStatuszDuringBuild polls /statusz from another goroutine while build
+// runs, once through to ready and once with a drain begun mid-build (build
+// then wires the engine but never turns ready). The page reads the engine
+// that build publishes, so under -race a read that is not ordered after
+// build's write fails here. Only the first poll is ordered before the
+// build goes on; the pause after it leaves room for polls that nothing
+// orders against the write.
+func TestStatuszDuringBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drain bool
+	}{{"ready", false}, {"drain mid-build", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServerShell(testConfig())
+			ts := httptest.NewServer(s.routes())
+			defer ts.Close()
+			stop, polled, firstPoll := make(chan struct{}), make(chan int), make(chan struct{})
+			go func() {
+				n := 0
+				defer func() {
+					if n == 0 {
+						close(firstPoll) // no poll: release the build, fail below
+					}
+					polled <- n
+				}()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp, err := ts.Client().Get(ts.URL + "/statusz")
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if n++; n == 1 {
+						close(firstPoll)
+					}
+				}
+			}()
+			paused := false
+			s.pointerBuilt = func(any) {
+				if paused {
+					return
+				}
+				paused = true
+				if tc.drain {
+					s.beginDrain()
+				}
+				<-firstPoll
+				time.Sleep(20 * time.Millisecond)
+			}
+			err := s.build()
+			close(stop)
+			n := <-polled
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n < 2 {
+				t.Fatalf("/statusz answered %d polls during the build, want at least 2", n)
+			}
+			want := "ready"
+			if tc.drain {
+				want = "draining"
+			}
+			if body := getStatusz(t, ts); !strings.Contains(body, want) || !strings.Contains(body, "<h2>engine</h2>") {
+				t.Fatalf("statusz after the build does not show %s and the engine:\n%s", want, body)
+			}
+		})
 	}
 }
 
@@ -339,7 +368,7 @@ func TestStatuszEndpoint(t *testing.T) {
 // recorder, and both telemetry endpoints degrade gracefully.
 func TestTelemetrySurvivesRestart(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "state.snap")
-	s := telemetryServer(t, func(cfg *serverConfig) { cfg.SnapshotPath = snap })
+	s := testServer(t, func(cfg *serverConfig) { cfg.SnapshotPath = snap })
 	ts := httptest.NewServer(s.routes())
 	seedTraffic(t, ts)
 	_, dump := getSlowlog(t, ts, "")
@@ -348,8 +377,8 @@ func TestTelemetrySurvivesRestart(t *testing.T) {
 	}
 	ts.Close()
 
-	s2 := telemetryServer(t, func(cfg *serverConfig) { cfg.SnapshotPath = snap })
-	if !s2.loadedSnapshot {
+	s2 := testServer(t, func(cfg *serverConfig) { cfg.SnapshotPath = snap })
+	if s2.view == nil {
 		t.Fatal("restart did not restore from the snapshot")
 	}
 	ts2 := httptest.NewServer(s2.routes())
@@ -368,7 +397,7 @@ func TestTelemetrySurvivesRestart(t *testing.T) {
 // counter, the spans' error attributes, and the slowlog all count the same
 // failures.
 func TestTelemetryErrorAgreement(t *testing.T) {
-	s := telemetryServer(t, func(cfg *serverConfig) { cfg.RequestTimeout = time.Nanosecond })
+	s := testServer(t, func(cfg *serverConfig) { cfg.RequestTimeout = time.Nanosecond })
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -411,7 +440,7 @@ func TestTelemetryErrorAgreement(t *testing.T) {
 // TestMetricsTelemetryFamilies checks the new gauge families are exported
 // and the enabled /metrics page stays lint-clean.
 func TestMetricsTelemetryFamilies(t *testing.T) {
-	s := telemetryServer(t, nil)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 	seedTraffic(t, ts)
@@ -466,7 +495,7 @@ func TestMetricsTelemetryFamilies(t *testing.T) {
 // in obs.NewSLO, so the gauge reads 990 and the heading 99.0%, the values
 // the burn rates use, not the raw flag.
 func TestSLOObjectiveReported(t *testing.T) {
-	s := telemetryServer(t, func(cfg *serverConfig) { cfg.SLOObjective = 1.5 })
+	s := testServer(t, func(cfg *serverConfig) { cfg.SLOObjective = 1.5 })
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 

@@ -264,7 +264,7 @@ func TestAppendJSONFloat(t *testing.T) {
 // id full of HTML-unsafe bytes, decodes into the reference structs, and
 // re-encoding those with encoding/json reproduces the body exactly.
 func TestQueryResponseOverHTTP(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	var req queryRequest
 	for i := 0; i < 20; i++ {
 		req.Queries = append(req.Queries,
@@ -394,7 +394,7 @@ func FuzzQueryRequest(f *testing.F) {
 	for _, seed := range queryRequestSeeds {
 		f.Add([]byte(seed.body))
 	}
-	s := testServer(f)
+	s := testServer(f, nil)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want queryRequest
 		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
@@ -433,7 +433,7 @@ func TestQueryRequestSeeds(t *testing.T) {
 // TestQueryBodyTooLarge: a body past maxQueryBody is refused with 413
 // before any of it is decoded.
 func TestQueryBodyTooLarge(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, nil)
 	body := `{"queries":[{"kind":"point","x":1,"y":2}]}` + strings.Repeat(" ", maxQueryBody)
 	r := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
 	w := httptest.NewRecorder()

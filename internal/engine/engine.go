@@ -210,10 +210,6 @@ type Config struct {
 	// tail-sampling keep policy. Also enables per-query wall timing (see
 	// Answer.WallNS). Nil disables recording with zero hot-path cost.
 	Recorder *obs.FlightRecorder
-	// BuildParallelism bounds the host workers New uses to freeze the
-	// catalog shards and the planar locator (0 = all cores, 1 =
-	// sequential). The frozen layouts are bit-identical for every value.
-	BuildParallelism int
 	// FingerCache upgrades the entry cache to distance-sensitive finger
 	// search: when a lookup misses exactly but a cached entry exists near
 	// the key on the same entry node, the search gallops from that finger
@@ -283,10 +279,10 @@ const (
 )
 
 // New builds an engine over the given pointer structures: it freezes each
-// catalog shard and locator it is given, with cfg.BuildParallelism, and
-// delegates to NewFrozen, so the pointer structures themselves are not
-// retained. Any backend may be absent (nil locators, empty shard list);
-// queries of an unserved kind fail individually with a routing error.
+// catalog shard and locator it is given, on all cores, and delegates to
+// NewFrozen, so the pointer structures themselves are not retained. Any
+// backend may be absent (nil locators, empty shard list); queries of an
+// unserved kind fail individually with a routing error.
 func New(cfg Config, shards []*core.Structure, pl *pointloc.Locator, sp *spatial.Locator) (*Engine, error) {
 	var (
 		frozen = make([]*flat.Structure, len(shards))
@@ -298,12 +294,12 @@ func New(cfg Config, shards []*core.Structure, pl *pointloc.Locator, sp *spatial
 		if st == nil {
 			return nil, fmt.Errorf("engine: shard %d is nil", i)
 		}
-		if frozen[i], err = flat.FreezeParallel(st, cfg.BuildParallelism); err != nil {
+		if frozen[i], err = flat.FreezeParallel(st, 0); err != nil {
 			return nil, fmt.Errorf("engine: freeze shard %d: %w", i, err)
 		}
 	}
 	if pl != nil {
-		if fpl, err = pl.Freeze(cfg.BuildParallelism); err != nil {
+		if fpl, err = pl.Freeze(0); err != nil {
 			return nil, fmt.Errorf("engine: freeze planar locator: %w", err)
 		}
 	}

@@ -52,14 +52,10 @@ func TestShardWriterMatchesEncode(t *testing.T) {
 			t.Fatalf("%s: SaveShards wrote %d bytes that differ from Encode's %d", name, len(got), len(want))
 		}
 		// The binding SaveShards returns is the one Bind streams from the
-		// file and the one OpenShards reports for the bytes it decodes.
+		// file.
 		gen, streamed, err := Bind(path)
 		if err != nil || gen != store.Generation || streamed != bind || bind != bindingOf(want) {
 			t.Fatalf("%s: Bind = %d %+v (err %v), want generation %d and SaveShards' %+v", name, gen, streamed, err, store.Generation, bind)
-		}
-		r, err := OpenShards(path, 1)
-		if err != nil || r.Binding() != bind {
-			t.Fatalf("%s: OpenShards reports %+v (err %v), want %+v", name, r.Binding(), err, bind)
 		}
 		for i, n := range asked {
 			if n != i || len(asked) != len(store.Shards) {
@@ -128,47 +124,39 @@ func TestBindingSeesSealedChanges(t *testing.T) {
 	}
 }
 
-// TestShardReaderMatchesDecodeParallel: OpenShards reports the manifest
-// before decoding anything, then yields, one Next at a time, the same
-// shards DecodeParallel restores; a Next past the last shard errors.
+// TestShardReaderMatchesDecodeParallel: newShardReader reports the
+// manifest before decoding anything, then yields, one next at a time, the
+// same shards DecodeParallel restores.
 func TestShardReaderMatchesDecodeParallel(t *testing.T) {
 	for name, store := range shardStores(t) {
 		data, err := Encode(store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "shards.snap")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		whole, err := DecodeParallel(data, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenShards(path, 2)
+		r, err := newShardReader(data, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if r.generation != store.Generation {
 			t.Fatalf("%s: generation %d, want %d", name, r.generation, store.Generation)
 		}
-		kinds := r.Kinds()
-		if len(kinds) != len(store.Shards) {
-			t.Fatalf("%s: %d kinds, want %d", name, len(kinds), len(store.Shards))
+		if len(r.kinds) != len(store.Shards) {
+			t.Fatalf("%s: %d kinds, want %d", name, len(r.kinds), len(store.Shards))
 		}
 		got := &Store{Generation: r.generation}
-		for i, kind := range kinds {
+		for i, kind := range r.kinds {
 			if kind != store.Shards[i].Kind {
 				t.Fatalf("%s: shard %d kind %d, want %d", name, i, kind, store.Shards[i].Kind)
 			}
-			sh, err := r.Next()
+			sh, err := r.next()
 			if err != nil {
 				t.Fatalf("%s: shard %d: %v", name, i, err)
 			}
 			got.Shards = append(got.Shards, sh)
-		}
-		if _, err := r.Next(); err == nil {
-			t.Fatalf("%s: Next past the last shard succeeded", name)
 		}
 		// Same shards: both re-encode to the original bytes, and every
 		// shard answers like the decoded whole store's.
@@ -188,33 +176,5 @@ func TestShardReaderMatchesDecodeParallel(t *testing.T) {
 			}
 			assertSameAnswers(t, b, a, int64(i))
 		}
-	}
-}
-
-// TestShardReaderErrorSticks: a shard that fails to decode fails every
-// later Next with the same typed corruption, while the manifest still
-// reads.
-func TestShardReaderErrorSticks(t *testing.T) {
-	data, err := Encode(shardStores(t)["multi"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := newShardReader(data, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reader has framed and checksummed the file already; relabel the
-	// first shard's tree section as a cascade section so only the decode
-	// can object.
-	r.secs[1].id = secCascade
-	if _, err := r.Next(); !IsCorrupt(err) {
-		t.Fatalf("Next on a misordered shard: %v, want corruption", err)
-	}
-	first := r.err
-	if _, err := r.Next(); err != first {
-		t.Fatalf("second Next returned %v, want the sticky %v", err, first)
-	}
-	if len(r.Kinds()) != 3 {
-		t.Fatalf("manifest lost after a failed Next: %v", r.Kinds())
 	}
 }

@@ -145,8 +145,8 @@ func DecodeParallel(data []byte, parallelism int) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{Generation: r.generation}
-	for range r.Kinds() {
-		sh, err := r.Next()
+	for range r.kinds {
+		sh, err := r.next()
 		if err != nil {
 			return nil, err
 		}
@@ -155,38 +155,23 @@ func DecodeParallel(data []byte, parallelism int) (*Store, error) {
 	return st, nil
 }
 
-// ShardReader is the snapshot decoder: it restores a snapshot one shard at
-// a time. Opening it checks everything that needs no shard decoded — the
-// header, every section's framing and checksum, trailing bytes and the
-// manifest — so a caller can refuse a snapshot by its Kinds before paying
-// for a decode, and can drop each shard before it decodes the next.
-type ShardReader struct {
-	data        []byte
+// shardReader is the snapshot decoder behind DecodeParallel: it restores a
+// snapshot one shard at a time. Opening it checks everything that needs no
+// shard decoded — the header, every section's framing and checksum,
+// trailing bytes and the manifest.
+type shardReader struct {
 	generation  uint64
 	kinds       []Kind
 	secs        []section
 	parallelism int
-	idx         int   // next section to consume
-	shard       int   // next shard to decode
-	err         error // sticky: a failed Next fails every later one
+	idx         int // next section to consume
+	shard       int // next shard to decode
 }
 
 // section is one framed, checksum-verified section of a snapshot.
 type section struct {
 	id      uint32
 	payload []byte
-}
-
-// OpenShards reads the snapshot at path and returns a reader over its
-// shards; see ShardReader. Decodes run their re-validation over
-// parallelism host workers (0 = all cores). A missing or unreadable file
-// returns the underlying I/O error; bad contents a *CorruptionError.
-func OpenShards(path string, parallelism int) (*ShardReader, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return newShardReader(data, parallelism)
 }
 
 // Binding names the exact bytes of one snapshot file: their CRC-32 and
@@ -246,7 +231,7 @@ func Bind(path string) (generation uint64, b Binding, err error) {
 }
 
 // newShardReader frames the sections of data and reads its manifest.
-func newShardReader(data []byte, parallelism int) (*ShardReader, error) {
+func newShardReader(data []byte, parallelism int) (*shardReader, error) {
 	generation, nsec, off, err := parseHeader(data)
 	if err != nil {
 		return nil, err
@@ -276,41 +261,27 @@ func newShardReader(data []byte, parallelism int) (*ShardReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardReader{data: data, generation: generation, kinds: kinds, secs: secs, parallelism: parallelism, idx: 1}, nil
+	return &shardReader{generation: generation, kinds: kinds, secs: secs, parallelism: parallelism, idx: 1}, nil
 }
 
-// Kinds returns the manifest: one kind per shard, in shard order.
-func (r *ShardReader) Kinds() []Kind { return r.kinds }
-
-// Binding returns the Binding of the bytes the reader decodes.
-func (r *ShardReader) Binding() Binding { return bindingOf(r.data) }
-
-// Next decodes the next shard in manifest order. The last shard's Next
-// also rejects sections beyond the manifest's shards. Every decode error is
-// a *CorruptionError, and it sticks: later calls return it again.
-func (r *ShardReader) Next() (Shard, error) {
-	if r.err != nil {
-		return Shard{}, r.err
-	}
-	if r.shard >= len(r.kinds) {
-		return Shard{}, fmt.Errorf("snapshot: all %d shards already read", len(r.kinds))
-	}
+// next decodes the next shard in manifest order, one for each of r.kinds.
+// The last shard's next also rejects sections beyond the manifest's
+// shards. Every error is a *CorruptionError.
+func (r *shardReader) next() (Shard, error) {
 	si := r.shard
 	r.shard++
 	sh, err := decodeShard(r.kinds[si], r.take, r.parallelism)
 	if err != nil {
-		r.err = &CorruptionError{Reason: errReason(err), Detail: fmt.Sprintf("shard %d: %s", si, errDetail(err))}
-		return Shard{}, r.err
+		return Shard{}, &CorruptionError{Reason: errReason(err), Detail: fmt.Sprintf("shard %d: %s", si, errDetail(err))}
 	}
 	if r.shard == len(r.kinds) && r.idx != len(r.secs) {
-		r.err = corruptf(ErrCorrupt, "%d sections beyond the manifest's shards", len(r.secs)-r.idx)
-		return Shard{}, r.err
+		return Shard{}, corruptf(ErrCorrupt, "%d sections beyond the manifest's shards", len(r.secs)-r.idx)
 	}
 	return sh, nil
 }
 
 // take consumes the next section, which must have id want.
-func (r *ShardReader) take(want uint32) ([]byte, error) {
+func (r *shardReader) take(want uint32) ([]byte, error) {
 	if r.idx >= len(r.secs) {
 		return nil, corruptf(ErrTruncated, "missing section %d", want)
 	}

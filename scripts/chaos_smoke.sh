@@ -12,8 +12,9 @@
 # writes once ready); then boot a second instance against the same path and
 # assert it restores by mapping that sidecar instead of rebuilding, and
 # serves the same answers. A third boot, over a truncated sidecar, must
-# restore by decoding the snapshot and serve byte-identical answers; a boot
-# with another -seed over the same path must refuse the snapshot and build.
+# build and serve byte-identical answers, and a fourth must map the sidecar
+# that build rewrote; a boot with another -seed over the same path must
+# refuse the snapshot and build.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -123,24 +124,34 @@ if [ "$FIRST" != "$SECOND" ]; then
 fi
 stop
 
-# Third boot, over a sidecar cut short: must fall back to decoding the
-# snapshot and serve byte-identical answers.
+# Third boot, over a sidecar cut short: must build from the seed and serve
+# byte-identical answers. The drain waits for the sidecar it rewrites.
 head -c 100 "$SNAP.flat" >"$WORK/cut.flat"
 mv "$WORK/cut.flat" "$SNAP.flat"
 boot 3
-expect_log 3 "restored from $SNAP, decoded"
+expect_log 3 "(built)"
 THIRD=$(query)
 echo "third boot answers: $THIRD"
 if [ "$FIRST" != "$THIRD" ]; then
-    echo "chaos-smoke: the decoding restore served different answers" >&2
+    echo "chaos-smoke: the rebuild served different answers" >&2
+    exit 1
+fi
+stop
+
+# Fourth boot: must map the sidecar the third boot rewrote and serve the
+# same answers.
+boot 4
+expect_log 4 "restored from $SNAP, mapped"
+if [ "$FIRST" != "$(query)" ]; then
+    echo "chaos-smoke: the mapped restore after the rebuild served different answers" >&2
     exit 1
 fi
 stop
 
 # A boot with another -seed over the same path must refuse the snapshot
 # (its header's generation names other flags) and build.
-boot 4 -seed=2
-expect_log 4 "(built)"
+boot 5 -seed=2
+expect_log 5 "(built)"
 stop
 
 echo
