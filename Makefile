@@ -96,16 +96,17 @@ bench-gate:
 	@mkdir -p bench/out
 	$(GO) build -o bench/out/coopbench ./cmd/coopbench
 	cd bench/out && for e in e17 e18 e20 e23 e24 e25; do ./coopbench -experiment=$$e -json >/dev/null || exit 1; done \
-		&& ./coopbench -experiment=e22 -executor=wall -json >/dev/null
+		&& ./coopbench -experiment=e22 -json >/dev/null
 	$(GO) run ./cmd/benchdiff -baseline bench/baselines -candidate bench/out
 
-# Wall-executor smoke: run E22 on the native goroutine pool and hold the
-# tentpole claim — the flat and wall hot paths allocate nothing per query.
+# Zero-alloc smoke: run E22, whose wall column times the native goroutine
+# pool, and hold its claim — the flat and wall hot paths allocate nothing
+# per query.
 # (bench-gate holds the same claim against the committed baseline; this
 # target works without one.)
 bench-wall:
 	@mkdir -p bench/out
-	cd bench/out && $(GO) run ../../cmd/coopbench -experiment=e22 -executor=wall -json
+	cd bench/out && $(GO) run ../../cmd/coopbench -experiment=e22 -json
 	@awk '/"(flat|wall)_allocs_per_op":/ { v=$$2; gsub(/[",]/, "", v); \
 		if (v+0 != 0) { print "bench-wall: FAIL: " $$0; bad=1 } } \
 		END { if (bad) exit 1; print "bench-wall: zero-alloc hot path confirmed" }' \

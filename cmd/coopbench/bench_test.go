@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fraccascade/internal/benchfmt"
-	"fraccascade/internal/pram"
 )
 
 // reportedOnly returns a copy of f with every bound removed, so Compare
@@ -35,7 +34,7 @@ func findExperiment(t *testing.T, name string) experiment {
 }
 
 // TestGatedExperimentsMatchBaselines runs every experiment that has a
-// committed baseline, with that baseline's seed and executor, through the
+// committed baseline, with that baseline's seed and executor tag, through the
 // -json path into a temp dir and loads the file back through the shared
 // loader. The keys and declarations it writes must equal the baseline's
 // (bounds live only in the experiments' declarations; the baselines hold
@@ -50,7 +49,6 @@ func TestGatedExperimentsMatchBaselines(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no baselines: %v", err)
 	}
-	t.Cleanup(func() { wallMode = false })
 	dir := t.TempDir()
 	for _, p := range paths {
 		base, err := benchfmt.Load(p)
@@ -58,9 +56,6 @@ func TestGatedExperimentsMatchBaselines(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(base.Experiment, func(t *testing.T) {
-			// Simulated passes stay on the default virtual executor, as
-			// under -executor=wall.
-			wallMode = base.Executor == pram.KindWall.String()
 			if err := runExperiment(findExperiment(t, base.Experiment), base.Seed, base.Executor, dir); err != nil {
 				t.Fatal(err)
 			}

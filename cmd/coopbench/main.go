@@ -11,7 +11,7 @@
 //	coopbench -seed=7               # change workload seed
 //	coopbench -chaos                # shorthand for -experiment=e19
 //	coopbench -experiment=e17 -executor=barrier # run PRAM programs on the goroutine machine
-//	coopbench -experiment=e22 -executor=wall    # time the flat hot path on native goroutines
+//	coopbench -experiment=e22                   # time the flat hot path, also on native goroutines
 //	coopbench -experiment=all -json             # write BENCH_<EXP>.json next to the tables
 //	coopbench -experiment=e20 -metrics          # dump the obs snapshot after the run
 //	coopbench -experiment=e20 -cpuprofile=cpu.pb.gz -memprofile=mem.pb.gz
@@ -43,15 +43,6 @@ var obsRegistry *obs.Registry
 // to the barrier machine (asserted by the executor differential tests) at
 // a fraction of the wall-clock cost.
 var execKind = pram.KindVirtual
-
-// wallMode is set by -executor=wall. The wall executor is native (real
-// goroutines over the flat layout, no simulated machine), so it cannot
-// back the PRAM experiments; simulated passes fall back to the virtual
-// executor — bit-identical step counts by the differential tests — while
-// the host-time experiment (E22) times the wall pool itself. The JSON
-// recorder still tags the run "wall" so baselines taken under each
-// executor stay distinguishable.
-var wallMode bool
 
 // stepsProfile is non-nil when -stepsprofile is set: every PRAM machine
 // built by newPRAM attaches to it, so phase-attributed step counts
@@ -107,7 +98,7 @@ func main() {
 	expFlag := flag.String("experiment", "all", "experiment id (e1..e25, fig5, all)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	chaos := flag.Bool("chaos", false, "run the chaos-mode fault sweep (alias for -experiment=e19)")
-	executor := flag.String("executor", "virtual", "executor for machine-executing experiments: barrier, virtual, or wall (native goroutines over the flat layout; simulated passes fall back to virtual)")
+	executor := flag.String("executor", "virtual", "executor for machine-executing experiments: barrier or virtual")
 	jsonOut := flag.Bool("json", false, "write BENCH_<EXP>.json (wall time plus instrumented rows) for each experiment run")
 	metrics := flag.Bool("metrics", false, "collect obs metrics during the run and print a text snapshot at the end")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -122,14 +113,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if kind == pram.KindUncosted {
-		log.Fatal("coopbench: the uncosted executor skips cost tracing; experiments need barrier, virtual, or wall")
+		log.Fatal("coopbench: the uncosted executor skips cost tracing; experiments need barrier or virtual")
 	}
-	if kind == pram.KindWall {
-		wallMode = true
-		execKind = pram.KindVirtual
-	} else {
-		execKind = kind
-	}
+	execKind = kind
 	if *metrics {
 		obsRegistry = obs.NewRegistry()
 	}

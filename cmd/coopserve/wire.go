@@ -331,8 +331,8 @@ func appendBatchReport(dst []byte, rep *engine.BatchReport) []byte {
 
 // appendAnswer appends one answer (the reference wireAnswer): the omitempty
 // fields are left out when zero, phase_steps holds the non-zero slots in
-// key order, and a catalog answer's cache outcome reads hit, stale or miss
-// (a finger hit is a miss on the wire).
+// key order, and a catalog answer's cache outcome reads hit, stale or
+// miss.
 func appendAnswer(dst []byte, a *engine.Answer) []byte {
 	dst = append(dst, `{"kind":`...)
 	dst = appendJSONString(dst, a.Query.Kind.String())

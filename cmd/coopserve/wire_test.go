@@ -171,7 +171,6 @@ func randomAnswer(rng *rand.Rand) engine.Answer {
 		Rounds:     randomInt(rng),
 		CacheHit:   rng.Intn(3) == 0,
 		CacheStale: rng.Intn(3) == 0,
-		FingerHit:  rng.Intn(3) == 0,
 	}
 	for slot := range a.PhaseSteps {
 		if rng.Intn(2) == 0 {
@@ -218,7 +217,7 @@ func randomReport(rng *rand.Rand) engine.BatchReport {
 }
 
 // TestQueryResponseByteIdentity is the encoder's oracle: on seeded random
-// responses — every kind (and an unknown one), cache hit/stale/miss/finger,
+// responses — every kind (and an unknown one), cache hit/stale/miss,
 // errors and request ids full of bytes that need escaping, zero and
 // non-zero region and cell, nil, empty and full result lists, zero-step
 // batches, and several batches per request — appendQueryResponse writes

@@ -278,70 +278,3 @@ func (c Catalog) Keys() []Key {
 	}
 	return out
 }
-
-// SuccFromFinger returns Succ(y) located by galloping from an in-range
-// finger position (Gilbert–Lim finger search), plus the number of key
-// comparisons spent. The gallop doubles its stride away from the finger
-// until it brackets y, then binary-searches the bracket, so probes grows
-// as 2·⌈log₂(d+1)⌉ + O(1) for key-distance d = |finger − Succ(y)| — a
-// finger near the answer beats the full O(log n) search regardless of how
-// stale it is. The finger is clamped into range, so any value yields the
-// exact Succ(y); only the probe count depends on it.
-func (c Catalog) SuccFromFinger(y Key, finger int) (pos, probes int) {
-	n := len(c.entries)
-	if finger < 0 {
-		finger = 0
-	} else if finger >= n {
-		finger = n - 1
-	}
-	// lo and hi bracket the successor: Key(lo) < y (lo == -1 virtual) and
-	// Key(hi) >= y.
-	var lo, hi int
-	probes = 1
-	if c.entries[finger].Key >= y {
-		hi = finger
-		step := 1
-		for {
-			i := finger - step
-			if i < 0 {
-				lo = -1
-				break
-			}
-			probes++
-			if c.entries[i].Key < y {
-				lo = i
-				break
-			}
-			hi = i
-			step <<= 1
-		}
-	} else {
-		lo = finger
-		step := 1
-		for {
-			i := finger + step
-			if i >= n-1 {
-				// The +∞ terminal always satisfies Key >= y.
-				hi = n - 1
-				break
-			}
-			probes++
-			if c.entries[i].Key >= y {
-				hi = i
-				break
-			}
-			lo = i
-			step <<= 1
-		}
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		probes++
-		if c.entries[mid].Key >= y {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, probes
-}

@@ -32,12 +32,12 @@ type entryCache struct {
 	size    int
 	perNode map[tree.NodeID][]entrySlot
 
-	hits, misses, evictions, fingerHits uint64
+	hits, misses, evictions uint64
 
 	// obs mirrors (nil-safe no-ops when no registry is attached): the
 	// struct counters above stay the CacheStats ground truth; these export
 	// the same increments under engine.shard.<i>.cache.* names.
-	obsHits, obsMisses, obsEvictions, obsFingerHits *obs.Counter
+	obsHits, obsMisses, obsEvictions *obs.Counter
 }
 
 // entrySlot caches one resolved entry interval (lo, hi] → pos.
@@ -51,11 +51,6 @@ type entrySlot struct {
 type CacheStats struct {
 	// Hits and Misses count lookups; Evictions counts LRU evictions.
 	Hits, Misses, Evictions uint64
-	// FingerHits counts exact misses that were instead served by galloping
-	// from a nearby cached entry (distance-sensitive finger search). A
-	// finger hit is also counted as a Miss — it is the miss path made
-	// cheap, not a cache hit.
-	FingerHits uint64
 	// Size is the current number of cached entry intervals.
 	Size int
 }
@@ -78,7 +73,6 @@ func newEntryCache(capacity int, r *obs.Registry, shard int) *entryCache {
 		c.obsHits = r.Counter(prefix + "hits")
 		c.obsMisses = r.Counter(prefix + "misses")
 		c.obsEvictions = r.Counter(prefix + "evictions")
-		c.obsFingerHits = r.Counter(prefix + "finger_hits")
 		r.RegisterFunc(prefix+"size", func() int64 { return int64(c.statsSnapshot().Size) })
 	}
 	return c
@@ -103,48 +97,6 @@ func (c *entryCache) lookup(node tree.NodeID, y catalog.Key) (int, bool) {
 	c.misses++
 	c.obsMisses.Inc()
 	return 0, false
-}
-
-// nearest returns the cached slot position whose interval endpoint is
-// key-closest to y at node, as a finger for the gallop entry after an
-// exact lookup miss, along with the key distance d = |y − endpoint| (the
-// quantity the finger gallop's O(log d) bound is sensitive to — the
-// flight recorder retains it so live traffic can confirm the bound). It
-// never counts as a hit or miss — the preceding lookup already counted
-// the miss — and touches no LRU state: the finger only seeds a gallop, it
-// is not an answer.
-func (c *entryCache) nearest(node tree.NodeID, y catalog.Key) (pos int, dist catalog.Key, ok bool) {
-	if c == nil || c.cap <= 0 {
-		return 0, 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slots := c.perNode[node]
-	if len(slots) == 0 {
-		return 0, 0, false
-	}
-	i := sort.Search(len(slots), func(i int) bool { return slots[i].hi >= y })
-	switch {
-	case i == len(slots):
-		return slots[i-1].pos, y - slots[i-1].hi, true
-	case i == 0:
-		return slots[0].pos, slots[0].hi - y, true
-	}
-	if y-slots[i-1].hi <= slots[i].hi-y {
-		return slots[i-1].pos, y - slots[i-1].hi, true
-	}
-	return slots[i].pos, slots[i].hi - y, true
-}
-
-// fingerHit records a miss that was served through the finger gallop.
-func (c *entryCache) fingerHit() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.fingerHits++
-	c.mu.Unlock()
-	c.obsFingerHits.Inc()
 }
 
 // insert caches (lo, hi] → pos for node, evicting the least-recently-used
@@ -208,5 +160,5 @@ func (c *entryCache) statsSnapshot() CacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, FingerHits: c.fingerHits, Size: c.size}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Size: c.size}
 }

@@ -118,11 +118,6 @@ type Answer struct {
 	// are immutable, so this flags a wrong cache entry, never a wrong
 	// answer.
 	CacheStale bool
-	// FingerHit reports a catalog query whose exact cache lookup missed
-	// but which entered by galloping from a nearby cached entry position
-	// (distance-sensitive finger search, Config.FingerCache). CacheHit is
-	// false — the finger makes the miss path cheap, it is not a hit.
-	FingerHit bool
 	// PhaseSteps decomposes Steps by algorithm phase per the Stats cost
 	// model, one slot per PhaseLabels entry — catalog and planar queries:
 	// "root-coop" (Step-1 cooperative rounds), "hop-descent" (block-jump
@@ -150,10 +145,6 @@ type Answer struct {
 	// when a flight recorder is attached (Config.Recorder); 0 otherwise —
 	// the uninstrumented hot path takes no clock readings per query.
 	WallNS int64
-	// FingerDist is the key distance d between the query key and the
-	// cached finger entry a FingerHit galloped from (the O(log d) cost
-	// driver); 0 unless FingerHit.
-	FingerDist int64
 }
 
 // BatchReport summarises one executed batch.
@@ -167,9 +158,6 @@ type BatchReport struct {
 	Steps int
 	// CacheHits and CacheMisses count catalog queries by entry outcome.
 	CacheHits, CacheMisses int
-	// FingerHits counts the subset of CacheMisses served by galloping from
-	// a nearby cached entry (Config.FingerCache).
-	FingerHits int
 	// Errors counts failed queries.
 	Errors int
 }
@@ -206,17 +194,10 @@ type Config struct {
 	Tracer obs.Tracer
 	// Recorder, when non-nil, retains per-query flight records (batched
 	// path only): request id, shard, kind, host wall ns, phase steps,
-	// cache outcome, finger distance, and error text, under the recorder's
-	// tail-sampling keep policy. Also enables per-query wall timing (see
-	// Answer.WallNS). Nil disables recording with zero hot-path cost.
+	// cache outcome, and error text, under the recorder's tail-sampling
+	// keep policy. Also enables per-query wall timing (see Answer.WallNS).
+	// Nil disables recording with zero hot-path cost.
 	Recorder *obs.FlightRecorder
-	// FingerCache upgrades the entry cache to distance-sensitive finger
-	// search: when a lookup misses exactly but a cached entry exists near
-	// the key on the same entry node, the search gallops from that finger
-	// position in O(log d) probes for key-distance d instead of paying the
-	// full O(log n) cooperative root search. Answers stay oracle-exact;
-	// only the charged entry rounds shrink. Off by default.
-	FingerCache bool
 }
 
 // defaultCacheSize is the per-shard entry cache capacity when unset.
@@ -436,9 +417,6 @@ func (e *Engine) execute(ctx context.Context, qs []Query) ([]Answer, BatchReport
 				rep.CacheHits++
 			} else {
 				rep.CacheMisses++
-				if answers[i].FingerHit {
-					rep.FingerHits++
-				}
 			}
 		}
 	}
@@ -515,7 +493,6 @@ func (e *Engine) observeBatch(answers []Answer, rep BatchReport, stepBase uint64
 			StepLo:    stepBase,
 			Rounds:    a.Rounds,
 			WallNS:    a.WallNS,
-			FingerD:   a.FingerDist,
 		}
 		switch {
 		case a.Err != nil:
@@ -525,8 +502,6 @@ func (e *Engine) observeBatch(answers []Answer, rep BatchReport, stepBase uint64
 			rec.Cache = "hit"
 		case a.CacheStale:
 			rec.Cache = "stale"
-		case a.FingerHit:
-			rec.Cache = "finger"
 		default:
 			rec.Cache = "miss"
 		}
@@ -704,24 +679,6 @@ func (e *Engine) runCatalog(a *Answer, q Query, p int, useCache bool) {
 			}
 			fillEntry(f, cache, q)
 			return
-		}
-		if e.cfg.FingerCache {
-			if finger, dist, ok := cache.nearest(q.Path[0], q.Key); ok {
-				// Exact miss with a nearby cached entry: gallop from the
-				// finger instead of paying the cooperative root search.
-				results, stats, used, err := f.SearchExplicitFromFinger(q.Key, q.Path, p, finger)
-				a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
-				if err == nil {
-					a.PhaseSteps = catalogPhases(stats)
-					fillEntry(f, cache, q)
-				}
-				if used {
-					a.FingerHit = true
-					a.FingerDist = int64(dist)
-					cache.fingerHit()
-				}
-				return
-			}
 		}
 	}
 	results, stats, err := f.SearchExplicit(q.Key, q.Path, p)

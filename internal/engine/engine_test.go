@@ -319,6 +319,54 @@ func TestCacheHitSkipsEntryRounds(t *testing.T) {
 	fx.checkAnswer(t, "cached", q, second[0])
 }
 
+// TestCacheHitNeverCostsMoreThanStep1 pins the cost claim the cache-hit
+// entry rests on: at every processor share, from a sequential one to a
+// share wider than the entry catalog, a validated cache hit is charged no
+// more steps and no more root rounds than the plain SearchExplicit of the
+// same query at the same share, which enters through the cooperative
+// Step 1.
+func TestCacheHitNeverCostsMoreThanStep1(t *testing.T) {
+	fx := buildFixture(t, 83, 1<<7, 8000)
+	rng := seededRNG(t, 84)
+	for _, procs := range []int{16, 512, 4096, 65536} {
+		e := fx.newEngine(t, Config{Procs: procs})
+		hits := 0
+		for b := 0; b < 64; b++ {
+			qs := make([]Query, 16)
+			for i := range qs {
+				shard := rng.Intn(2)
+				qs[i] = CatalogQuery(shard, fx.clusteredKey(rng), randomPath(fx.trees[shard], rng))
+			}
+			answers, _, err := e.ExecuteBatch(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range answers {
+				if a.Err != nil {
+					t.Fatalf("procs %d: %v", procs, a.Err)
+				}
+				if !a.CacheHit {
+					continue
+				}
+				hits++
+				q := a.Query
+				_, plain, err := e.shards[q.Shard].SearchExplicit(q.Key, q.Path, a.P)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Steps > plain.Steps || a.Rounds > plain.RootRounds {
+					t.Fatalf("procs %d, p %d, key %d: cache hit costs %d steps / %d rounds, Step 1 entry %d / %d",
+						procs, a.P, q.Key, a.Steps, a.Rounds, plain.Steps, plain.RootRounds)
+				}
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("procs %d: clustered workload produced no cache hits", procs)
+		}
+		t.Logf("procs %d: %d cache hits, none dearer than Step 1", procs, hits)
+	}
+}
+
 func TestBatchedThroughputBeatsSequential(t *testing.T) {
 	fx := buildFixture(t, 21, 64, 4000)
 	e := fx.newEngine(t, Config{Procs: 4096})

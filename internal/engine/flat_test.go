@@ -11,60 +11,48 @@ import (
 // the pointer structures they were frozen from: every answer's results,
 // Steps, Rounds and PhaseSteps must equal the core.Structure search that
 // enters the same way — the plain search for a miss, the validated entry
-// for a cache hit, the same finger for a finger entry.
+// for a cache hit.
 func TestFlatEngineMatchesPointer(t *testing.T) {
 	fx := buildFixture(t, 601, 1<<5, 2400)
 	rng := seededRNG(t, 601)
-	var misses, hits, fingers int
-	// A disabled cache makes every query a miss; a small finger cache
-	// mixes hits and finger entries.
+	var misses, hits int
+	// A disabled cache makes every query a miss; a small cache mixes hits
+	// and misses.
 	for _, cfg := range []Config{
 		{Procs: 256, Workers: 1, CacheSize: -1},
-		{Procs: 256, Workers: 1, CacheSize: 8, FingerCache: true},
+		{Procs: 256, Workers: 1, CacheSize: 8},
 	} {
 		e := fx.newEngine(t, cfg)
 		for i := 0; i < 300; i++ {
 			shard := rng.Intn(2)
 			q := CatalogQuery(shard, fx.clusteredKey(rng), randomPath(fx.trees[shard], rng))
 			st := fx.shards[shard]
-			// nearest is read-only: it names the finger the engine will
-			// gallop from if its exact lookup misses.
-			finger, _, haveFinger := e.caches[shard].nearest(q.Path[0], q.Key)
 			ans, _, err := e.ExecuteBatch([]Query{q})
 			if err != nil {
 				t.Fatal(err)
 			}
 			a := ans[0]
 			var (
-				want      []cascade.Result
-				stats     core.Stats
-				used      bool
-				wantEntry bool
+				want  []cascade.Result
+				stats core.Stats
+				used  bool
 			)
-			switch {
-			case a.CacheHit:
+			if a.CacheHit {
 				hits++
 				want, stats, used, err = st.SearchExplicitWithEntry(q.Key, q.Path, a.P, st.Cascade().Aug(q.Path[0]).Succ(q.Key))
-				wantEntry = true
-			case cfg.FingerCache && haveFinger:
-				if a.FingerHit {
-					fingers++
-				}
-				want, stats, used, err = st.SearchExplicitFromFinger(q.Key, q.Path, a.P, finger)
-				wantEntry = a.FingerHit
-			default:
+			} else {
 				misses++
 				want, stats, err = st.SearchExplicit(q.Key, q.Path, a.P)
 			}
 			if err != nil || a.Err != nil {
 				t.Fatalf("query %d: engine err %v, pointer err %v", i, a.Err, err)
 			}
-			if used != wantEntry || a.CacheStale {
-				t.Fatalf("query %d: pointer entry used=%v, engine hit=%v finger=%v stale=%v", i, used, a.CacheHit, a.FingerHit, a.CacheStale)
+			if used != a.CacheHit || a.CacheStale {
+				t.Fatalf("query %d: pointer entry used=%v, engine hit=%v stale=%v", i, used, a.CacheHit, a.CacheStale)
 			}
 			if a.Steps != stats.Steps || a.Rounds != stats.RootRounds || a.PhaseSteps != catalogPhases(stats) {
-				t.Fatalf("query %d (hit=%v finger=%v): steps %d rounds %d phases %v, pointer %+v",
-					i, a.CacheHit, a.FingerHit, a.Steps, a.Rounds, a.PhaseSteps, stats)
+				t.Fatalf("query %d (hit=%v): steps %d rounds %d phases %v, pointer %+v",
+					i, a.CacheHit, a.Steps, a.Rounds, a.PhaseSteps, stats)
 			}
 			if len(a.Results) != len(want) {
 				t.Fatalf("query %d: %d results, want %d", i, len(a.Results), len(want))
@@ -76,7 +64,7 @@ func TestFlatEngineMatchesPointer(t *testing.T) {
 			}
 		}
 	}
-	if misses == 0 || hits == 0 || fingers == 0 {
-		t.Fatalf("entry paths not all exercised: %d misses, %d hits, %d finger entries", misses, hits, fingers)
+	if misses == 0 || hits == 0 {
+		t.Fatalf("entry paths not all exercised: %d misses, %d hits", misses, hits)
 	}
 }

@@ -87,44 +87,6 @@ func TestFlightRecorderPropagation(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderFingerDistance checks a key-local workload produces
-// finger-hit records carrying the gallop distance d ≥ 1 (d = 0 would have
-// been an exact cache hit).
-func TestFlightRecorderFingerDistance(t *testing.T) {
-	fx := buildFixture(t, 33, 1<<5, 4000)
-	rec := obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: 4096})
-	e := fx.newEngine(t, Config{Procs: 4096, CacheSize: 4, FingerCache: true, Recorder: rec})
-	rng := seededRNG(t, 34)
-	for batch := 0; batch < 20; batch++ {
-		qs := make([]Query, 16)
-		for i := range qs {
-			qs[i] = CatalogQuery(0, fx.clusteredKey(rng), randomPath(fx.trees[0], rng))
-		}
-		if _, _, err := e.ExecuteBatch(qs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fingers := 0
-	for _, r := range rec.Records() {
-		switch r.Cache {
-		case "finger":
-			fingers++
-			if r.FingerD < 1 {
-				t.Fatalf("finger record %d has distance %d, want ≥ 1", r.ID, r.FingerD)
-			}
-		case "hit", "stale", "miss", "":
-		default:
-			t.Fatalf("record %d has unknown cache outcome %q", r.ID, r.Cache)
-		}
-		if r.Cache != "finger" && r.FingerD != 0 {
-			t.Fatalf("non-finger record %d carries distance %d", r.ID, r.FingerD)
-		}
-	}
-	if fingers == 0 {
-		t.Fatal("key-local workload produced no finger records")
-	}
-}
-
 // TestFlightRecorderErrorAgreement pins the failure-count contract the
 // serving layer relies on: the batch report, the recorder's error pool,
 // and the spans' error attributes must all count the same failures, with

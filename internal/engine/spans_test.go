@@ -19,8 +19,8 @@ type referenceEmitter struct {
 }
 
 // observe is the span emission loop observeBatch ran when it emitted an
-// obs.Span and its phase child spans per query, kept verbatim (apart from
-// the flight-record branch and plain counters for the atomic ones) as the
+// obs.Span and its phase child spans per query, kept (apart from the
+// flight-record branch and plain counters for the atomic ones) as the
 // reference the spans derived from flight records must equal.
 func (e *referenceEmitter) observe(answers []Answer, stepBase uint64) {
 	e.bid++
@@ -36,8 +36,6 @@ func (e *referenceEmitter) observe(answers []Answer, stepBase uint64) {
 				cacheOutcome = "hit"
 			case a.CacheStale:
 				cacheOutcome = "stale"
-			case a.FingerHit:
-				cacheOutcome = "finger"
 			default:
 				cacheOutcome = "miss"
 			}
@@ -89,14 +87,14 @@ func (e *referenceEmitter) observe(answers []Answer, stepBase uint64) {
 }
 
 // TestDerivedSpansMatchReference runs 1024 seeded queries on one worker —
-// catalog hits, misses and finger entries, point and spatial queries, and
+// catalog hits and misses, point and spatial queries, and
 // every 7th batch on a cancelled context — and checks that the spans the
 // record ring derives equal, field for field and in order, the spans the
 // reference loop emits for the same answers.
 func TestDerivedSpansMatchReference(t *testing.T) {
 	fx := buildFixture(t, 61, 1<<5, 3000)
 	ring := obs.NewRing(1 << 12)
-	e := fx.newEngine(t, Config{Procs: 1024, Workers: 1, CacheSize: 16, FingerCache: true, Tracer: ring})
+	e := fx.newEngine(t, Config{Procs: 1024, Workers: 1, CacheSize: 16, Tracer: ring})
 	ref := &referenceEmitter{tracer: &spanCollector{}}
 	cancelled, cancel := context.WithCancel(obs.WithRequestID(context.Background(), "ref-cancelled"))
 	cancel()
@@ -128,8 +126,6 @@ func TestDerivedSpansMatchReference(t *testing.T) {
 				seen["error"]++
 			case a.CacheHit:
 				seen["hit"]++
-			case a.FingerHit:
-				seen["finger"]++
 			case a.Query.Kind == KindCatalog:
 				seen["miss"]++
 			default:
@@ -137,7 +133,7 @@ func TestDerivedSpansMatchReference(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"error", "hit", "finger", "miss", "point", "spatial"} {
+	for _, k := range []string{"error", "hit", "miss", "point", "spatial"} {
 		if seen[k] == 0 {
 			t.Fatalf("workload has no %s queries (%v); the comparison would not cover them", k, seen)
 		}

@@ -121,28 +121,6 @@ func runDifferentialCase(t *testing.T, c int, caseSeed int64) {
 			}
 			diffResults(t, caseSeed, "SearchExplicitWithEntry", gr, wr)
 		}
-
-		// Finger entry: an in-range finger near the true entry, a random
-		// one, and an out-of-range one — the flat gallop must replicate the
-		// pointer gallop probe for probe (Stats bit-identical) and both must
-		// match the plain oracle's results.
-		headLen := st.Cascade().Aug(path[0]).Len()
-		for _, finger := range []int{f.EntryProbe(path[0], y), rng.Intn(headLen), headLen + rng.Intn(4)} {
-			wr, ws, wu, werr := st.SearchExplicitFromFinger(y, path, p, finger)
-			gr, gs, gu, gerr := f.SearchExplicitFromFinger(y, path, p, finger)
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("case seed %d: FromFinger(pos=%d) err %v, want %v", caseSeed, finger, gerr, werr)
-			}
-			if werr != nil {
-				continue
-			}
-			if gu != wu || gs != ws {
-				t.Fatalf("case seed %d: FromFinger(y=%d, p=%d, finger=%d) used=%v stats=%+v, want used=%v stats=%+v",
-					caseSeed, y, p, finger, gu, gs, wu, ws)
-			}
-			diffResults(t, caseSeed, "SearchExplicitFromFinger", gr, wr)
-			diffResults(t, caseSeed, "SearchExplicitFromFinger-oracle", gr, wantRes)
-		}
 	}
 
 	// Wall batch: every answer bit-identical to the pointer oracle.

@@ -11,7 +11,7 @@ import (
 // FlightRecorder is the always-on per-query flight recorder: a fixed set
 // of record slots with a tail-sampling keep policy. Metrics say *that*
 // p99 spiked; the recorder says *which* queries did it and why (shard,
-// cache outcome, finger distance, phase step split, error text).
+// cache outcome, phase step split, error text).
 //
 // Keep policy, in priority order:
 //   - every error (ring of the most recent Errors failures),
@@ -146,7 +146,6 @@ type FlightRecord struct {
 	Rounds    int       `json:"rounds,omitempty"`
 	WallNS    int64     `json:"wall_ns"`
 	Cache     string    `json:"cache,omitempty"`
-	FingerD   int64     `json:"finger_d,omitempty"`
 	Phases    PhaseList `json:"phases"`
 	Err       string    `json:"err,omitempty"`
 }

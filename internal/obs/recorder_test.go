@@ -118,7 +118,7 @@ func TestFlightRecorderAllocs(t *testing.T) {
 	// Prime past the reservoir fill so the measured loop is steady state.
 	rec := FlightRecord{
 		ID: 1, Kind: "catalog", Shard: 2, P: 64, Steps: 12, WallNS: 1000,
-		Cache:  "finger",
+		Cache:  "miss",
 		Phases: PhaseList{{Label: "root-coop", Steps: 4}, {Label: "seq-tail", Steps: 8}},
 	}
 	for i := 0; i < 200; i++ {

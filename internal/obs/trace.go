@@ -40,9 +40,8 @@ type Span struct {
 	// Cache is the entry-cache outcome of a catalog query: "hit", "miss",
 	// "stale" (a hit whose hinted position failed O(1) revalidation
 	// against the frozen catalog, so the query fell back to the full entry
-	// search), or "finger" (an exact miss that entered by galloping from a
-	// nearby cached entry). Empty for non-catalog and failed queries, phase
-	// children, and uncached execution. CacheHit mirrors Cache == "hit".
+	// search). Empty for non-catalog and failed queries, phase children,
+	// and uncached execution. CacheHit mirrors Cache == "hit".
 	Cache    string `json:"cache,omitempty"`
 	CacheHit bool   `json:"cache_hit,omitempty"`
 	// Err is the failure message, "" on success.

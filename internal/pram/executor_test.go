@@ -3,6 +3,8 @@ package pram
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"fraccascade/internal/faults"
@@ -384,35 +386,42 @@ func TestVirtualMachineConcurrentUseGuard(t *testing.T) {
 }
 
 // TestExecutorKindRoundTrip covers the flag plumbing used by
-// cmd/coopbench and cmd/plquery.
+// cmd/coopbench and cmd/plquery: every kind with a flag spelling parses
+// back to itself and builds, so no accepted -executor value can reach
+// MustNewExecutor only to panic there.
 func TestExecutorKindRoundTrip(t *testing.T) {
-	for _, name := range []string{"barrier", "virtual", "uncosted"} {
-		k, err := ParseExecutorKind(name)
+	var names []string
+	for k := ExecutorKind(0); !strings.HasPrefix(k.String(), "ExecutorKind("); k++ {
+		name := k.String()
+		names = append(names, name)
+		got, err := ParseExecutorKind(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k.String() != name {
-			t.Fatalf("round trip: %q -> %v", name, k)
+		if got != k {
+			t.Fatalf("round trip: %v -> %q -> %v", k, name, got)
 		}
 		x, err := NewExecutor(k, CREW, 4)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("ParseExecutorKind accepts %q but NewExecutor refuses it: %v", name, err)
 		}
 		if x.Procs() != 4 || x.Model() != CREW {
 			t.Fatalf("NewExecutor(%v) misconfigured: procs=%d model=%v", k, x.Procs(), x.Model())
 		}
 	}
-	// KindWall parses and prints like the simulated kinds but is native:
-	// NewExecutor must refuse to build a simulated machine for it.
-	k, err := ParseExecutorKind("wall")
-	if err != nil {
-		t.Fatal(err)
+	if want := []string{"barrier", "virtual", "uncosted"}; !slices.Equal(names, want) {
+		t.Fatalf("executor names %v, want %v", names, want)
 	}
-	if k != KindWall || k.String() != "wall" {
-		t.Fatalf("round trip: %q -> %v", "wall", k)
-	}
-	if _, err := NewExecutor(KindWall, CREW, 4); err == nil {
-		t.Fatal("NewExecutor built a simulated machine for the native wall kind")
+	// "wall" names no simulated machine: the parser rejects it and says
+	// which names it takes.
+	if _, err := ParseExecutorKind("wall"); err == nil {
+		t.Fatal(`ParseExecutorKind accepted "wall"`)
+	} else {
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("error %q does not list executor %q", err, name)
+			}
+		}
 	}
 	if _, err := ParseExecutorKind("warp"); err == nil {
 		t.Fatal("unknown executor name accepted")

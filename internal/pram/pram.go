@@ -571,13 +571,6 @@ const (
 	KindVirtual
 	// KindUncosted is the tracing-free Uncosted executor.
 	KindUncosted
-	// KindWall is the native wall-clock executor over the flat layout
-	// (internal/workpool.Pool running flat searches): real goroutines,
-	// host nanoseconds instead of simulated steps. It parses like the
-	// simulated kinds so front ends (coopbench -executor wall) can select
-	// it, but it is not a simulated PRAM — NewExecutor rejects it; callers
-	// run their searches through workpool.Pool.Run directly.
-	KindWall
 )
 
 // String returns the flag spelling of the kind.
@@ -589,15 +582,13 @@ func (k ExecutorKind) String() string {
 		return "virtual"
 	case KindUncosted:
 		return "uncosted"
-	case KindWall:
-		return "wall"
 	default:
 		return fmt.Sprintf("ExecutorKind(%d)", int(k))
 	}
 }
 
-// ParseExecutorKind maps a flag value ("barrier", "virtual", "uncosted",
-// "wall") to its ExecutorKind.
+// ParseExecutorKind maps a flag value ("barrier", "virtual", "uncosted")
+// to its ExecutorKind.
 func ParseExecutorKind(s string) (ExecutorKind, error) {
 	switch s {
 	case "barrier":
@@ -606,10 +597,8 @@ func ParseExecutorKind(s string) (ExecutorKind, error) {
 		return KindVirtual, nil
 	case "uncosted":
 		return KindUncosted, nil
-	case "wall":
-		return KindWall, nil
 	default:
-		return 0, fmt.Errorf("pram: unknown executor %q (want barrier, virtual, uncosted, or wall)", s)
+		return 0, fmt.Errorf("pram: unknown executor %q (want barrier, virtual, or uncosted)", s)
 	}
 }
 
@@ -630,8 +619,6 @@ func NewExecutor(kind ExecutorKind, model Model, procs int) (Executor, error) {
 		return NewVirtual(model, procs)
 	case KindUncosted:
 		return NewUncosted(model, procs)
-	case KindWall:
-		return nil, fmt.Errorf("pram: the wall executor is native, not a simulated PRAM; run the searches through workpool.Pool.Run directly")
 	default:
 		return nil, fmt.Errorf("pram: unknown executor kind %d", int(kind))
 	}
