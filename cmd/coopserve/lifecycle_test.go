@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -189,6 +190,27 @@ func TestPanicRecovery(t *testing.T) {
 		if n := counterValue(t, s, "serve.panics"); n != int64(i) {
 			t.Fatalf("serve.panics = %d, want %d", n, i)
 		}
+	}
+}
+
+// TestServedCatalogsPinned: the default shape's catalog shards, built with
+// a snapshot path, encode to the same snapshot bytes on every build. Any
+// change to the generator's draw order, the catalogs it draws or the
+// snapshot encoder changes the Binding and fails here.
+func TestServedCatalogsPinned(t *testing.T) {
+	want := snapshot.Binding{CRC: 0x94e33cd3, Size: 187849}
+	cfg := defaultServerConfig()
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
+	frozen, bind, err := newServerShell(cfg).buildShards(newCollector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frozen) != cfg.Shards || bind != want {
+		t.Fatalf("built %d shards bound to %#x, want %d bound to %#x", len(frozen), bind, cfg.Shards, want)
+	}
+	gen, streamed, err := snapshot.Bind(cfg.SnapshotPath)
+	if err != nil || gen != cfg.generation() || streamed != want {
+		t.Fatalf("Bind = %#x %#x (err %v), want generation %#x and %#x", gen, streamed, err, cfg.generation(), want)
 	}
 }
 
@@ -501,6 +523,29 @@ func TestSidecarRestore(t *testing.T) {
 	}
 }
 
+// TestUnsavableSnapshotServes: a snapshot path inside a directory that
+// does not exist cannot be saved. The boot still builds every shard, the
+// ones the failed save did not ask for through buildShards' fallback loop,
+// and answers oracle-exact; it counts no save, writes no sidecar and leaves
+// no file behind.
+func TestUnsavableSnapshotServes(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	cfg.SnapshotPath = filepath.Join(dir, "missing", "shards.snap")
+	s, made := countingBoot(t, cfg)
+	if s.view != nil || made != cfg.Shards || len(s.catalogs) != cfg.Shards {
+		t.Fatalf("mapped %v, %d shard structures made, %d served; want %d built", s.view != nil, made, len(s.catalogs), cfg.Shards)
+	}
+	if n := counterValue(t, s, "serve.snapshot.saves"); n != 0 {
+		t.Fatalf("serve.snapshot.saves = %d, want 0", n)
+	}
+	req, check := oracleRequest(t, cfg, 24, 17)
+	check(t, queryAnswers(t, s, req))
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("the boot left %v in the snapshot's parent (err %v)", left, err)
+	}
+}
+
 // truncate cuts the file at path to size bytes.
 func truncate(t *testing.T, path string, size int64) {
 	t.Helper()
@@ -536,6 +581,8 @@ func TestBadShapeFlags(t *testing.T) {
 		{"shards=-1", func(c *serverConfig) { c.Shards = -1 }, "-shards"},
 		{"entries=0", func(c *serverConfig) { c.Entries = 0 }, "-entries"},
 		{"entries=-5", func(c *serverConfig) { c.Entries = -5 }, "-entries"},
+		{"entries=1<<61", func(c *serverConfig) { c.Entries = 1 << 61 }, "-entries"},
+		{"entries=MaxInt32+1", func(c *serverConfig) { c.Entries = math.MaxInt32 + 1 }, "-entries"},
 		{"entries=1", func(c *serverConfig) { c.Entries = 1 }, ""},
 		{"entries=10,leaves=128", func(c *serverConfig) { c.Entries, c.Leaves = 10, 128 }, ""},
 	} {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -102,8 +103,8 @@ func (c serverConfig) validate() error {
 		return fmt.Errorf("-batch=%d: want at least 1", c.BatchSize)
 	case c.Shards < 0:
 		return fmt.Errorf("-shards=%d: want at least 0", c.Shards)
-	case c.Entries < 1:
-		return fmt.Errorf("-entries=%d: want at least 1", c.Entries)
+	case c.Entries < 1 || c.Entries > math.MaxInt32: // the frozen layout's cap per shard
+		return fmt.Errorf("-entries=%d: want 1 to %d", c.Entries, math.MaxInt32)
 	}
 	return nil
 }
@@ -220,15 +221,15 @@ func newServer(cfg serverConfig) (*server, error) {
 // build builds and freezes the geometric locators, maps or builds and
 // freezes the catalog shards, wires the engine, and flips the server to
 // ready. Each pointer structure is built, frozen and dropped before the
-// next one starts, with the collection rule applied in between (see
-// collector), so at most one is live at a time and none is reachable once
-// the server is ready; a mapped restore creates none. The geometry comes
-// first, while the heap holds nothing else. The catalog shards and the
-// geometry draw from independently seeded streams so a restore (which
-// skips shard generation) serves the exact same subdivision and complex as
-// a from-scratch build. A boot that built its shards with a snapshot path
-// then, once ready, streams them into the sidecar beside the snapshot, so
-// the next boot maps them.
+// next one starts, with the collection rule applied in between and after
+// the last (see collector), so at most one is live at a time and none is
+// reachable once the server is ready; a mapped restore creates none. The
+// geometry comes first, while the heap holds nothing else. The catalog
+// shards and the geometry draw from independently seeded streams so a
+// restore (which skips shard generation) serves the exact same subdivision
+// and complex as a from-scratch build. A boot that built its shards with a
+// snapshot path then, once ready, streams them into the sidecar beside the
+// snapshot, so the next boot maps them.
 func (s *server) build() error {
 	start := time.Now()
 	if err := s.cfg.validate(); err != nil {
@@ -246,6 +247,7 @@ func (s *server) build() error {
 			return err
 		}
 	}
+	gc.next()
 	s.catalogs = catalogs
 	eng, err := engine.NewFrozen(engine.Config{
 		Procs:     s.cfg.Procs,
@@ -298,11 +300,11 @@ func (s *server) buildGeometry(gc *collector) (*pointloc.Frozen, *spatial.Frozen
 }
 
 // collector applies the boot's collection rule: before the next pointer
-// structure is built, collect if the previous one allocated at least
-// collectAfterBytes. Its pointer structures are garbage by then.
-// Left to the pacer, whose goal was set while they were live, the next
-// build grows the heap on top of them; a collection here marks only the
-// frozen layouts built so far.
+// structure is built, and before the server turns ready, collect if the
+// previous one allocated at least collectAfterBytes. Its pointer
+// structures are garbage by then. Left to the pacer, whose goal was set
+// while they were live, the next build, or serving, grows the heap on top
+// of them; a collection here marks only the frozen layouts built so far.
 type collector struct{ mark uint64 }
 
 // newCollector starts measuring the first structure's allocation.
@@ -375,11 +377,11 @@ func (s *server) notePointers(objs ...any) {
 	}
 }
 
-// buildShards draws each catalog shard's catalogs from the cfg.Seed
-// stream in shard order, builds it, hands it to the snapshot writer (with
-// a snapshot path), freezes it and drops it, and returns the frozen
-// shards and the Binding of the snapshot it wrote. A snapshot that fails
-// to save only logs, and the Binding is zero: the shards serve anyway.
+// buildShards draws each shard's catalogs from the cfg.Seed stream in
+// shard order, builds and freezes it, and (with a snapshot path) streams it
+// into the snapshot before the next is built. It returns the frozen shards
+// and the snapshot's Binding. A snapshot that fails to save only logs, and
+// the Binding is zero: the shards serve anyway.
 func (s *server) buildShards(gc *collector) ([]*flat.Structure, snapshot.Binding, error) {
 	rng := rand.New(rand.NewSource(s.cfg.Seed))
 	frozen := make([]*flat.Structure, 0, s.cfg.Shards)
@@ -415,8 +417,8 @@ func (s *server) buildShards(gc *collector) ([]*flat.Structure, snapshot.Binding
 			s.obsSnapSave.Inc()
 		}
 	}
-	// Without a snapshot, or after a save that stopped early, build the
-	// rest here.
+	// Without a snapshot, or after a save that stopped early (it can fail
+	// before any shard or after any), build the rest here.
 	for len(frozen) < s.cfg.Shards {
 		if _, err := next(len(frozen)); err != nil {
 			return nil, snapshot.Binding{}, err
@@ -547,9 +549,11 @@ func (s *server) awaitDrain(timeout time.Duration) bool {
 
 // randomCatalogs builds one random catalog per node totalling roughly
 // `total` entries, with skewed per-node sizes (the same workload shape the
-// benchmarks use).
+// benchmarks use). A node redraws keys it holds, found in one bitset over
+// the keys [0, 8·total), which it clears before the next node draws.
 func randomCatalogs(t *tree.Tree, total int, rng *rand.Rand) []catalog.Catalog {
 	cats := make([]catalog.Catalog, t.N())
+	seen := make([]uint64, (total*8+63)/64)
 	for v := range cats {
 		var size int
 		switch rng.Intn(3) {
@@ -560,15 +564,18 @@ func randomCatalogs(t *tree.Tree, total int, rng *rand.Rand) []catalog.Catalog {
 		default:
 			size = rng.Intn(max(1, 4*total/(t.N()+1)))
 		}
-		seen := map[catalog.Key]bool{}
 		keys := make([]catalog.Key, 0, size)
 		for len(keys) < size {
-			k := catalog.Key(rng.Intn(total * 8))
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
+			k := rng.Intn(total * 8)
+			if bit := uint64(1) << (k & 63); seen[k>>6]&bit == 0 {
+				seen[k>>6] |= bit
+				keys = append(keys, catalog.Key(k))
 			}
 		}
+		for _, k := range keys {
+			seen[k>>6] = 0
+		}
+		slices.Sort(keys)
 		cats[v] = catalog.MustFromKeys(keys, nil)
 	}
 	return cats

@@ -219,14 +219,15 @@ func appendHeader(dst []byte, generation uint64, sections int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst, castagnoli))
 }
 
-// appendSection frames one section: header, payload, and a CRC32C over
-// both.
-func appendSection(dst []byte, id uint32, payload []byte) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, id)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+// sectionHeaderSize is a section's id and payload length.
+const sectionHeaderSize = 4 + 8
+
+// frameSection frames one section in place: it fills in the header room at
+// the front of sec, before the payload, and appends a CRC32C over both.
+func frameSection(sec []byte, id uint32) []byte {
+	binary.LittleEndian.PutUint32(sec, id)
+	binary.LittleEndian.PutUint64(sec[4:], uint64(len(sec)-sectionHeaderSize))
+	return binary.LittleEndian.AppendUint32(sec, crc32.Checksum(sec, castagnoli))
 }
 
 // parseHeader validates magic, version, and header checksum, returning the
@@ -260,17 +261,16 @@ func parseHeader(data []byte) (generation uint64, sections uint32, off int, err 
 
 // nextSection parses the section starting at off, verifying its checksum.
 func nextSection(data []byte, off int) (id uint32, payload []byte, next int, err error) {
-	const secHeader = 4 + 8
-	if len(data)-off < secHeader+4 {
+	if len(data)-off < sectionHeaderSize+4 {
 		return 0, nil, 0, corruptf(ErrTruncated, "section header at offset %d", off)
 	}
 	id = binary.LittleEndian.Uint32(data[off:])
 	plen := binary.LittleEndian.Uint64(data[off+4:])
-	if plen > uint64(len(data)-off-secHeader-4) {
+	if plen > uint64(len(data)-off-sectionHeaderSize-4) {
 		return 0, nil, 0, corruptf(ErrTruncated, "section %d payload of %d bytes at offset %d", id, plen, off)
 	}
-	payload = data[off+secHeader : off+secHeader+int(plen)]
-	sumOff := off + secHeader + int(plen)
+	payload = data[off+sectionHeaderSize : off+sectionHeaderSize+int(plen)]
+	sumOff := off + sectionHeaderSize + int(plen)
 	sum := binary.LittleEndian.Uint32(data[sumOff:])
 	if crc32.Checksum(data[off:sumOff], castagnoli) != sum {
 		return 0, nil, 0, corruptf(ErrChecksum, "section %d at offset %d", id, off)

@@ -88,40 +88,35 @@ func Save(path string, st *Store) error {
 
 // SaveFS is Save over an injectable filesystem, for fault testing.
 func SaveFS(fsys FS, path string, st *Store) error {
-	if st == nil {
-		return fmt.Errorf("snapshot: empty store")
-	}
-	data, err := encodeShards(st.Generation, st.kinds(), st.shard)
+	data, err := Encode(st)
 	if err != nil {
 		return err
 	}
-	return writeFile(fsys, path, data)
-}
-
-// SaveShards writes a snapshot of len(kinds) shards to path as crash-safely
-// as Save, one shard at a time: it calls next(i) for shard i, in order, and
-// encodes that shard before it asks for the next. A caller that builds each
-// shard inside next and keeps nothing of it holds at most one shard's
-// pointer structure at a time. The bytes equal Encode's for a store of the
-// same shards, and the returned Binding names them. An error from next
-// aborts the save and is returned as is.
-func SaveShards(path string, generation uint64, kinds []Kind, next func(i int) (Shard, error)) (Binding, error) {
-	data, err := encodeShards(generation, kinds, next)
-	if err != nil {
-		return Binding{}, err
-	}
-	return bindingOf(data), writeFile(OSFS{}, path, data)
-}
-
-// writeFile writes data to a temp file in path's directory through fsys
-// and commits it over path.
-func writeFile(fsys FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.WriteTemp(dir, ".snapshot-*.tmp", data)
 	if err != nil {
 		return fmt.Errorf("snapshot: write temp in %s: %w", dir, err)
 	}
 	return commit(fsys, tmp, path)
+}
+
+// SaveShards writes a snapshot of len(kinds) shards to path as crash-safely
+// as Save, one shard at a time: it calls next(i) for shard i, in order, and
+// streams that shard into the temp file before it asks for the next. A
+// caller that builds each shard inside next and keeps nothing of it holds
+// at most one shard's pointer structure at a time. The bytes equal Encode's
+// for a store of the same shards, and the returned Binding names them. An
+// error from next aborts the save, after any shards, and is returned as is.
+func SaveShards(path string, generation uint64, kinds []Kind, next func(i int) (Shard, error)) (Binding, error) {
+	var bind Binding
+	tmp, err := writeTemp(filepath.Dir(path), ".snapshot-*.tmp", func(w io.Writer) (err error) {
+		bind, err = encodeShards(w, generation, kinds, next)
+		return err
+	})
+	if err != nil {
+		return Binding{}, err
+	}
+	return bind, commit(OSFS{}, tmp, path)
 }
 
 // commit renames a written temp file over path and fsyncs the directory,

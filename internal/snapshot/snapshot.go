@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -48,7 +49,11 @@ func Encode(st *Store) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("snapshot: empty store")
 	}
-	return encodeShards(st.Generation, st.kinds(), st.shard)
+	var out bytes.Buffer
+	if _, err := encodeShards(&out, st.Generation, st.kinds(), st.shard); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
 
 // kinds lists the store's shard kinds in order.
@@ -63,13 +68,13 @@ func (st *Store) kinds() []Kind {
 // shard hands out the store's shards to encodeShards.
 func (st *Store) shard(i int) (Shard, error) { return st.Shards[i], nil }
 
-// encodeShards is the snapshot encoder. It writes the header and the
-// manifest for kinds, then calls next for each shard in order and appends
-// that shard's sections before it asks for the following one, so a caller
-// that builds each shard inside next holds one at a time.
-func encodeShards(generation uint64, kinds []Kind, next func(i int) (Shard, error)) ([]byte, error) {
+// encodeShards is the snapshot encoder. It writes the header and manifest
+// for kinds to w, then each shard next returns, in order, before it asks
+// for the following one, so a caller that builds each shard inside next
+// holds one at a time. It returns the Binding of the bytes it wrote.
+func encodeShards(w io.Writer, generation uint64, kinds []Kind, next func(i int) (Shard, error)) (Binding, error) {
 	if len(kinds) == 0 {
-		return nil, fmt.Errorf("snapshot: empty store")
+		return Binding{}, fmt.Errorf("snapshot: empty store")
 	}
 	sections := 1 // the manifest
 	manifest := &writer{}
@@ -81,51 +86,79 @@ func encodeShards(generation uint64, kinds []Kind, next func(i int) (Shard, erro
 		case KindDynamic:
 			sections += 4
 		default:
-			return nil, fmt.Errorf("snapshot: shard %d: unknown kind %d", i, kind)
+			return Binding{}, fmt.Errorf("snapshot: shard %d: unknown kind %d", i, kind)
 		}
 		manifest.byteVal(byte(kind))
 	}
-	out := appendHeader(nil, generation, sections)
-	out = appendSection(out, secManifest, manifest.buf)
-	for i, kind := range kinds {
+	e := &encoder{w: w}
+	e.write(appendHeader(nil, generation, sections))
+	e.section(secManifest, func(m *writer) { m.buf = append(m.buf, manifest.buf...) })
+	for i := 0; i < len(kinds) && e.err == nil; i++ {
 		sh, err := next(i)
 		if err != nil {
-			return nil, err
+			return Binding{}, err
 		}
-		if sh.Kind != kind {
-			return nil, fmt.Errorf("snapshot: shard %d has kind %d, the manifest says %d", i, sh.Kind, kind)
+		if sh.Kind != kinds[i] {
+			return Binding{}, fmt.Errorf("snapshot: shard %d has kind %d, the manifest says %d", i, sh.Kind, kinds[i])
 		}
-		if out, err = appendShard(out, sh); err != nil {
-			return nil, fmt.Errorf("snapshot: shard %d: %w", i, err)
+		if err := e.shard(sh); err != nil {
+			return Binding{}, fmt.Errorf("snapshot: shard %d: %w", i, err)
 		}
 	}
-	return out, nil
+	return e.bind, e.err
 }
 
-// appendShard appends one shard's sections: tree, cascade, core, and for a
+// encoder writes a snapshot to w one section at a time, each encoded in
+// its writer's buffer, which is reused across sections and shards, and
+// accumulates the Binding of what it wrote. A failed write is its last.
+type encoder struct {
+	writer
+	w    io.Writer
+	bind Binding
+	err  error
+}
+
+func (e *encoder) write(p []byte) {
+	_, e.err = e.w.Write(p)
+	e.bind.CRC = crc32.Update(e.bind.CRC, crc32.IEEETable, p)
+	e.bind.Size += int64(len(p))
+}
+
+// section writes section id, whose payload encode appends to e.buf.
+func (e *encoder) section(id uint32, encode func(*writer)) {
+	if e.err != nil {
+		return
+	}
+	e.buf = append(e.buf[:0], make([]byte, sectionHeaderSize)...)
+	encode(&e.writer)
+	e.buf = frameSection(e.buf, id)
+	e.write(e.buf)
+}
+
+// shard writes one shard's sections: tree, cascade, core, and for a
 // dynamic shard its committed catalogs and pending overlays.
-func appendShard(out []byte, sh Shard) ([]byte, error) {
+func (e *encoder) shard(sh Shard) error {
 	stc := sh.Static
 	if sh.Kind == KindDynamic {
 		if sh.Dynamic == nil {
-			return nil, fmt.Errorf("nil dynamic structure")
+			return fmt.Errorf("nil dynamic structure")
 		}
 		stc = sh.Dynamic.Static()
 	}
 	if stc == nil {
-		return nil, fmt.Errorf("nil structure")
+		return fmt.Errorf("nil structure")
 	}
 	coreState, err := stc.ExportState()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out = appendSection(out, secTree, encodeTree(stc.Tree()).buf)
-	out = appendSection(out, secCascade, encodeCascade(stc.Cascade().ExportParts()).buf)
-	out = appendSection(out, secCore, encodeCore(coreState).buf)
+	e.section(secTree, func(w *writer) { encodeTree(w, stc.Tree()) })
+	e.section(secCascade, func(w *writer) { encodeCascade(w, stc.Cascade().ExportParts()) })
+	e.section(secCore, func(w *writer) { encodeCore(w, coreState) })
 	if sh.Kind == KindDynamic {
-		out = appendSection(out, secDynamic, encodeDynamic(sh.Dynamic.ExportState()).buf)
+		e.section(secDynamic, func(w *writer) { encodeDynamic(w, sh.Dynamic.ExportState()) })
 	}
-	return out, nil
+	return nil
 }
 
 // Decode reassembles a store from snapshot bytes. Every defect returns a
@@ -387,9 +420,8 @@ func (r *reader) u32i() int32 {
 	return int32(v)
 }
 
-func encodeTree(t *tree.Tree) *writer {
+func encodeTree(w *writer, t *tree.Tree) {
 	parent, order := t.ExportParents()
-	w := &writer{}
 	w.uint(len(parent))
 	for _, p := range parent {
 		w.i64(int64(p))
@@ -397,7 +429,6 @@ func encodeTree(t *tree.Tree) *writer {
 	for _, o := range order {
 		w.u64(uint64(o))
 	}
-	return w
 }
 
 func decodeTree(payload []byte) (*tree.Tree, error) {
@@ -425,8 +456,7 @@ func decodeTree(payload []byte) (*tree.Tree, error) {
 // augmented catalog plus bridge arrays. Native catalogs are not stored:
 // a node's native catalog is exactly the native-flagged subsequence of
 // its augmented catalog, so decode reconstructs it.
-func encodeCascade(p cascade.Parts) *writer {
-	w := &writer{}
+func encodeCascade(w *writer, p cascade.Parts) {
 	w.uint(p.Stride)
 	w.boolVal(p.Bidirectional)
 	w.uint(len(p.Aug))
@@ -444,7 +474,6 @@ func encodeCascade(p cascade.Parts) *writer {
 			}
 		}
 	}
-	return w
 }
 
 func decodeCascade(t *tree.Tree, payload []byte, parallelism int) (*cascade.Structure, error) {
@@ -532,8 +561,7 @@ func decodeCatalogPair(r *reader) (aug, native catalog.Catalog, err error) {
 	return aug, native, nil
 }
 
-func encodeCore(st core.State) *writer {
-	w := &writer{}
+func encodeCore(w *writer, st core.State) {
 	w.boolVal(st.Cfg.NoTruncation)
 	w.uint(st.Cfg.MaxSubs)
 	w.boolVal(st.Cfg.Sequential)
@@ -556,7 +584,6 @@ func encodeCore(st core.State) *writer {
 			}
 		}
 	}
-	return w
 }
 
 func decodeCore(cs *cascade.Structure, payload []byte, parallelism int) (*core.Structure, error) {
@@ -600,8 +627,7 @@ func decodeCore(cs *cascade.Structure, payload []byte, parallelism int) (*core.S
 	return stc, nil
 }
 
-func encodeDynamic(st dynamic.State) *writer {
-	w := &writer{}
+func encodeDynamic(w *writer, st dynamic.State) {
 	w.uint(st.Capacity)
 	w.u64(st.Generation)
 	w.uint(len(st.Keys))
@@ -625,7 +651,6 @@ func encodeDynamic(st dynamic.State) *writer {
 			w.i64(k)
 		}
 	}
-	return w
 }
 
 func decodeDynamic(stc *core.Structure, payload []byte) (*dynamic.Structure, error) {

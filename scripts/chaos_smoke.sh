@@ -12,9 +12,10 @@
 # writes once ready); then boot a second instance against the same path and
 # assert it restores by mapping that sidecar instead of rebuilding, and
 # serves the same answers. A third boot, over a truncated sidecar, must
-# build and serve byte-identical answers, and a fourth must map the sidecar
-# that build rewrote; a boot with another -seed over the same path must
-# refuse the snapshot and build.
+# build and serve byte-identical answers, and write the same snapshot and
+# sidecar bytes the first build did; a fourth must map the sidecar that
+# build rewrote; a boot with another -seed over the same path must refuse
+# the snapshot and build.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,6 +87,8 @@ if ! cmp -s "$SNAP" "$WORK/built.snap" || [ "$(ls -i "$SNAP" | awk '{print $1}')
     echo "chaos-smoke: the drain rewrote the build-time snapshot" >&2
     exit 1
 fi
+# The drain waited for the sidecar, so it is whole by now.
+cp "$SNAP.flat" "$WORK/built.flat"
 
 # boot N [flags...]: start a daemon logging to bootN.log and wait for ready.
 boot() {
@@ -137,6 +140,11 @@ if [ "$FIRST" != "$THIRD" ]; then
     exit 1
 fi
 stop
+# Two builds from the same flags write the same files.
+if ! cmp "$SNAP" "$WORK/built.snap" || ! cmp "$SNAP.flat" "$WORK/built.flat"; then
+    echo "chaos-smoke: the rebuild wrote a snapshot or sidecar that differs from the first build's" >&2
+    exit 1
+fi
 
 # Fourth boot: must map the sidecar the third boot rewrote and serve the
 # same answers.
