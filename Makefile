@@ -52,12 +52,13 @@ test-snapshot:
 # zero-alloc guards under the race detector, plus short fuzz smokes of the
 # freeze round-trip, the bounds-validated blob decoder (hostile bytes:
 # typed error or a queryable structure, never a panic), and the frozen
-# planar locator against the pointer one.
+# planar and spatial locators against the pointer ones.
 test-flat:
 	$(GO) test -race ./internal/flat
 	$(GO) test -run='^$$' -fuzz=FuzzFlatFreeze -fuzztime=10s ./internal/flat
 	$(GO) test -run='^$$' -fuzz=FuzzFlatDecode -fuzztime=10s ./internal/flat
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenLocate -fuzztime=10s ./internal/pointloc
+	$(GO) test -run='^$$' -fuzz=FuzzFrozenSpatialLocate -fuzztime=10s ./internal/spatial
 
 race:
 	$(GO) test -race ./internal/pram/... ./internal/parallel/... ./internal/workpool/... ./internal/cascade/... ./internal/engine/... ./internal/obs/... ./internal/flat/... ./internal/pointloc/... ./internal/spatial/... ./internal/rangetree/... ./internal/snapshot/... ./internal/segtree/... ./cmd/coopserve/...

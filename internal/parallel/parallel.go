@@ -40,20 +40,24 @@ func FloorLog2(x int) int {
 // CoopSearchSteps returns the number of synchronous rounds a p-processor
 // CREW cooperative search needs on a sorted array of n keys:
 // ⌈log(n+1) / log(p+1)⌉. This is Θ((log n)/log p), optimal by Snir's
-// lower bound for parallel comparison search.
+// lower bound for parallel comparison search. A non-positive p counts as 1.
 func CoopSearchSteps(n, p int) int {
 	if n <= 0 {
 		return 0
 	}
-	if p < 1 {
-		p = 1
+	if p <= 1 {
+		return bits.Len(uint(n)) // the smallest r with 2^r ≥ n+1
 	}
-	// Number of rounds r such that (p+1)^r >= n+1.
-	r := 0
-	remaining := n + 1
-	for remaining > 1 {
-		remaining = (remaining + p) / (p + 1)
-		r++
+	// The smallest r with (p+1)^r > n: multiply up until the power passes
+	// n, or passes 2^64 and with it every int.
+	base := uint64(p) + 1
+	r, pow := 1, base
+	for pow <= uint64(n) {
+		hi, lo := bits.Mul64(pow, base)
+		if hi != 0 {
+			return r + 1
+		}
+		r, pow = r+1, lo
 	}
 	return r
 }

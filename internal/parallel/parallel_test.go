@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -120,6 +121,56 @@ func TestCoopSearchStepsShape(t *testing.T) {
 	}
 	if s := CoopSearchSteps(n, 1); s < 16 {
 		t.Errorf("p = 1 should give ~log n rounds, got %d", s)
+	}
+}
+
+// ceilDivSteps is the ceil-division form of CoopSearchSteps, exact while
+// n + p + 1 does not overflow: the reference for TestCoopSearchStepsExact.
+func ceilDivSteps(n, p int) int {
+	if n <= 0 {
+		return 0
+	}
+	if p < 1 {
+		p = 1
+	}
+	r := 0
+	for remaining := n + 1; remaining > 1; r++ {
+		remaining = (remaining + p) / (p + 1)
+	}
+	return r
+}
+
+// TestCoopSearchStepsExact pins the division-free round count to the
+// ceil-division reference on a dense small grid and on random (n, p) of
+// every magnitude, and checks the edges where the reference overflows.
+func TestCoopSearchStepsExact(t *testing.T) {
+	for n := -2; n < 5000; n++ {
+		for p := -1; p < 600; p++ {
+			if got, want := CoopSearchSteps(n, p), ceilDivSteps(n, p); got != want {
+				t.Fatalf("CoopSearchSteps(%d, %d) = %d, want %d", n, p, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 100000; i++ {
+		n := int(rng.Uint64() >> uint(1+rng.Intn(63)))
+		p := int(rng.Uint64() >> uint(1+rng.Intn(63)))
+		if n > math.MaxInt-1-p {
+			n = math.MaxInt - 1 - p
+		}
+		if got, want := CoopSearchSteps(n, p), ceilDivSteps(n, p); got != want {
+			t.Fatalf("CoopSearchSteps(%d, %d) = %d, want %d", n, p, got, want)
+		}
+	}
+	for _, c := range []struct{ n, p, want int }{
+		{math.MaxInt - 1, 1, 63},
+		{math.MaxInt - 1, 128, 9},
+		{math.MaxInt, 1, 63},
+		{math.MaxInt, math.MaxInt, 1},
+	} {
+		if got := CoopSearchSteps(c.n, c.p); got != c.want {
+			t.Errorf("CoopSearchSteps(%d, %d) = %d, want %d", c.n, c.p, got, c.want)
+		}
 	}
 }
 

@@ -33,25 +33,17 @@ type Frozen struct {
 	slabFacets     []int32
 }
 
-// Scratch is the reusable per-goroutine state of a frozen locate: the hop
-// BFS frontier, the gap list, and the branch directions the pointer path
-// keeps in a map. One scratch serves one query at a time; concurrent
-// queries need one scratch each.
+// Scratch is the reusable per-goroutine state of a frozen locate: the
+// facet id each node of the current hop located, or −1, in the pointer
+// path's BFS order. It grows on first use to the hop's node count
+// 2^(h+1) − 1 and never with the tree. One scratch serves one query at a
+// time; concurrent queries need one scratch each.
 type Scratch struct {
-	nodes []int32
-	gaps  []int32
-	dir   []uint8 // per node: 1 = right, else left; reset after each hop
+	ids []int32
 }
 
-// NewScratch returns a scratch sized for this structure.
-func (f *Frozen) NewScratch() *Scratch {
-	n := int(f.n)
-	return &Scratch{
-		nodes: make([]int32, 0, n),
-		gaps:  make([]int32, 0, n),
-		dir:   make([]uint8, n),
-	}
-}
+// NewScratch returns an empty scratch for this structure.
+func (f *Frozen) NewScratch() *Scratch { return &Scratch{} }
 
 // Freeze re-encodes the locator into the flat layout. Every slice is
 // allocated once at its final size.
@@ -141,8 +133,13 @@ func (f *Frozen) nodeLocate(v int32, x, y int64, p int) (id int32, rounds int) {
 	if k == 0 {
 		return -1, 1
 	}
-	// First boundary > x (sort.Search on xs), minus one.
-	lo, hi := xlo, xhi
+	rounds = parallel.CoopSearchSteps(k, p)
+	if x < f.xs[xlo] || x >= f.xs[xhi-1] {
+		return -1, rounds // outside every slab
+	}
+	// First boundary > x (sort.Search on xs), which lies in (xlo, xhi−1];
+	// the slab before it holds x.
+	lo, hi := xlo+1, xhi-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if f.xs[mid] > x {
@@ -151,12 +148,7 @@ func (f *Frozen) nodeLocate(v int32, x, y int64, p int) (id int32, rounds int) {
 			lo = mid + 1
 		}
 	}
-	slab := lo - xlo - 1
-	rounds += parallel.CoopSearchSteps(k, p)
-	if slab < 0 || slab >= k-1 {
-		return -1, rounds
-	}
-	g := int(f.nodeSlabBase[v]) + slab
+	g := int(f.nodeSlabBase[v]) + lo - xlo - 1
 	slo, shi := int(f.slabFacetStart[g]), int(f.slabFacetStart[g+1])
 	rounds += parallel.CoopSearchSteps(shi-slo, p)
 	// First facet in the y-sorted slab with Y2 ≥ y.
@@ -178,29 +170,23 @@ func (f *Frozen) nodeLocate(v int32, x, y int64, p int) (id int32, rounds int) {
 	return -1, rounds
 }
 
+// fold narrows the bracket by the facet id a node located and reports
+// whether the query lies above it, which sends the search right.
+func (f *Frozen) fold(id int32, z int64, br *bracket) (goRight bool) {
+	if z > f.fZ[id] {
+		br.maxEL = max(br.maxEL, min(f.fAbove[id]-1, f.r-1))
+		return true
+	}
+	br.minER = min(br.minER, max(f.fBelow[id], 1))
+	return false
+}
+
 // discriminate mirrors Locator.discriminate on the flat layout.
 func (f *Frozen) discriminate(v int32, x, y, z int64, br *bracket, p int) (goRight bool, rounds int, err error) {
 	j := f.sep[v]
 	id, rounds := f.nodeLocate(v, x, y, p)
 	if id >= 0 {
-		if z > f.fZ[id] {
-			hi := f.fAbove[id] - 1
-			if hi > f.r-1 {
-				hi = f.r - 1
-			}
-			if hi > br.maxEL {
-				br.maxEL = hi
-			}
-			return true, rounds, nil
-		}
-		lo := f.fBelow[id]
-		if lo < 1 {
-			lo = 1
-		}
-		if lo < br.minER {
-			br.minER = lo
-		}
-		return false, rounds, nil
+		return f.fold(id, z, br), rounds, nil
 	}
 	switch {
 	case j <= br.maxEL:
@@ -267,8 +253,11 @@ func (f *Frozen) LocateCoopInto(x, y, z int64, p int, sc *Scratch) (int, Stats, 
 }
 
 // locateStep mirrors Locator.locateStep: a single sequential
-// discrimination when h == 1 or p == 1, otherwise one h-level hop whose
-// frontier, gap list, and branch directions live in the scratch.
+// discrimination when h == 1 or p == 1, otherwise one h-level hop. The
+// surface tree is a perfect heap (validate), node u's children are 2u+1
+// and 2u+2, so the hop's nodes at relative depth d are the ids
+// [(v+1)<<d − 1, (v+1)<<d − 1 + 1<<d): level by level, the pointer path's
+// BFS order.
 func (f *Frozen) locateStep(v int32, x, y, z int64, p, h int, br *bracket, stats *Stats, sc *Scratch) (int32, error) {
 	if h == 1 || p == 1 {
 		goRight, rounds, err := f.discriminate(v, x, y, z, br, p)
@@ -278,92 +267,57 @@ func (f *Frozen) locateStep(v int32, x, y, z int64, p, h int, br *bracket, stats
 		stats.DiscrimRounds += rounds
 		stats.Steps += rounds
 		stats.SeqLevels++
-		ci := 0
 		if goRight {
-			ci = 1
+			return 2*v + 2, nil
 		}
-		return f.children[int(f.childStart[v])+ci], nil
+		return 2*v + 1, nil
 	}
-	levels := h
-	if d := int(f.depth[v]); d+levels > int(f.height) {
-		levels = int(f.height) - d
+	depth, height := int(f.depth[v]), int(f.height)
+	levels := min(h, height-depth)
+	count := 1<<(levels+1) - 1
+	if cap(sc.ids) < count {
+		sc.ids = make([]int32, 1<<(h+1)-1)
 	}
-	// Collect subtree nodes BFS, in the pointer path's order.
-	sc.nodes = append(sc.nodes[:0], v)
-	depth0 := f.depth[v]
-	for qi := 0; qi < len(sc.nodes); qi++ {
-		u := sc.nodes[qi]
-		if int(f.depth[u]-depth0) >= levels || f.isLeaf(u) {
+	ids := sc.ids[:count]
+	pShare := max(p/count, 1)
+	// v's own search takes at least one round, even of an empty
+	// dictionary, so a level of empty dictionaries adds none.
+	maxRounds := 1
+	for d := 0; d <= levels && depth+d < height; d++ {
+		first, w := (int(v)+1)<<d-1, 1<<d
+		row := ids[w-1 : 2*w-1]
+		if f.xsStart[first] == f.xsStart[first+w] {
+			// Every dictionary of the level is empty: no facet.
+			for i := range row {
+				row[i] = -1
+			}
 			continue
 		}
-		sc.nodes = append(sc.nodes, f.children[f.childStart[u]:f.childStart[u+1]]...)
-	}
-	pShare := p / len(sc.nodes)
-	if pShare < 1 {
-		pShare = 1
-	}
-	sc.gaps = sc.gaps[:0]
-	maxRounds := 0
-	for _, u := range sc.nodes {
-		if f.isLeaf(u) {
-			continue
-		}
-		id, rounds := f.nodeLocate(u, x, y, pShare)
-		if rounds > maxRounds {
-			maxRounds = rounds
-		}
-		if id < 0 {
-			sc.gaps = append(sc.gaps, u)
-			continue
-		}
-		if z > f.fZ[id] {
-			sc.dir[u] = 1
-			hi := f.fAbove[id] - 1
-			if hi > f.r-1 {
-				hi = f.r - 1
-			}
-			if hi > br.maxEL {
-				br.maxEL = hi
-			}
-		} else {
-			lo := f.fBelow[id]
-			if lo < 1 {
-				lo = 1
-			}
-			if lo < br.minER {
-				br.minER = lo
+		for i := range row {
+			id, rounds := f.nodeLocate(int32(first+i), x, y, pShare)
+			row[i] = id
+			maxRounds = max(maxRounds, rounds)
+			if id >= 0 {
+				f.fold(id, z, br)
 			}
 		}
 	}
 	if br.maxEL >= br.minER {
-		f.resetDir(sc)
 		return v, fmt.Errorf("spatial: inconsistent bracket (%d, %d)", br.maxEL, br.minER)
-	}
-	for _, u := range sc.gaps {
-		if f.sep[u] <= br.maxEL {
-			sc.dir[u] = 1
-		}
 	}
 	stats.DiscrimRounds += maxRounds
 	stats.Steps += maxRounds + 2
 	stats.Hops++
-	for lvl := 0; lvl < levels && !f.isLeaf(v); lvl++ {
+	// Descend: a node that located a facet goes right iff z lies above
+	// it, a gap node iff its surface lies at or below the bracket's maxEL.
+	for d, pos := 0, 0; d < levels; d++ {
 		ci := 0
-		if sc.dir[v] == 1 {
+		if id := ids[1<<d-1+pos]; id >= 0 && z > f.fZ[id] || id < 0 && f.sep[v] <= br.maxEL {
 			ci = 1
 		}
-		v = f.children[int(f.childStart[v])+ci]
+		v, pos = 2*v+1+int32(ci), 2*pos+ci
 	}
-	f.resetDir(sc)
 	return v, nil
-}
-
-// resetDir clears the direction bits of the nodes visited by the last hop,
-// so the scratch array never needs a full wipe.
-func (f *Frozen) resetDir(sc *Scratch) {
-	for _, u := range sc.nodes {
-		sc.dir[u] = 0
-	}
 }
 
 // MarshalBinary encodes the frozen locator as a spatial-kind store.
@@ -481,8 +435,13 @@ func (f *Frozen) validate() error {
 		}
 		return nil
 	}
-	if n < 1 {
-		return fmt.Errorf("spatial: frozen %d tree nodes for %d cells", n, f.r)
+	// The query path walks the surface tree as a perfect heap by index:
+	// node v's children are 2v+1 and 2v+2, and every id fits in int32.
+	if f.height < 1 || f.height > maxFrozenHeight {
+		return fmt.Errorf("spatial: frozen height %d outside [1, %d]", f.height, maxFrozenHeight)
+	}
+	if n != 1<<(f.height+1)-1 {
+		return fmt.Errorf("spatial: frozen %d tree nodes for height %d, want %d", n, f.height, 1<<(f.height+1)-1)
 	}
 	if len(f.sep) != n || len(f.cell) != n || len(f.depth) != n {
 		return fmt.Errorf("spatial: frozen sep/cell/depth lengths %d/%d/%d, want %d",
@@ -493,9 +452,6 @@ func (f *Frozen) validate() error {
 	}
 	if f.depth[0] != 0 {
 		return fmt.Errorf("spatial: frozen root depth %d", f.depth[0])
-	}
-	if f.height < 1 {
-		return fmt.Errorf("spatial: frozen height %d", f.height)
 	}
 	for v := 0; v < n; v++ {
 		deg := int(f.childStart[v+1] - f.childStart[v])
@@ -509,12 +465,13 @@ func (f *Frozen) validate() error {
 			if f.cell[v] < 0 {
 				return fmt.Errorf("spatial: frozen leaf %d has cell %d", v, f.cell[v])
 			}
+			continue
 		}
-		for e := int(f.childStart[v]); e < int(f.childStart[v+1]); e++ {
-			c := f.children[e]
-			if c <= int32(v) || int(c) >= n {
-				return fmt.Errorf("spatial: frozen node %d has child %d out of order", v, c)
-			}
+		kids := f.children[f.childStart[v]:f.childStart[v+1]]
+		if int(kids[0]) != 2*v+1 || int(kids[1]) != 2*v+2 || int(kids[1]) >= n {
+			return fmt.Errorf("spatial: frozen node %d has children %d, %d, not in heap order", v, kids[0], kids[1])
+		}
+		for _, c := range kids {
 			if f.depth[c] != f.depth[v]+1 {
 				return fmt.Errorf("spatial: frozen child %d depth %d under depth-%d parent", c, f.depth[c], f.depth[v])
 			}
@@ -552,6 +509,10 @@ func (f *Frozen) validate() error {
 	}
 	return nil
 }
+
+// maxFrozenHeight caps the surface tree's height so its 2^(height+1) − 1
+// node ids fit in int32.
+const maxFrozenHeight = 30
 
 // frozenStarts is validateStarts for the frozen spatial arrays.
 func frozenStarts(name string, starts []int32, count, total int) error {
