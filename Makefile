@@ -116,10 +116,13 @@ bench-wall:
 # Executor differential gate: the harnesses asserting that the barrier and
 # virtual executors produce identical results, step counts, work, conflict
 # verdicts, and fault skip counts — plus one short BenchmarkE17 run
-# comparing their wall clocks on the same end-to-end search program.
+# comparing their wall clocks on the same end-to-end search program, and
+# three iterations of every E7 point-location benchmark, so their
+# per-query answer checks run.
 bench-smoke:
 	$(GO) test -run='Executor' ./internal/pram ./internal/parallel ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkE17SearchPRAM$$' -benchtime=3x .
+	$(GO) test -run='^$$' -bench='^BenchmarkE7PointLocation$$' -benchtime=3x .
 
 # Observability smoke: the -metrics surfaces must run end to end and
 # print the counters the dashboards key on (engine batch counters from

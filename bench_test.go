@@ -14,6 +14,7 @@ import (
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/dynamic"
+	"fraccascade/internal/geom"
 	"fraccascade/internal/parallel"
 	"fraccascade/internal/pointloc"
 	"fraccascade/internal/pram"
@@ -228,7 +229,12 @@ func BenchmarkE6DegreeD(b *testing.B) {
 }
 
 // BenchmarkE7PointLocation measures cooperative planar point location
-// (Theorem 4), validated per query.
+// (Theorem 4): the pointer locator at each p and sequentially, its frozen
+// twin (Locator.Freeze, then LocateCoopInto on one warm scratch) at the
+// same p, and the frozen locator at coopserve's served shape (8,192
+// regions drawn from a stream seeded 3 ^ "geom") at coopserve's share,
+// p = 128. Query points and their brute-force regions are drawn before
+// the timer starts; every answer is checked.
 func BenchmarkE7PointLocation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s, err := subdivision.Generate(512, 40, rng)
@@ -239,34 +245,89 @@ func BenchmarkE7PointLocation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fz, err := loc.Freeze(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts, want := planarQueries(s, rng)
+	served, err := subdivision.Generate(8192, 24, rand.New(rand.NewSource(3^0x67656f6d)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	servedLoc, err := pointloc.Build(served, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	servedFz, err := servedLoc.Freeze(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	servedPts, servedWant := planarQueries(served, rng)
+
 	for _, p := range []int{1, 256, 65536} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				pt, want := s.RandomInteriorPoint(rng)
-				got, stats, err := loc.LocateCoop(pt, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != want {
-					b.Fatalf("wrong region: %d vs %d", got, want)
-				}
-				steps += int64(stats.Steps)
-			}
-			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+			benchLocate(b, pts, want, func(q geom.Point) (int, core.Stats, error) { return loc.LocateCoop(q, p) })
 		})
 	}
 	b.Run("seq", func(b *testing.B) {
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pt, _ := s.RandomInteriorPoint(rng)
-			if _, err := loc.LocateSeq(pt); err != nil {
+			j := i % len(pts)
+			got, err := loc.LocateSeq(pts[j])
+			if err != nil {
 				b.Fatal(err)
+			}
+			if got != want[j] {
+				b.Fatalf("wrong region: %d vs %d", got, want[j])
 			}
 		}
 	})
+	for _, p := range []int{1, 256, 65536} {
+		b.Run(fmt.Sprintf("frozen/p=%d", p), func(b *testing.B) {
+			sc := fz.NewScratch()
+			benchLocate(b, pts, want, func(q geom.Point) (int, core.Stats, error) { return fz.LocateCoopInto(q, p, sc) })
+		})
+	}
+	b.Run("frozen/served/p=128", func(b *testing.B) {
+		sc := servedFz.NewScratch()
+		benchLocate(b, servedPts, servedWant, func(q geom.Point) (int, core.Stats, error) {
+			return servedFz.LocateCoopInto(q, 128, sc)
+		})
+	})
 }
 
-// BenchmarkE8Spatial measures spatial point location (Theorem 5).
+// planarQueries draws 1,024 interior points of s with their brute-force
+// regions.
+func planarQueries(s *subdivision.Subdivision, rng *rand.Rand) ([]geom.Point, []int) {
+	pts, want := make([]geom.Point, 1024), make([]int, 1024)
+	for i := range pts {
+		pts[i], want[i] = s.RandomInteriorPoint(rng)
+	}
+	return pts, want
+}
+
+// benchLocate times locate over pts, cycling through them, checks every
+// answer against want and reports the mean simulated steps.
+func benchLocate(b *testing.B, pts []geom.Point, want []int, locate func(geom.Point) (int, core.Stats, error)) {
+	var steps int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(pts)
+		got, stats, err := locate(pts[j])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got != want[j] {
+			b.Fatalf("wrong region: %d vs %d", got, want[j])
+		}
+		steps += int64(stats.Steps)
+	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+}
+
+// BenchmarkE8Spatial measures spatial point location (Theorem 5). Query
+// points and their brute-force cells are drawn before the timer starts;
+// every answer is checked.
 func BenchmarkE8Spatial(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c, err := spatial.Generate(400, 5, rng)
@@ -277,17 +338,23 @@ func BenchmarkE8Spatial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	type query struct{ x, y, z int64 }
+	qs, want := make([]query, 1024), make([]int, 1024)
+	for i := range qs {
+		qs[i].x, qs[i].y, qs[i].z, want[i] = c.RandomInteriorPoint(rng)
+	}
 	for _, p := range []int{1, 256, 65536} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			var steps int64
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x, y, z, want := c.RandomInteriorPoint(rng)
-				got, stats, err := loc.LocateCoop(x, y, z, p)
+				j := i % len(qs)
+				got, stats, err := loc.LocateCoop(qs[j].x, qs[j].y, qs[j].z, p)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got != want {
-					b.Fatal("wrong cell")
+				if got != want[j] {
+					b.Fatalf("wrong cell: %d vs %d", got, want[j])
 				}
 				steps += int64(stats.Steps)
 			}

@@ -35,31 +35,7 @@ func TestDifferentialFlatVsPointer(t *testing.T) {
 
 func runDifferentialCase(t *testing.T, c int, caseSeed int64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(caseSeed))
-
-	var bt *tree.Tree
-	var err error
-	switch c % 3 {
-	case 0:
-		bt, err = tree.NewRandom(8+rng.Intn(180), 2+rng.Intn(4), rng)
-	case 1:
-		bt, err = tree.NewBalancedBinary(1 << uint(2+rng.Intn(4)))
-	default:
-		bt, err = tree.NewRandom(2+rng.Intn(40), 1+rng.Intn(6), rng)
-	}
-	if err != nil {
-		t.Fatalf("case seed %d: tree: %v", caseSeed, err)
-	}
-	total := 50 + rng.Intn(3000)
-	cats := randCatalogs(bt, total, rng)
-	st, err := core.Build(bt, cats, core.Config{})
-	if err != nil {
-		t.Fatalf("case seed %d: build: %v", caseSeed, err)
-	}
-	f, err := flat.Freeze(st)
-	if err != nil {
-		t.Fatalf("case seed %d: freeze: %v", caseSeed, err)
-	}
+	bt, st, f, total, rng := differentialStructure(t, c, caseSeed)
 
 	keyBound := int64(total*4 + 2)
 	queries := 12
@@ -140,6 +116,92 @@ func runDifferentialCase(t *testing.T, c int, caseSeed int64) {
 			t.Fatalf("case seed %d: pointer SearchPath: %v", caseSeed, err)
 		}
 		diffResults(t, caseSeed, "wall batch", out[i], want)
+	}
+}
+
+// differentialStructure builds case c's tree, pointer structure and flat
+// twin from the case seed, and returns the stream positioned after the
+// build with the case's catalog size.
+func differentialStructure(t *testing.T, c int, caseSeed int64) (*tree.Tree, *core.Structure, *flat.Structure, int, *rand.Rand) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(caseSeed))
+
+	var bt *tree.Tree
+	var err error
+	switch c % 3 {
+	case 0:
+		bt, err = tree.NewRandom(8+rng.Intn(180), 2+rng.Intn(4), rng)
+	case 1:
+		bt, err = tree.NewBalancedBinary(1 << uint(2+rng.Intn(4)))
+	default:
+		bt, err = tree.NewRandom(2+rng.Intn(40), 1+rng.Intn(6), rng)
+	}
+	if err != nil {
+		t.Fatalf("case seed %d: tree: %v", caseSeed, err)
+	}
+	total := 50 + rng.Intn(3000)
+	cats := randCatalogs(bt, total, rng)
+	st, err := core.Build(bt, cats, core.Config{})
+	if err != nil {
+		t.Fatalf("case seed %d: build: %v", caseSeed, err)
+	}
+	f, err := flat.Freeze(st)
+	if err != nil {
+		t.Fatalf("case seed %d: freeze: %v", caseSeed, err)
+	}
+	return bt, st, f, total, rng
+}
+
+// TestOpenBlockMatchesCore pins OpenBlock and FindInBlock to
+// core.FindAllInBlock on the differential harness's structures: for every
+// block of every substructure and a spread of keys (both ends included),
+// the same node ids in the same order, the same height, the same slot
+// demand, and at every block node the same find(y, ·) position.
+func TestOpenBlockMatchesCore(t *testing.T) {
+	cases := 1000
+	if testing.Short() {
+		cases = 100
+	}
+	var b flat.Block // shared across cases: a reused block must not leak state
+	for c := 0; c < cases; c++ {
+		caseSeed := differentialBaseSeed + int64(c)
+		bt, st, f, total, rng := differentialStructure(t, c, caseSeed)
+		ys := []catalog.Key{0, catalog.PlusInf}
+		for i := 0; i < 4; i++ {
+			ys = append(ys, catalog.Key(rng.Int63n(int64(total*4+2))))
+		}
+		for si := 0; si < st.NumSubstructures(); si++ {
+			sub := st.Substructure(si)
+			for v := tree.NodeID(0); int(v) < bt.N(); v++ {
+				block := sub.BlockAt(v)
+				if block == nil {
+					continue
+				}
+				for _, y := range ys {
+					pos := f.EntryProbe(v, y)
+					wantPos, wantSlots, err := st.FindAllInBlock(sub, block, y, pos)
+					if err != nil {
+						t.Fatalf("case seed %d: core FindAllInBlock(sub %d, block %d, y=%d): %v", caseSeed, si, v, y, err)
+					}
+					slots, err := f.OpenBlock(si, v, y, pos, &b)
+					if err != nil {
+						t.Fatalf("case seed %d: OpenBlock(sub %d, block %d, y=%d): %v", caseSeed, si, v, y, err)
+					}
+					if slots != wantSlots || b.Height != block.Height || len(b.Nodes) != len(block.Nodes) {
+						t.Fatalf("case seed %d: OpenBlock(sub %d, block %d, y=%d) = %d slots, height %d, %d nodes; core %d, %d, %d",
+							caseSeed, si, v, y, slots, b.Height, len(b.Nodes), wantSlots, block.Height, len(block.Nodes))
+					}
+					for z, u := range block.Nodes {
+						if b.Nodes[z] != u {
+							t.Fatalf("case seed %d: block %d local %d is node %d, core %d", caseSeed, v, z, b.Nodes[z], u)
+						}
+						if got := f.FindInBlock(&b, int32(z)); got != int(wantPos[z]) {
+							t.Fatalf("case seed %d: FindInBlock(block %d, local %d, y=%d) = %d, core %d", caseSeed, v, z, y, got, wantPos[z])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -15,9 +15,11 @@
 //     structure can stand in for the pointer structure anywhere the
 //     simulated PRAM cost model is observed (the engine, the benchmarks).
 //
-// FindAllInBlock exposes one hop's find(y, ·) over a whole block, the
-// primitive the frozen planar locator (pointloc.Frozen) builds its
-// point-location hop on, as core.FindAllInBlock is for the pointer one.
+// OpenBlock and FindInBlock split one hop's find(y, ·) over a block, the
+// work core.FindAllInBlock does for the pointer planar locator: OpenBlock
+// checks every block node's Lemma 3 window in O(1) and counts its slots,
+// FindInBlock searches one node's window on request. The frozen planar
+// locator (pointloc.Frozen) walks its hop's branch path on them.
 //
 // The encoding round-trips through MarshalBinary/UnmarshalBinary with a
 // bounds-validated decoder (corrupt input yields an error, never a panic),

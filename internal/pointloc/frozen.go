@@ -7,36 +7,35 @@ import (
 	"fraccascade/internal/flat"
 	"fraccascade/internal/geom"
 	"fraccascade/internal/parallel"
+	"fraccascade/internal/subdivision"
 	"fraccascade/internal/tree"
 )
 
 // Frozen is the flat twin of a Locator: the flat layout of its cooperative
-// search structure, the separator and region tables, and the subdivision's
-// edges as a structure of arrays. It holds no pointer into the Locator or
-// the subdivision, so both can be dropped once it is built. LocateCoopInto
-// replays the fault-free LocateCoop hop for hop — identical regions,
-// identical Stats, identical error text — at zero heap allocations per
-// query once its scratch is warm.
+// search structure, the separator and region tables, and a copy of the
+// subdivision's edges, one record per edge. It holds no pointer into the
+// Locator or the subdivision, so both can be dropped once it is built.
+// LocateCoopInto replays the fault-free LocateCoop hop for hop — identical
+// regions, identical Stats, identical error text — at zero heap
+// allocations per query once its scratch is warm. Each hop checks every
+// block node's Lemma 3 window and counts its slots, but searches a window
+// and discriminates q only along the branch path.
 type Frozen struct {
 	st         *flat.Structure // nil when there is a single region
 	f          int32           // real region count
 	yMin, yMax int64
 
-	// sep and region are the Locator's per-node tables.
+	// sep and region are the Locator's per-node tables; edges is a copy of
+	// the subdivision's, one record per edge.
 	sep, region []int32
-	// Edge e runs from (ax[e], ay[e]) up to (bx[e], by[e]) between regions
-	// left[e] and right[e].
-	ax, ay, bx, by []int64
-	left, right    []int32
+	edges       []subdivision.Edge
 }
 
-// Scratch is the reusable per-goroutine state of a frozen locate: the hop's
-// block and its per-node branch decisions. One scratch serves one query at
-// a time; concurrent queries need one scratch each.
+// Scratch is the reusable per-goroutine state of a frozen locate: the
+// current hop's block with its checked windows. One scratch serves one
+// query at a time; concurrent queries need one scratch each.
 type Scratch struct {
-	block   flat.Block
-	right   []bool
-	decided []bool
+	block flat.Block
 }
 
 // NewScratch returns an empty scratch; it grows to the largest block on
@@ -45,7 +44,7 @@ func (fz *Frozen) NewScratch() *Scratch { return &Scratch{} }
 
 // Freeze re-encodes the locator: its structure through flat.FreezeParallel
 // over parallelism host workers (0 = all cores), its tables and the
-// subdivision's edges copied into flat arrays.
+// subdivision's edges copied into flat slices.
 func (l *Locator) Freeze(parallelism int) (*Frozen, error) {
 	fz := &Frozen{f: int32(l.f), yMin: l.sub.YMin, yMax: l.sub.YMax}
 	if l.f == 1 {
@@ -58,15 +57,7 @@ func (l *Locator) Freeze(parallelism int) (*Frozen, error) {
 	fz.st = st
 	fz.sep = append([]int32(nil), l.sep...)
 	fz.region = append([]int32(nil), l.region...)
-	ne := len(l.sub.Edges)
-	fz.ax, fz.ay = make([]int64, ne), make([]int64, ne)
-	fz.bx, fz.by = make([]int64, ne), make([]int64, ne)
-	fz.left, fz.right = make([]int32, ne), make([]int32, ne)
-	for i, e := range l.sub.Edges {
-		fz.ax[i], fz.ay[i] = e.Seg.A.X, e.Seg.A.Y
-		fz.bx[i], fz.by[i] = e.Seg.B.X, e.Seg.B.Y
-		fz.left[i], fz.right[i] = e.Left, e.Right
-	}
+	fz.edges = append([]subdivision.Edge(nil), l.sub.Edges...)
 	return fz, nil
 }
 
@@ -117,7 +108,7 @@ func (fz *Frozen) LocateCoopInto(q geom.Point, p int, sc *Scratch) (int, core.St
 // whose span contains y at a node whose find result carries payload, or
 // −1 when the node is inactive (a gap above or below its proper edges).
 func (fz *Frozen) activeEdge(payload int32, y int64) int32 {
-	if payload < 0 || fz.ay[payload] > y {
+	if payload < 0 || fz.edges[payload].Seg.A.Y > y {
 		return -1
 	}
 	return payload
@@ -126,14 +117,14 @@ func (fz *Frozen) activeEdge(payload int32, y int64) int32 {
 // rightOf reports whether q lies right of (or on) edge e, and folds the
 // discrimination at separator j into the (L, R) bracket.
 func (fz *Frozen) rightOf(q geom.Point, e, j int32, lr *lrState) bool {
-	seg := geom.Segment{A: geom.Point{X: fz.ax[e], Y: fz.ay[e]}, B: geom.Point{X: fz.bx[e], Y: fz.by[e]}}
-	if geom.SideOf(q, seg) >= 0 {
-		if maxSep := fz.right[e] - 1; maxSep > lr.maxEL {
+	ed := &fz.edges[e]
+	if geom.SideOf(q, ed.Seg) >= 0 {
+		if maxSep := ed.MaxSep(); maxSep > lr.maxEL {
 			lr.l, lr.maxEL = j, maxSep
 		}
 		return true
 	}
-	if minSep := fz.left[e]; minSep < lr.minER {
+	if minSep := ed.MinSep(); minSep < lr.minER {
 		lr.r, lr.minER = j, minSep
 	}
 	return false
@@ -163,12 +154,17 @@ func (fz *Frozen) seqStep(q geom.Point, v tree.NodeID, pos int, lr *lrState) (tr
 	return fz.st.Child(v, ci), fz.st.DescendPos(q.Y, v, ci, pos), nil
 }
 
-// hop is Locator.hop on the frozen layout, with the block and the branch
-// decisions in the scratch.
+// hop is Locator.hop on the frozen layout, walked along the branch path
+// alone. Step 1 checks every block node's Lemma 3 window and counts its
+// slots, as the pointer hop's p processors do, but resolves find(y, ·)
+// only at the path nodes; Steps 2–5 discriminate q, or branch an inactive
+// node by sep ≤ max(e_L), only at the path nodes above the block's leaves.
+// That decides every branch the pointer hop's whole-block bracket does:
+// an on-path inactive node's chain edge at height y is proper at an
+// on-path ancestor, discriminated before it (see LocateCoop).
 func (fz *Frozen) hop(si int, v tree.NodeID, q geom.Point, pos int, lr *lrState, stats *core.Stats, sc *Scratch) (tree.NodeID, int, error) {
-	// Step 1: find(y, σ) for every node of U via the Lemma 3 windows.
 	b := &sc.block
-	slots, err := fz.st.FindAllInBlock(si, v, q.Y, pos, b)
+	slots, err := fz.st.OpenBlock(si, v, q.Y, pos, b)
 	if err != nil {
 		return tree.Nil, 0, err
 	}
@@ -177,47 +173,33 @@ func (fz *Frozen) hop(si int, v tree.NodeID, q geom.Point, pos int, lr *lrState,
 		stats.SlotsPeak = int(slots)
 	}
 
-	// Steps 2–4: discriminate q at active nodes and fold each result into
-	// the monotone (L, R) bracket.
-	n := len(b.Nodes)
-	if cap(sc.right) < n {
-		sc.right, sc.decided = make([]bool, n), make([]bool, n)
-	}
-	right, decided := sc.right[:n], sc.decided[:n]
-	for z, node := range b.Nodes {
-		right[z], decided[z] = false, false
-		if fz.st.IsLeaf(node) {
-			continue // region leaves carry no separator
-		}
-		_, payload := fz.st.NativeResult(node, int(b.FindPos[z]))
-		if e := fz.activeEdge(payload, q.Y); e >= 0 {
-			right[z] = fz.rightOf(q, e, fz.sep[node], lr)
-			decided[z] = true
-		}
-	}
-	if lr.maxEL >= lr.minER {
-		return tree.Nil, 0, fmt.Errorf("pointloc: inconsistent bracket maxEL=%d minER=%d", lr.maxEL, lr.minER)
-	}
-
-	// Step 5: branch at inactive nodes from max(e_L).
-	for z, node := range b.Nodes {
-		if !decided[z] && !fz.st.IsLeaf(node) {
-			right[z] = fz.sep[node] <= lr.maxEL
-		}
-	}
-
-	// Step 6: the branches identify the search path within U; descend.
+	// Steps 2–6 along the branch path: discriminate q at an active node and
+	// fold the result into the monotone (L, R) bracket, or branch an
+	// inactive one from max(e_L); step to the chosen child and resolve its
+	// find(y, ·).
 	local := int32(0)
-	for int(b.Level[local]) < b.Height {
+	for range b.Height {
+		node := b.Nodes[local]
 		ch := b.Children(local)
 		if len(ch) != 2 {
-			return tree.Nil, 0, fmt.Errorf("pointloc: block node %d lacks children", b.Nodes[local])
+			return tree.Nil, 0, fmt.Errorf("pointloc: block node %d lacks children", node)
 		}
-		if right[local] {
+		var goRight bool
+		_, payload := fz.st.NativeResult(node, pos)
+		if e := fz.activeEdge(payload, q.Y); e >= 0 {
+			goRight = fz.rightOf(q, e, fz.sep[node], lr)
+		} else {
+			goRight = fz.sep[node] <= lr.maxEL
+		}
+		if goRight {
 			local = ch[1]
 		} else {
 			local = ch[0]
 		}
+		pos = fz.st.FindInBlock(b, local)
 	}
-	return b.Nodes[local], int(b.FindPos[local]), nil
+	if lr.maxEL >= lr.minER {
+		return tree.Nil, 0, fmt.Errorf("pointloc: inconsistent bracket maxEL=%d minER=%d", lr.maxEL, lr.minER)
+	}
+	return b.Nodes[local], pos, nil
 }

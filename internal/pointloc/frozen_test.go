@@ -3,6 +3,7 @@ package pointloc
 import (
 	"math/rand"
 	"os"
+	"sync"
 	"testing"
 
 	"fraccascade/internal/core"
@@ -154,9 +155,84 @@ func abs(a int64) int64 {
 	return a
 }
 
+// servedFixture is the planar locator coopserve serves at 8,192 regions,
+// drawn as coopserve and bench/e2e draw it: the subdivision first, from a
+// stream seeded 3 ^ "geom". Its separator tree has height 13.
+type servedFixture struct {
+	s  *subdivision.Subdivision
+	l  *Locator
+	fz *Frozen
+}
+
+var servedShape = sync.OnceValues(func() (*servedFixture, error) {
+	s, err := subdivision.Generate(8192, 24, rand.New(rand.NewSource(3^0x67656f6d)))
+	if err != nil {
+		return nil, err
+	}
+	l, err := Build(s, core.Config{})
+	if err != nil {
+		return nil, err
+	}
+	l.Debug = true
+	fz, err := l.Freeze(0)
+	if err != nil {
+		return nil, err
+	}
+	return &servedFixture{s: s, l: l, fz: fz}, nil
+})
+
+func mustServedShape(t *testing.T) *servedFixture {
+	t.Helper()
+	fx, err := servedShape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// servedProcs are coopserve's share of its 4,096 processors (p = 128, hop
+// height 1) and the counts around it and around the substructure steps;
+// p > 65,536 selects the last substructure, whose blocks have height 3.
+var servedProcs = []int{1, 2, 127, 128, 129, 4096, 65536, 65537, 1 << 20}
+
+// TestDifferentialFrozenVsPointerServedShape pins the frozen locator to
+// the pointer one (Debug on) at the served shape: region, every Stats
+// field and error text, for frozenQueryPoints and 200 random interior
+// points at every servedProcs count. The random cases of
+// TestDifferentialFrozenVsPointer build trees of height 8 at most; this
+// one has height 13 and, at the default config, hops through height-3
+// blocks at p > 65,536.
+func TestDifferentialFrozenVsPointerServedShape(t *testing.T) {
+	fx := mustServedShape(t)
+	st := fx.l.st
+	if fx.l.height != 13 {
+		t.Fatalf("served shape: separator tree height %d, want 13", fx.l.height)
+	}
+	for p, h := range map[int]int{128: 1, 65537: 3} {
+		if got := st.Substructure(st.SelectSub(p)).H; got != h {
+			t.Fatalf("served shape: p=%d hops through height-%d blocks, want %d", p, got, h)
+		}
+	}
+	const seed = 28
+	rng := rand.New(rand.NewSource(seed))
+	pts := frozenQueryPoints(fx.s, rng)
+	for i := 0; i < 200; i++ {
+		q, _ := fx.s.RandomInteriorPoint(rng)
+		pts = append(pts, q)
+	}
+	sc := fx.fz.NewScratch()
+	for _, q := range pts {
+		for _, p := range servedProcs {
+			checkFrozenLocate(t, seed, fx.l, fx.fz, sc, q, p)
+		}
+	}
+}
+
 // TestFrozenLocateZeroAllocs pins the frozen hot path: once the scratch
 // has warmed up, LocateCoopInto allocates nothing, at every processor
-// count (sequential tails and block hops alike).
+// count (sequential tails and block hops alike), and at the served shape
+// at coopserve's share and on the height-3 blocks of its last
+// substructure.
 func TestFrozenLocateZeroAllocs(t *testing.T) {
 	if os.Getenv("FRACCASCADE_GUARD") == "skip" {
 		t.Skip("allocation guard skipped via FRACCASCADE_GUARD=skip")
@@ -166,21 +242,28 @@ func TestFrozenLocateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := make([]geom.Point, 64)
-	for i := range pts {
-		pts[i], _ = s.RandomInteriorPoint(rng)
-	}
-	sc := fz.NewScratch()
-	for _, p := range frozenProcs {
-		allocs := testing.AllocsPerRun(20, func() {
-			for _, q := range pts {
-				if _, _, err := fz.LocateCoopInto(q, p, sc); err != nil {
-					t.Fatal(err)
+	served := mustServedShape(t)
+	for _, c := range []struct {
+		s     *subdivision.Subdivision
+		fz    *Frozen
+		procs []int
+	}{{s, fz, frozenProcs}, {served.s, served.fz, []int{128, 65537}}} {
+		pts := make([]geom.Point, 64)
+		for i := range pts {
+			pts[i], _ = c.s.RandomInteriorPoint(rng)
+		}
+		sc := c.fz.NewScratch()
+		for _, p := range c.procs {
+			allocs := testing.AllocsPerRun(20, func() {
+				for _, q := range pts {
+					if _, _, err := c.fz.LocateCoopInto(q, p, sc); err != nil {
+						t.Fatal(err)
+					}
 				}
+			})
+			if allocs != 0 {
+				t.Errorf("%d regions: LocateCoopInto(p=%d) allocates %.2f per %d queries, want 0", c.s.NumRegions, p, allocs, len(pts))
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("LocateCoopInto(p=%d) allocates %.2f per %d queries, want 0", p, allocs, len(pts))
 		}
 	}
 }
@@ -189,16 +272,25 @@ func TestFrozenLocateZeroAllocs(t *testing.T) {
 // fuzzed subdivision (seed, region count), point and processor count. The
 // point is folded into the subdivision's bounding box widened by a margin,
 // y including YMin and YMax themselves, so most inputs reach a locate and
-// the rest exercise the out-of-range error text.
+// the rest exercise the out-of-range error text. h sets every hop height
+// to h%5 (0 keeps the derived heights, which are 1 at every size the
+// fuzzer builds), so multi-level walks through a block are fuzzed too.
 func FuzzFrozenLocate(f *testing.F) {
-	f.Add(int64(1), uint8(24), int64(5), int64(3), uint16(64))
-	f.Add(int64(2), uint8(0), int64(-7), int64(0), uint16(1))
-	f.Add(int64(3), uint8(127), int64(1<<40), int64(-1), uint16(4096))
-	f.Add(int64(4), uint8(63), int64(0), int64(1<<62), uint16(7))
-	f.Fuzz(func(t *testing.T, seed int64, regions uint8, x, y int64, p uint16) {
+	f.Add(int64(1), uint8(24), int64(5), int64(3), uint16(64), uint8(0))
+	f.Add(int64(2), uint8(0), int64(-7), int64(0), uint16(1), uint8(0))
+	f.Add(int64(3), uint8(127), int64(1<<40), int64(-1), uint16(4096), uint8(0))
+	f.Add(int64(4), uint8(63), int64(0), int64(1<<62), uint16(7), uint8(0))
+	f.Add(int64(5), uint8(100), int64(3), int64(11), uint16(128), uint8(2))
+	f.Add(int64(6), uint8(149), int64(-2), int64(1<<20), uint16(4096), uint8(3))
+	f.Add(int64(7), uint8(140), int64(17), int64(-9), uint16(65535), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, regions uint8, x, y int64, p uint16, h uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		s := mustGen(t, 1+int(regions)%150, 2+rng.Intn(20), rng)
-		l, err := Build(s, core.Config{})
+		var cfg core.Config
+		if hv := int(h % 5); hv > 0 {
+			cfg.HOverride = func(int) int { return hv }
+		}
+		l, err := Build(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
