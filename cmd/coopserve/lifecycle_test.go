@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -193,12 +194,40 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestServedShardsPinned: the default shape's frozen catalog shards — the
+// blobs a build boot streams into the sidecar and a restart serves from —
+// are the same bytes on every build. Any change to the generator's draws,
+// the build or the freeze changes a checksum and fails here; a change to
+// the snapshot encoding does not.
+func TestServedShardsPinned(t *testing.T) {
+	type blob struct {
+		CRC  uint32 // IEEE
+		Size int
+	}
+	want := []blob{{0x03aff4df, 337804}, {0xe21d492a, 341460}}
+	frozen, _, err := newServerShell(defaultServerConfig()).buildShards(newCollector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]blob, len(frozen))
+	for i, f := range frozen {
+		b, err := f.StoreBuilder().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = blob{crc32.ChecksumIEEE(b), len(b)}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("frozen shards %#x, want %#x", got, want)
+	}
+}
+
 // TestServedCatalogsPinned: the default shape's catalog shards, built with
 // a snapshot path, encode to the same snapshot bytes on every build. Any
 // change to the generator's draw order, the catalogs it draws or the
 // snapshot encoder changes the Binding and fails here.
 func TestServedCatalogsPinned(t *testing.T) {
-	want := snapshot.Binding{CRC: 0x94e33cd3, Size: 187849}
+	want := snapshot.Binding{CRC: 0x28c196a2, Size: 45081}
 	cfg := defaultServerConfig()
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "shards.snap")
 	frozen, bind, err := newServerShell(cfg).buildShards(newCollector())
@@ -688,7 +717,7 @@ func TestSnapshotShapeMismatchRebuilds(t *testing.T) {
 // corruptLastShardTree lowers the node count at the start of the last
 // shard's tree section by one and re-seals the section's checksum, so the
 // file frames cleanly and only that shard's decode fails. A static shard
-// ends with its tree, cascade and core sections.
+// ends with its tree and catalogs sections.
 func corruptLastShardTree(t *testing.T, data []byte) {
 	t.Helper()
 	const headerSize, secHeader = 28, 12
@@ -697,12 +726,12 @@ func corruptLastShardTree(t *testing.T, data []byte) {
 		starts = append(starts, off)
 		off += secHeader + int(binary.LittleEndian.Uint64(data[off+4:])) + 4
 	}
-	if len(starts) < 4 {
+	if len(starts) < 3 {
 		t.Fatalf("snapshot has %d sections", len(starts))
 	}
-	sec := starts[len(starts)-3]
+	sec := starts[len(starts)-2]
 	if id := binary.LittleEndian.Uint32(data[sec:]); id != 2 {
-		t.Fatalf("third-to-last section has id %d, want the tree section (2)", id)
+		t.Fatalf("second-to-last section has id %d, want the tree section (2)", id)
 	}
 	plen := int(binary.LittleEndian.Uint64(data[sec+4:]))
 	if data[sec+secHeader] < 2 || data[sec+secHeader] >= 0x80 {

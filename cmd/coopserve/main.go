@@ -25,8 +25,8 @@
 // flight recorder, which tail-samples records — all errors, the slowest
 // per window, and a uniform reservoir of 2048 — behind /debug/slowlog and
 // /statusz. Each answer's wall time feeds one rolling window behind the
-// latency quantiles and the -slo-latency/-slo-objective burn-rate gauges
-// on /metrics.
+// latency quantiles and the burn-rate gauges on /metrics of the SLO that
+// 99% of queries finish within 250ms.
 //
 // Every structure is served from its frozen layout: the catalog shards from
 // internal/flat, point location from the frozen locators. Boot builds each
@@ -85,8 +85,6 @@ func registerFlags(fs *flag.FlagSet, cfg *serverConfig) *string {
 	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request deadline on POST /query (0 = none)")
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrent /query cap before shedding with 503 (0 = unlimited)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "how long SIGTERM waits for in-flight queries and a sidecar write in progress")
-	fs.DurationVar(&cfg.SLOLatency, "slo-latency", cfg.SLOLatency, "latency SLO threshold surfaced as burn-rate gauges on /metrics")
-	fs.Float64Var(&cfg.SLOObjective, "slo-objective", cfg.SLOObjective, "fraction of queries that must finish within -slo-latency (0 < objective < 1)")
 	return addr
 }
 

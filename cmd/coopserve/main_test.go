@@ -18,7 +18,7 @@ func TestFlagSet(t *testing.T) {
 	want := []string{
 		"addr", "batch", "drain-timeout", "entries", "leaves",
 		"max-inflight", "procs", "regions", "request-timeout", "seed",
-		"shards", "slo-latency", "slo-objective", "snapshot", "tiles",
+		"shards", "snapshot", "tiles",
 	}
 	if !slices.Equal(names, want) {
 		t.Fatalf("coopserve registers %d flags %v, want %d %v", len(names), names, len(want), want)

@@ -50,13 +50,14 @@ type serverConfig struct {
 	RequestTimeout time.Duration // per-request deadline on POST /query (0 = none)
 	MaxInflight    int           // admission-control cap on concurrent queries (0 = unlimited)
 	DrainTimeout   time.Duration // how long SIGTERM waits for in-flight queries and a sidecar write
-
-	// SLOLatency and SLOObjective define the latency SLO surfaced on
-	// /metrics and /statusz: SLOObjective (e.g. 0.99) of queries must
-	// finish within SLOLatency.
-	SLOLatency   time.Duration
-	SLOObjective float64
 }
+
+// The latency SLO surfaced on /metrics and /statusz: sloObjective of
+// queries must finish within sloLatency.
+const (
+	sloLatency   = 250 * time.Millisecond
+	sloObjective = 0.99
+)
 
 // Rolling-window geometry: 12 sub-windows of 10s give a 2-minute visible
 // window for the live quantiles; the short SLO burn window is the last 3
@@ -89,8 +90,6 @@ func defaultServerConfig() serverConfig {
 		RequestTimeout: 10 * time.Second,
 		MaxInflight:    256,
 		DrainTimeout:   10 * time.Second,
-		SLOLatency:     250 * time.Millisecond,
-		SLOObjective:   0.99,
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 func (s *server) initTelemetry() {
 	s.bootID = fmt.Sprintf("%06x%04x", time.Now().UnixNano()&0xffffff, os.Getpid()&0xffff)
 	s.recorder = obs.NewFlightRecorder(obs.FlightRecorderConfig{Reservoir: flightRecords})
-	s.slo = obs.NewSLO(s.cfg.SLOLatency, s.cfg.SLOObjective, telemetrySubWindow, telemetrySubCount)
+	s.slo = obs.NewSLO(sloLatency, sloObjective, telemetrySubWindow, telemetrySubCount)
 
 	// Live windowed quantiles (nanoseconds over the last 2 minutes;
 	// obs.NoData = -1 when the window is empty). One snapshot per gauge

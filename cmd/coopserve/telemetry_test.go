@@ -491,11 +491,11 @@ func TestMetricsTelemetryFamilies(t *testing.T) {
 }
 
 // TestSLOObjectiveReported checks that /metrics and /statusz report the
-// objective the SLO enforces: an out-of-range -slo-objective becomes 0.99
-// in obs.NewSLO, so the gauge reads 990 and the heading 99.0%, the values
-// the burn rates use, not the raw flag.
+// objective the SLO enforces, the constant 0.99 within 250ms: the gauge
+// reads 990 and the heading 99.0% under 250ms, the values the burn rates
+// use.
 func TestSLOObjectiveReported(t *testing.T) {
-	s := testServer(t, func(cfg *serverConfig) { cfg.SLOObjective = 1.5 })
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 

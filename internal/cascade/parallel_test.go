@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"fraccascade/internal/tree"
@@ -48,68 +47,6 @@ func TestParallelBuildDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(forced, seq) {
 				t.Fatalf("seed %d bidir %v: Sequential build differs", seed, bidir)
 			}
-		}
-	}
-}
-
-// TestFromPartsParallelDeterministic pins the parallel restore path: the
-// reassembled structure and — when several nodes are corrupt — the
-// reported error must match the sequential scan's for every parallelism.
-func TestFromPartsParallelDeterministic(t *testing.T) {
-	s, bt, _, _ := buildRandom(t, 32, 800, 7)
-	parts := s.ExportParts()
-	seq, err := FromParts(bt, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 8, 0, runtime.NumCPU()} {
-		got, err := FromPartsParallel(bt, parts, par)
-		if err != nil {
-			t.Fatalf("par %d: %v", par, err)
-		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("FromPartsParallel(par=%d) differs from FromParts", par)
-		}
-	}
-
-	// Corrupt the bridges of two non-leaf nodes; every parallelism must
-	// report the lowest-index node, like the sequential scan.
-	bad := Parts{
-		Stride:        parts.Stride,
-		Bidirectional: parts.Bidirectional,
-		Native:        parts.Native,
-		Aug:           parts.Aug,
-		Bridges:       append([][][]int32(nil), parts.Bridges...),
-	}
-	corrupted := 0
-	lowest := -1
-	for v := 0; v < bt.N() && corrupted < 2; v++ {
-		if len(bad.Bridges[v]) == 0 {
-			continue
-		}
-		bad.Bridges[v] = [][]int32{} // wrong bridge-array count
-		if lowest < 0 {
-			lowest = v
-		}
-		corrupted++
-	}
-	if corrupted < 2 {
-		t.Fatal("workload has fewer than two internal nodes")
-	}
-	_, seqErr := FromParts(bt, bad)
-	if seqErr == nil {
-		t.Fatal("corrupted parts imported cleanly")
-	}
-	for _, par := range []int{2, 8, 0} {
-		_, err := FromPartsParallel(bt, bad, par)
-		if err == nil {
-			t.Fatalf("par %d: corrupted parts imported cleanly", par)
-		}
-		if err.Error() != seqErr.Error() {
-			t.Fatalf("par %d: error %q differs from sequential %q", par, err, seqErr)
-		}
-		if !strings.Contains(err.Error(), "bridge") {
-			t.Fatalf("par %d: unexpected error %q", par, err)
 		}
 	}
 }

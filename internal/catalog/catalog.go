@@ -102,7 +102,7 @@ func Empty() Catalog {
 
 // FromEntries builds a catalog from pre-sorted entries; it validates order,
 // distinctness, the +∞ terminal, and NativeSucc consistency. Intended for
-// the cascade builder.
+// decoders, such as the snapshot loader's.
 func FromEntries(entries []Entry) (Catalog, error) {
 	if len(entries) == 0 {
 		return Catalog{}, fmt.Errorf("catalog: empty entry list")

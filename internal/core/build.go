@@ -30,8 +30,8 @@ type Config struct {
 	// Parallelism bounds the host workers used for construction: 0 selects
 	// all cores, 1 is sequential, higher values are taken literally.
 	// Sequential forces 1. The built structure is identical for every value
-	// (only wall time changes), so the knob is not persisted in snapshots —
-	// restored structures adopt whatever the restoring host asks for.
+	// (only wall time changes), so snapshots do not record it: a load builds
+	// at whatever parallelism the loading host asks for.
 	Parallelism int
 	// CascadeOptions tunes the underlying fractional cascading build.
 	// Bidirectional is forced on: Lemma 1 requires the bidirectional
@@ -188,11 +188,10 @@ func (st *Structure) blockRoots(sub *Substructure) []tree.NodeID {
 	return roots
 }
 
-// blockTopology collects by BFS the block rooted at u with height
-// min(h, trunc − depth(u)): its nodes, local parent/child links, and
-// levels. The skeleton forest (M, Sparse, KeyPos) is filled in separately
-// by buildBlock or, on snapshot import, validated against stored state.
-func (st *Structure) blockTopology(u tree.NodeID, h, trunc int) Block {
+// buildBlock builds one block rooted at u with height min(h, trunc −
+// depth(u)) and its skeleton forest with stride s. The block's nodes,
+// local parent/child links and levels are collected by BFS.
+func (st *Structure) buildBlock(u tree.NodeID, h, trunc, s int) Block {
 	t := st.t
 	baseDepth := t.Depth(u)
 	maxLevel := h
@@ -218,13 +217,6 @@ func (st *Structure) blockTopology(u tree.NodeID, h, trunc int) Block {
 		}
 	}
 	b.Height = maxLevel
-	return b
-}
-
-// buildBlock builds one block rooted at u with height min(h, trunc −
-// depth(u)) and its skeleton forest with stride s.
-func (st *Structure) buildBlock(u tree.NodeID, h, trunc, s int) Block {
-	b := st.blockTopology(u, h, trunc)
 	// Skeleton forest: sample the root catalog with stride s.
 	tLen := st.s.Aug(u).Len()
 	m := tLen / s
@@ -256,6 +248,9 @@ func (st *Structure) buildBlock(u tree.NodeID, h, trunc, s int) Block {
 
 // Params returns the derived construction constants.
 func (st *Structure) Params() Params { return st.params }
+
+// Config returns the configuration the structure was built with.
+func (st *Structure) Config() Config { return st.cfg }
 
 // Cascade returns the underlying fractional cascaded structure S.
 func (st *Structure) Cascade() *cascade.Structure { return st.s }

@@ -2,73 +2,11 @@ package core
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/faults"
 )
-
-// TestParallelBuildStateIdentical pins the tentpole contract at the core
-// layer: Config.Parallelism fans catalog merges, block construction, and
-// bridge installation over the build pool, but the exported state and the
-// underlying cascade parts must be bit-identical to the sequential build
-// for every value, on seeded random workloads.
-func TestParallelBuildStateIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		seq, _, _ := buildStructure(t, 32, 1200, seed, Config{Parallelism: 1})
-		seqState, err := seq.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqParts := seq.Cascade().ExportParts()
-		for _, par := range []int{2, 8, 0, runtime.NumCPU()} {
-			st, _, _ := buildStructure(t, 32, 1200, seed, Config{Parallelism: par})
-			state, err := st.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(state, seqState) {
-				t.Fatalf("seed %d: state built with parallelism %d differs from sequential", seed, par)
-			}
-			if !reflect.DeepEqual(st.Cascade().ExportParts(), seqParts) {
-				t.Fatalf("seed %d: cascade parts built with parallelism %d differ from sequential", seed, par)
-			}
-		}
-	}
-}
-
-// TestCoreFromPartsParallelDeterministic pins the parallel restore path:
-// importing the same exported state at any parallelism yields a structure
-// whose re-export is bit-identical to the sequential import's.
-func TestCoreFromPartsParallelDeterministic(t *testing.T) {
-	st, _, _ := buildStructure(t, 32, 1200, 5, Config{})
-	state, err := st.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := FromParts(st.Cascade(), state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqState, err := seq.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 8, 0, runtime.NumCPU()} {
-		got, err := FromPartsParallel(st.Cascade(), state, par)
-		if err != nil {
-			t.Fatalf("par %d: %v", par, err)
-		}
-		gotState, err := got.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotState, seqState) {
-			t.Fatalf("FromPartsParallel(par=%d) re-export differs from sequential import", par)
-		}
-	}
-}
 
 // TestParallelBuildDegradedEquivalence closes the loop with the fault
 // injector: a structure built in parallel must behave identically to the

@@ -25,30 +25,24 @@ type NodePending struct {
 	Del []catalog.Key
 }
 
-// State is the persisted shape of a dynamic Structure minus the built
-// static structure, which is serialized separately (see core.ExportState).
-// It captures the committed catalogs, the pending overlays, and the flush
-// generation, so a mid-churn snapshot restores to exactly the same
-// answers, buffered count, and cache-invalidation state.
+// State is what a dynamic Structure holds beyond its static structure:
+// the rebuild capacity, the flush generation and the pending overlays. The
+// committed catalogs are the static structure's native catalogs, so a
+// mid-churn snapshot of the static structure's inputs plus this State
+// restores to exactly the same answers, buffered count, and
+// cache-invalidation state.
 type State struct {
 	Capacity   int
 	Generation uint64
-	// Keys[v]/Payloads[v] are node v's committed native keys, sorted.
-	Keys     [][]catalog.Key
-	Payloads [][]int32
 	// Pending lists nodes with non-empty overlays, sorted by node.
 	Pending []NodePending
 }
 
 // ExportState returns the structure's mutable state for serialization.
-// The committed key/payload slices alias live state; callers must treat
-// them as read-only.
 func (d *Structure) ExportState() State {
 	st := State{
 		Capacity:   d.capacity,
 		Generation: d.Generation(),
-		Keys:       d.curKeys,
-		Payloads:   d.curPayloads,
 	}
 	nodes := make([]tree.NodeID, 0, len(d.overlays))
 	for v, o := range d.overlays {
@@ -73,54 +67,39 @@ func (d *Structure) ExportState() State {
 	return st
 }
 
-// FromParts reassembles a dynamic Structure around an already-restored
-// static structure. The committed catalogs are cross-checked entry by
-// entry against the static structure's native catalogs (they are the same
-// data, stored once in each representation), overlays are validated for
-// canonical form, and the flush generation is stamped back so externally
-// cached artifacts keyed by Generation() stay correctly invalidated.
+// FromParts reassembles a dynamic Structure around a static structure
+// built from its committed catalogs, which it takes from the static
+// structure's native catalogs. Overlays are validated for canonical form
+// and against the committed keys — a pending delete names a committed key,
+// and a pending insert of a committed key also deletes it, as Insert makes
+// them — and the flush generation is stamped back so externally cached
+// artifacts keyed by Generation() stay correctly invalidated.
 func FromParts(st *core.Structure, state State) (*Structure, error) {
 	if st == nil {
 		return nil, fmt.Errorf("dynamic: nil static structure")
 	}
-	t := st.Tree()
-	if len(state.Keys) != t.N() || len(state.Payloads) != t.N() {
-		return nil, fmt.Errorf("dynamic: state covers %d/%d nodes, tree has %d", len(state.Keys), len(state.Payloads), t.N())
-	}
 	if state.Capacity < 1 {
 		return nil, fmt.Errorf("dynamic: capacity %d < 1", state.Capacity)
 	}
+	t := st.Tree()
 	d := &Structure{
 		t:           t,
 		cfg:         st.Config(),
 		st:          st,
-		curKeys:     state.Keys,
-		curPayloads: state.Payloads,
+		curKeys:     make([][]catalog.Key, t.N()),
+		curPayloads: make([][]int32, t.N()),
 		overlays:    make(map[tree.NodeID]*overlay),
 		capacity:    state.Capacity,
 		maxAttempts: defaultRebuildAttempts,
 		sleep:       time.Sleep,
 	}
-	for v := 0; v < t.N(); v++ {
-		ks, ps := state.Keys[v], state.Payloads[v]
-		if len(ks) != len(ps) {
-			return nil, fmt.Errorf("dynamic: node %d: %d keys, %d payloads", v, len(ks), len(ps))
-		}
-		native := st.Cascade().Native(tree.NodeID(v))
-		if native.Len() != len(ks)+1 {
-			return nil, fmt.Errorf("dynamic: node %d: %d committed keys, static catalog has %d entries", v, len(ks), native.Len())
-		}
-		for i, k := range ks {
-			if k == catalog.PlusInf {
-				return nil, fmt.Errorf("dynamic: node %d: committed +inf key", v)
-			}
-			if i > 0 && ks[i-1] >= k {
-				return nil, fmt.Errorf("dynamic: node %d: committed keys not strictly increasing at %d", v, i)
-			}
-			if e := native.At(i); e.Key != k || e.Payload != ps[i] {
-				return nil, fmt.Errorf("dynamic: node %d entry %d: committed (%d,%d) disagrees with static (%d,%d)",
-					v, i, k, ps[i], e.Key, e.Payload)
-			}
+	for v := range d.curKeys {
+		native := st.Cascade().Native(tree.NodeID(v)).Entries()
+		native = native[:len(native)-1] // the +inf terminal
+		d.curKeys[v] = make([]catalog.Key, len(native))
+		d.curPayloads[v] = make([]int32, len(native))
+		for i, e := range native {
+			d.curKeys[v][i], d.curPayloads[v][i] = e.Key, e.Payload
 		}
 	}
 	prevNode := tree.Nil
@@ -143,13 +122,18 @@ func FromParts(st *core.Structure, state State) (*Structure, error) {
 			o.ins = append(o.ins, insEntry{key: ie.Key, payload: ie.Payload})
 		}
 		for i, k := range np.Del {
-			if k == catalog.PlusInf {
-				return nil, fmt.Errorf("dynamic: node %d: pending delete of +inf", np.Node)
-			}
 			if i > 0 && np.Del[i-1] >= k {
 				return nil, fmt.Errorf("dynamic: node %d: pending deletes not strictly increasing at %d", np.Node, i)
 			}
+			if !d.committedHas(np.Node, k) {
+				return nil, fmt.Errorf("dynamic: node %d: pending delete of %d, which is not committed", np.Node, k)
+			}
 			o.del[k] = true
+		}
+		for _, ie := range o.ins {
+			if d.committedHas(np.Node, ie.key) && !o.del[ie.key] {
+				return nil, fmt.Errorf("dynamic: node %d: pending insert of committed key %d", np.Node, ie.key)
+			}
 		}
 		d.overlays[np.Node] = o
 		d.buffered += len(np.Ins) + len(np.Del)

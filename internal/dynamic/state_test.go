@@ -3,6 +3,8 @@ package dynamic
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"fraccascade/internal/catalog"
@@ -82,13 +84,20 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 	}
 	// Restored structures stay fully updatable: flushing pending overlays
-	// advances the generation past the stamped value.
+	// advances the generation past the stamped value, and commits what
+	// flushing the original commits.
 	gen := got.Generation()
 	if err := got.Flush(); err != nil {
 		t.Fatalf("flush restored: %v", err)
 	}
 	if got.Generation() != gen+1 {
 		t.Fatalf("generation after flush = %d, want %d", got.Generation(), gen+1)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush original: %v", err)
+	}
+	if !reflect.DeepEqual(got.Static().Cascade(), d.Static().Cascade()) {
+		t.Fatalf("flushed restore commits other catalogs than the flushed original")
 	}
 }
 
@@ -97,12 +106,6 @@ func TestFromPartsRejectsDamage(t *testing.T) {
 	base := d.ExportState()
 	clone := func() State {
 		s := State{Capacity: base.Capacity, Generation: base.Generation}
-		s.Keys = make([][]catalog.Key, len(base.Keys))
-		s.Payloads = make([][]int32, len(base.Payloads))
-		for v := range base.Keys {
-			s.Keys[v] = append([]catalog.Key{}, base.Keys[v]...)
-			s.Payloads[v] = append([]int32{}, base.Payloads[v]...)
-		}
 		for _, np := range base.Pending {
 			s.Pending = append(s.Pending, NodePending{
 				Node: np.Node,
@@ -117,10 +120,21 @@ func TestFromPartsRejectsDamage(t *testing.T) {
 		mutate func(s *State)
 	}{
 		{"zero capacity", func(s *State) { s.Capacity = 0 }},
-		{"node count", func(s *State) { s.Keys = s.Keys[:len(s.Keys)-1] }},
-		{"key/payload mismatch", func(s *State) { s.Payloads[0] = s.Payloads[0][:len(s.Payloads[0])-1] }},
-		{"key disagrees with static", func(s *State) { s.Keys[0][0]++ }},
-		{"committed +inf", func(s *State) { s.Keys[0][len(s.Keys[0])-1] = catalog.PlusInf }},
+		{"node out of range", func(s *State) { s.Pending[len(s.Pending)-1].Node = tree.NodeID(d.Static().Tree().N()) }},
+		{"pending insert of +inf", func(s *State) { s.Pending[0].Ins = append(s.Pending[0].Ins, PendingInsert{Key: catalog.PlusInf}) }},
+		{"pending delete of an uncommitted key", func(s *State) {
+			np := &s.Pending[0]
+			np.Del = append(np.Del, np.Ins[len(np.Ins)-1].Key)
+			sort.Slice(np.Del, func(i, j int) bool { return np.Del[i] < np.Del[j] })
+		}},
+		{"pending insert of a committed key", func(s *State) {
+			v := s.Pending[0].Node
+			k := d.Static().Cascade().Native(v).Key(0)
+			if slices.Contains(s.Pending[0].Del, k) {
+				t.Fatalf("fixture deletes the key this case inserts")
+			}
+			s.Pending[0].Ins = append([]PendingInsert{{Key: k}}, s.Pending[0].Ins...)
+		}},
 		{"unsorted pending nodes", func(s *State) {
 			if len(s.Pending) > 1 {
 				s.Pending[0], s.Pending[1] = s.Pending[1], s.Pending[0]

@@ -1,17 +1,17 @@
-// Package snapshot persists built cooperative search structures to disk
-// and restores them without re-running construction.
+// Package snapshot persists cooperative search structures to disk as the
+// inputs they are built from, and restores them by building again.
 //
 // The on-disk format is a versioned, checksummed container:
 //
 //	magic (8 bytes)  89 46 43 53 4E 41 50 0A   ("\x89FCSNAP\n")
-//	u32le            format version (currently 1)
+//	u32le            format version (currently 2)
 //	u64le            structure generation (caller-defined)
 //	u32le            section count
 //	u32le            CRC32C of the 24 header bytes above
 //	sections         section count times:
 //	    u32le        section id
 //	    u64le        payload length
-//	    bytes        payload (varint-encoded structure state)
+//	    bytes        payload (varint-encoded build inputs)
 //	    u32le        CRC32C of the 12-byte section header + payload
 //
 // The magic byte 0x89 (high bit set, as in PNG) catches text-mode and
@@ -20,21 +20,28 @@
 // allocation, so truncated or hostile inputs fail fast with a typed error
 // instead of a panic or an over-allocation.
 //
+// A snapshot records what core.Build takes, not what it derives: per
+// shard the tree, the build settings that change the result and each
+// node's native catalog, and for a dynamic shard its capacity, flush
+// generation and pending overlays. The augmented catalogs, bridges and
+// skeleton forests of T′ are never stored; a load validates the inputs and
+// builds them again, so a restored shard is by construction the structure
+// a fresh build makes.
+//
 // Corruption handling: any defect — bad magic, version skew, truncation,
-// checksum mismatch, or a structural invariant violation discovered while
-// reassembling the structures — is reported as a *CorruptionError wrapping
-// one of the sentinel reasons below. Callers test errors.Is against a
-// sentinel for specifics or IsCorrupt for the whole family, and fall back
-// to rebuild-from-source. A snapshot never loads into a structure that
-// could answer incorrectly: everything not cross-checked here is
-// re-validated by the cascade/core/dynamic import constructors.
+// checksum mismatch, or an input that no build could have been made from
+// (keys out of order or at ±∞, a catalog count that disagrees with the
+// tree, a malformed tree, a stride below 2) — is reported as a
+// *CorruptionError wrapping one of the sentinel reasons below, before any
+// build runs. Callers test errors.Is against a sentinel for specifics or
+// IsCorrupt for the whole family, and fall back to rebuild-from-source.
 //
 // Versioning rules: the format version is bumped on any change to the
 // section layout or payload encodings; readers reject other versions
 // (ErrVersion) rather than guessing, and unknown or out-of-order section
 // ids within a supported version are corruption. Compatibility across
-// versions is intentionally not attempted — a snapshot is a cache of
-// derivable state, so the fallback to rebuilding is always safe.
+// versions is intentionally not attempted: the fallback to rebuilding is
+// always safe.
 package snapshot
 
 import (
@@ -46,7 +53,7 @@ import (
 )
 
 // FormatVersion is the current on-disk format version.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic identifies a snapshot file.
 const magic = "\x89FCSNAP\n"
@@ -55,13 +62,13 @@ const magic = "\x89FCSNAP\n"
 const headerSize = len(magic) + 4 + 8 + 4 + 4
 
 // Section ids. Sections appear as: one manifest, then per shard in
-// manifest order: tree, cascade, core, and (dynamic shards only) dynamic.
+// manifest order: tree, catalogs (the build settings and the native
+// catalogs), and (dynamic shards only) dynamic.
 const (
 	secManifest uint32 = 1
 	secTree     uint32 = 2
-	secCascade  uint32 = 3
-	secCore     uint32 = 4
-	secDynamic  uint32 = 5
+	secCatalogs uint32 = 3
+	secDynamic  uint32 = 4
 )
 
 // Sentinel reasons for snapshot corruption. They are always wrapped in a

@@ -143,8 +143,8 @@ func Load(path string) (*Store, error) {
 	return LoadParallel(path, 1)
 }
 
-// LoadParallel is Load with the restore re-validation fanned out over
-// parallelism host workers (0 = all cores); see DecodeParallel.
+// LoadParallel is Load with each shard's build fanned out over parallelism
+// host workers (0 = all cores); see DecodeParallel.
 func LoadParallel(path string, parallelism int) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

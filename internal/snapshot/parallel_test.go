@@ -2,47 +2,12 @@ package snapshot
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"fraccascade/internal/core"
-	"fraccascade/internal/tree"
 )
-
-// buildStaticParallel is buildStatic with an explicit build parallelism.
-func buildStaticParallel(tb testing.TB, leaves, perNode int, seed int64, parallelism int) *core.Structure {
-	tb.Helper()
-	t, err := tree.NewBalancedBinary(leaves)
-	if err != nil {
-		tb.Fatalf("tree: %v", err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	st, err := core.Build(t, randomCatalogs(tb, t, perNode, rng), core.Config{Parallelism: parallelism})
-	if err != nil {
-		tb.Fatalf("build: %v", err)
-	}
-	return st
-}
-
-// TestEncodeBitIdenticalAcrossBuildParallelism is the end-to-end
-// determinism pin: structures built at any parallelism must serialize to
-// byte-identical snapshots. The wire format has no room for schedule
-// noise — if a parallel merge ever reordered an entry, the encoded bytes
-// would diverge here before any query-level test noticed.
-func TestEncodeBitIdenticalAcrossBuildParallelism(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		seqBytes := encodeOne(t, buildStaticParallel(t, 16, 24, seed, 1))
-		for _, par := range []int{2, 8, 0, runtime.NumCPU()} {
-			parBytes := encodeOne(t, buildStaticParallel(t, 16, 24, seed, par))
-			if !bytes.Equal(seqBytes, parBytes) {
-				t.Fatalf("seed %d: snapshot of build with parallelism %d differs from sequential (%d vs %d bytes)",
-					seed, par, len(parBytes), len(seqBytes))
-			}
-		}
-	}
-}
 
 func encodeOne(tb testing.TB, st *core.Structure) []byte {
 	tb.Helper()
@@ -53,10 +18,11 @@ func encodeOne(tb testing.TB, st *core.Structure) []byte {
 	return data
 }
 
-// TestDecodeParallelDeterministic pins the parallel restore: decoding the
-// same snapshot at any parallelism yields shards whose re-encoded bytes
-// and exported state match the sequential decode's, and whose answers
-// match the original structure's.
+// TestDecodeParallelDeterministic pins the parallel load: decoding the
+// same snapshot at any parallelism builds a shard whose cascade equals the
+// sequential decode's, whose T′ freezes to the same bytes, which
+// re-encodes to the original snapshot, and which answers like the
+// original structure.
 func TestDecodeParallelDeterministic(t *testing.T) {
 	st := buildStatic(t, 16, 24, 7)
 	data := encodeOne(t, st)
@@ -64,25 +30,23 @@ func TestDecodeParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqState, err := seq.Shards[0].Static.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqStatic := seq.Shards[0].Static
+	seqBytes := frozenBytes(t, seqStatic)
 	for _, par := range []int{2, 8, 0, runtime.NumCPU()} {
 		got, err := DecodeParallel(data, par)
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}
-		gotState, err := got.Shards[0].Static.ExportState()
-		if err != nil {
-			t.Fatal(err)
+		gotStatic := got.Shards[0].Static
+		if !reflect.DeepEqual(gotStatic.Cascade(), seqStatic.Cascade()) {
+			t.Fatalf("DecodeParallel(par=%d) cascade differs from sequential decode", par)
 		}
-		if !reflect.DeepEqual(gotState, seqState) {
-			t.Fatalf("DecodeParallel(par=%d) state differs from sequential decode", par)
+		if !bytes.Equal(frozenBytes(t, gotStatic), seqBytes) {
+			t.Fatalf("DecodeParallel(par=%d) T' freezes to other bytes than sequential decode", par)
 		}
-		if !bytes.Equal(encodeOne(t, got.Shards[0].Static), data) {
+		if !bytes.Equal(encodeOne(t, gotStatic), data) {
 			t.Fatalf("DecodeParallel(par=%d) re-encode differs from the original snapshot", par)
 		}
-		assertSameAnswers(t, st, got.Shards[0].Static, 7)
+		assertSameAnswers(t, st, gotStatic, 7)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 
-	"fraccascade/internal/cascade"
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/dynamic"
@@ -23,8 +22,9 @@ const (
 	// KindStatic is a built static structure (core.Structure), the only
 	// kind the engine serves.
 	KindStatic Kind = 1
-	// KindDynamic is a dynamic structure with committed catalogs and
-	// pending overlays (dynamic.Structure).
+	// KindDynamic is a dynamic structure with pending overlays
+	// (dynamic.Structure); its committed catalogs are its static
+	// structure's native catalogs.
 	KindDynamic Kind = 2
 )
 
@@ -82,9 +82,9 @@ func encodeShards(w io.Writer, generation uint64, kinds []Kind, next func(i int)
 	for i, kind := range kinds {
 		switch kind {
 		case KindStatic:
-			sections += 3
+			sections += 2
 		case KindDynamic:
-			sections += 4
+			sections += 3
 		default:
 			return Binding{}, fmt.Errorf("snapshot: shard %d: unknown kind %d", i, kind)
 		}
@@ -92,7 +92,7 @@ func encodeShards(w io.Writer, generation uint64, kinds []Kind, next func(i int)
 	}
 	e := &encoder{w: w}
 	e.write(appendHeader(nil, generation, sections))
-	e.section(secManifest, func(m *writer) { m.buf = append(m.buf, manifest.buf...) })
+	e.section(secManifest, func(m *writer) error { m.buf = append(m.buf, manifest.buf...); return nil })
 	for i := 0; i < len(kinds) && e.err == nil; i++ {
 		sh, err := next(i)
 		if err != nil {
@@ -124,19 +124,23 @@ func (e *encoder) write(p []byte) {
 	e.bind.Size += int64(len(p))
 }
 
-// section writes section id, whose payload encode appends to e.buf.
-func (e *encoder) section(id uint32, encode func(*writer)) {
+// section writes section id, whose payload encode appends to e.buf. An
+// error from encode writes nothing and is the encoder's last.
+func (e *encoder) section(id uint32, encode func(*writer) error) {
 	if e.err != nil {
 		return
 	}
 	e.buf = append(e.buf[:0], make([]byte, sectionHeaderSize)...)
-	encode(&e.writer)
+	if e.err = encode(&e.writer); e.err != nil {
+		return
+	}
 	e.buf = frameSection(e.buf, id)
 	e.write(e.buf)
 }
 
-// shard writes one shard's sections: tree, cascade, core, and for a
-// dynamic shard its committed catalogs and pending overlays.
+// shard writes one shard's sections: its tree, its build settings and
+// native catalogs, and for a dynamic shard its capacity, generation and
+// pending overlays. Nothing core.Build derives is written.
 func (e *encoder) shard(sh Shard) error {
 	stc := sh.Static
 	if sh.Kind == KindDynamic {
@@ -148,17 +152,15 @@ func (e *encoder) shard(sh Shard) error {
 	if stc == nil {
 		return fmt.Errorf("nil structure")
 	}
-	coreState, err := stc.ExportState()
-	if err != nil {
-		return err
+	if stc.Config().HOverride != nil {
+		return fmt.Errorf("built with core.Config.HOverride, a function a snapshot cannot record")
 	}
-	e.section(secTree, func(w *writer) { encodeTree(w, stc.Tree()) })
-	e.section(secCascade, func(w *writer) { encodeCascade(w, stc.Cascade().ExportParts()) })
-	e.section(secCore, func(w *writer) { encodeCore(w, coreState) })
+	e.section(secTree, func(w *writer) error { encodeTree(w, stc.Tree()); return nil })
+	e.section(secCatalogs, func(w *writer) error { return encodeCatalogs(w, stc) })
 	if sh.Kind == KindDynamic {
-		e.section(secDynamic, func(w *writer) { encodeDynamic(w, sh.Dynamic.ExportState()) })
+		e.section(secDynamic, func(w *writer) error { encodeDynamic(w, sh.Dynamic.ExportState()); return nil })
 	}
-	return nil
+	return e.err
 }
 
 // Decode reassembles a store from snapshot bytes. Every defect returns a
@@ -167,11 +169,10 @@ func Decode(data []byte) (*Store, error) {
 	return DecodeParallel(data, 1)
 }
 
-// DecodeParallel is Decode with the restore re-validation — the cascade
-// bridge checks and the core block topology rebuild, the dominant cost of
-// a restore — fanned out over parallelism host workers (0 = all cores).
-// The restored store and every error are identical to Decode's for every
-// parallelism value.
+// DecodeParallel is Decode with each shard's build, the dominant cost of a
+// load, fanned out over parallelism host workers (0 = all cores), as
+// core.Config.Parallelism does. The restored store and every error are
+// identical to Decode's for every parallelism value.
 func DecodeParallel(data []byte, parallelism int) (*Store, error) {
 	r, err := newShardReader(data, parallelism)
 	if err != nil {
@@ -190,8 +191,8 @@ func DecodeParallel(data []byte, parallelism int) (*Store, error) {
 
 // shardReader is the snapshot decoder behind DecodeParallel: it restores a
 // snapshot one shard at a time. Opening it checks everything that needs no
-// shard decoded — the header, every section's framing and checksum,
-// trailing bytes and the manifest.
+// shard read — the header, every section's framing and checksum, trailing
+// bytes and the manifest.
 type shardReader struct {
 	generation  uint64
 	kinds       []Kind
@@ -297,13 +298,18 @@ func newShardReader(data []byte, parallelism int) (*shardReader, error) {
 	return &shardReader{generation: generation, kinds: kinds, secs: secs, parallelism: parallelism, idx: 1}, nil
 }
 
-// next decodes the next shard in manifest order, one for each of r.kinds.
-// The last shard's next also rejects sections beyond the manifest's
-// shards. Every error is a *CorruptionError.
+// next restores the next shard in manifest order, one for each of
+// r.kinds: it reads and validates the shard's inputs, then builds it. The
+// last shard's next also rejects sections beyond the manifest's shards.
+// Every error is a *CorruptionError.
 func (r *shardReader) next() (Shard, error) {
 	si := r.shard
 	r.shard++
-	sh, err := decodeShard(r.kinds[si], r.take, r.parallelism)
+	in, err := readShard(r.kinds[si], r.take)
+	var sh Shard
+	if err == nil {
+		sh, err = in.build(r.parallelism)
+	}
 	if err != nil {
 		return Shard{}, &CorruptionError{Reason: errReason(err), Detail: fmt.Sprintf("shard %d: %s", si, errDetail(err))}
 	}
@@ -343,41 +349,57 @@ func errDetail(err error) string {
 	return err.Error()
 }
 
-func decodeShard(kind Kind, take func(uint32) ([]byte, error), parallelism int) (Shard, error) {
-	treePayload, err := take(secTree)
+// shardInputs are one shard's build inputs as its sections hold them.
+type shardInputs struct {
+	kind    Kind
+	tree    *tree.Tree
+	cfg     core.Config
+	natives []catalog.Catalog
+	dynamic dynamic.State // dynamic shards only
+}
+
+// readShard reads and validates the sections of one shard of the given
+// kind. It builds nothing: every defect in the tree, the settings or the
+// catalogs is reported here, before core.Build runs.
+func readShard(kind Kind, take func(uint32) ([]byte, error)) (in shardInputs, err error) {
+	in.kind = kind
+	payload, err := take(secTree)
 	if err != nil {
-		return Shard{}, err
+		return in, err
 	}
-	t, err := decodeTree(treePayload)
+	if in.tree, err = decodeTree(payload); err != nil {
+		return in, err
+	}
+	if payload, err = take(secCatalogs); err != nil {
+		return in, err
+	}
+	if in.cfg, in.natives, err = decodeCatalogs(in.tree, payload); err != nil {
+		return in, err
+	}
+	if kind == KindDynamic {
+		if payload, err = take(secDynamic); err != nil {
+			return in, err
+		}
+		in.dynamic, err = decodeDynamic(payload)
+	}
+	return in, err
+}
+
+// build runs core.Build over the inputs with the given host parallelism
+// and, for a dynamic shard, restores its overlays around the result.
+func (in *shardInputs) build(parallelism int) (Shard, error) {
+	cfg := in.cfg
+	cfg.Parallelism = parallelism
+	stc, err := core.Build(in.tree, in.natives, cfg)
 	if err != nil {
-		return Shard{}, err
+		return Shard{}, corruptf(ErrCorrupt, "build: %v", err)
 	}
-	cascadePayload, err := take(secCascade)
-	if err != nil {
-		return Shard{}, err
-	}
-	cs, err := decodeCascade(t, cascadePayload, parallelism)
-	if err != nil {
-		return Shard{}, err
-	}
-	corePayload, err := take(secCore)
-	if err != nil {
-		return Shard{}, err
-	}
-	stc, err := decodeCore(cs, corePayload, parallelism)
-	if err != nil {
-		return Shard{}, err
-	}
-	if kind == KindStatic {
+	if in.kind == KindStatic {
 		return Shard{Kind: KindStatic, Static: stc}, nil
 	}
-	dynPayload, err := take(secDynamic)
+	d, err := dynamic.FromParts(stc, in.dynamic)
 	if err != nil {
-		return Shard{}, err
-	}
-	d, err := decodeDynamic(stc, dynPayload)
-	if err != nil {
-		return Shard{}, err
+		return Shard{}, corruptf(ErrCorrupt, "%v", err)
 	}
 	return Shard{Kind: KindDynamic, Dynamic: d}, nil
 }
@@ -452,192 +474,106 @@ func decodeTree(payload []byte) (*tree.Tree, error) {
 	return t, nil
 }
 
-// encodeCascade stores stride, bidirectionality, and per node the
-// augmented catalog plus bridge arrays. Native catalogs are not stored:
-// a node's native catalog is exactly the native-flagged subsequence of
-// its augmented catalog, so decode reconstructs it.
-func encodeCascade(w *writer, p cascade.Parts) {
-	w.uint(p.Stride)
-	w.boolVal(p.Bidirectional)
-	w.uint(len(p.Aug))
-	for v := range p.Aug {
-		entries := p.Aug[v].Entries()
-		w.uint(len(entries))
-		for _, e := range entries {
-			w.i64(e.Key)
-			w.i64(int64(e.Payload))
-			w.boolVal(e.Native)
+// encodeCatalogs writes what core.Build takes besides the tree: the build
+// settings that change its result — the cascade's sampling stride,
+// NoTruncation and MaxSubs — and each node's native catalog, as the count
+// of its finite keys and, per key, the key (the first whole, each later
+// one as its delta from the key before, at least 1) and its payload. The
+// +∞ terminal is implicit. A catalog that catalog.FromKeys could not have
+// made from its finite keys — a dummy entry, a key at −∞, a payload on
+// the terminal — is refused, since a load would not restore it as it was.
+func encodeCatalogs(w *writer, st *core.Structure) error {
+	cs, t := st.Cascade(), st.Tree()
+	w.uint(cs.Stride())
+	w.boolVal(st.Config().NoTruncation)
+	w.uint(max(st.Config().MaxSubs, 0))
+	w.uint(t.N())
+	for v := 0; v < t.N(); v++ {
+		entries := cs.Native(tree.NodeID(v)).Entries()
+		finite := entries[:len(entries)-1]
+		if pl := entries[len(finite)].Payload; pl != catalog.NoPayload {
+			return fmt.Errorf("node %d: the +inf terminal carries payload %d", v, pl)
 		}
-		for _, br := range p.Bridges[v] {
-			for _, b := range br {
-				w.u64(uint64(b))
+		w.uint(len(finite))
+		for i, e := range finite {
+			switch {
+			case !e.Native:
+				return fmt.Errorf("node %d: native catalog holds a dummy entry at %d", v, i)
+			case i == 0 && e.Key == catalog.MinusInf:
+				return fmt.Errorf("node %d: key -inf", v)
+			case i == 0:
+				w.i64(e.Key)
+			default:
+				w.u64(uint64(e.Key) - uint64(finite[i-1].Key))
 			}
+			w.i64(int64(e.Payload))
 		}
 	}
+	return nil
 }
 
-func decodeCascade(t *tree.Tree, payload []byte, parallelism int) (*cascade.Structure, error) {
+// decodeCatalogs reads and validates the catalogs section for tree t: the
+// build settings, as a core.Config, and one native catalog per node.
+func decodeCatalogs(t *tree.Tree, payload []byte) (core.Config, []catalog.Catalog, error) {
 	r := &reader{buf: payload}
-	parts := cascade.Parts{
-		Stride:        int(r.u32i()),
-		Bidirectional: r.boolVal(),
+	cfg := core.Config{
+		CascadeStride: int(r.u32i()),
+		NoTruncation:  r.boolVal(),
+		MaxSubs:       int(r.u32i()),
+	}
+	if r.err == nil && cfg.CascadeStride < 2 {
+		r.fail(ErrCorrupt, "cascade stride %d < 2", cfg.CascadeStride)
 	}
 	n := r.count(1)
 	if r.err == nil && n != t.N() {
-		r.fail(ErrCorrupt, "cascade covers %d nodes, tree has %d", n, t.N())
+		r.fail(ErrCorrupt, "catalogs for %d nodes, tree has %d", n, t.N())
 	}
-	parts.Native = make([]catalog.Catalog, 0, n)
-	parts.Aug = make([]catalog.Catalog, 0, n)
-	parts.Bridges = make([][][]int32, 0, n)
+	natives := make([]catalog.Catalog, n)
 	for v := 0; v < n && r.err == nil; v++ {
-		aug, native, err := decodeCatalogPair(r)
-		if err != nil {
-			return nil, err
-		}
-		parts.Aug = append(parts.Aug, aug)
-		parts.Native = append(parts.Native, native)
-		ch := t.Children(tree.NodeID(v))
-		var brs [][]int32
-		if len(ch) > 0 {
-			brs = make([][]int32, len(ch))
-			for ci := range ch {
-				br := make([]int32, aug.Len())
-				for j := range br {
-					br[j] = r.u32i()
-				}
-				brs[ci] = br
-			}
-		}
-		parts.Bridges = append(parts.Bridges, brs)
+		natives[v] = r.nativeCatalog(v)
 	}
 	if err := r.finish(); err != nil {
-		return nil, err
+		return core.Config{}, nil, err
 	}
-	cs, err := cascade.FromPartsParallel(t, parts, parallelism)
-	if err != nil {
-		return nil, corruptf(ErrCorrupt, "cascade: %v", err)
-	}
-	return cs, nil
+	return cfg, natives, nil
 }
 
-// decodeCatalogPair reads one augmented catalog and derives the native
-// catalog from its native-flagged entries. NativeSucc indices are
-// recomputed, then both catalogs pass the package's own validation.
-func decodeCatalogPair(r *reader) (aug, native catalog.Catalog, err error) {
-	count := r.count(3) // key + payload + native flag per entry
-	entries := make([]catalog.Entry, count)
-	for i := range entries {
-		entries[i] = catalog.Entry{
-			Key:     r.i64(),
-			Payload: r.i32(),
-			Native:  r.boolVal(),
+// nativeCatalog reads node v's native catalog as encodeCatalogs wrote it.
+// Every key lies strictly between −∞ and +∞: the first is checked, and a
+// delta that would reach +∞ is refused before it is added, so no key
+// wraps. catalog.FromEntries refuses a zero delta, a key repeated.
+func (r *reader) nativeCatalog(v int) catalog.Catalog {
+	count := r.count(2) // a key byte and a payload byte per entry at least
+	entries := make([]catalog.Entry, 0, count+1)
+	var key catalog.Key
+	for i := 0; i < count && r.err == nil; i++ {
+		if i == 0 {
+			if key = r.i64(); key == catalog.MinusInf || key == catalog.PlusInf {
+				r.fail(ErrCorrupt, "node %d: first key %d is infinite", v, key)
+			}
+		} else {
+			d := r.u64()
+			if r.err == nil && d >= uint64(catalog.PlusInf)-uint64(key) {
+				r.fail(ErrCorrupt, "node %d: key %d plus delta %d reaches +inf at %d", v, key, d, i)
+			}
+			key = catalog.Key(uint64(key) + d)
 		}
+		entries = append(entries, catalog.Entry{Key: key, Payload: r.i32(), NativeSucc: int32(i), Native: true})
 	}
 	if r.err != nil {
-		return aug, native, r.err
+		return catalog.Catalog{}
 	}
-	natives := 0
-	next := int32(len(entries) - 1)
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].Native {
-			next = int32(i)
-			natives++
-		}
-		entries[i].NativeSucc = next
-	}
-	nativeEntries := make([]catalog.Entry, 0, natives)
-	for _, e := range entries {
-		if e.Native {
-			e.NativeSucc = int32(len(nativeEntries))
-			nativeEntries = append(nativeEntries, e)
-		}
-	}
-	if aug, err = catalog.FromEntries(entries); err != nil {
-		return aug, native, corruptf(ErrCorrupt, "augmented catalog: %v", err)
-	}
-	if native, err = catalog.FromEntries(nativeEntries); err != nil {
-		return aug, native, corruptf(ErrCorrupt, "native catalog: %v", err)
-	}
-	return aug, native, nil
-}
-
-func encodeCore(w *writer, st core.State) {
-	w.boolVal(st.Cfg.NoTruncation)
-	w.uint(st.Cfg.MaxSubs)
-	w.boolVal(st.Cfg.Sequential)
-	w.uint(st.Cfg.CascadeStride)
-	w.uint(len(st.Subs))
-	for _, sub := range st.Subs {
-		w.uint(len(sub.Blocks))
-		for _, b := range sub.Blocks {
-			w.u64(uint64(b.Root))
-			w.uint(len(b.KeyPos))
-			numNodes := 0
-			if len(b.KeyPos) > 0 {
-				numNodes = len(b.KeyPos[0])
-			}
-			w.uint(numNodes)
-			for _, kp := range b.KeyPos {
-				for _, pos := range kp {
-					w.u64(uint64(pos))
-				}
-			}
-		}
-	}
-}
-
-func decodeCore(cs *cascade.Structure, payload []byte, parallelism int) (*core.Structure, error) {
-	r := &reader{buf: payload}
-	state := core.State{Cfg: core.ConfigState{
-		NoTruncation:  r.boolVal(),
-		MaxSubs:       int(r.u32i()),
-		Sequential:    r.boolVal(),
-		CascadeStride: int(r.u32i()),
-	}}
-	numSubs := r.count(1)
-	for i := 0; i < numSubs && r.err == nil; i++ {
-		numBlocks := r.count(2) // root + skeleton count per block at minimum
-		sub := core.SubState{Blocks: make([]core.BlockState, 0, numBlocks)}
-		for bi := 0; bi < numBlocks && r.err == nil; bi++ {
-			b := core.BlockState{Root: r.u32i()}
-			m := r.count(1)
-			numNodes := r.count(1)
-			if r.err == nil && int64(m)*int64(numNodes) > int64(r.remaining()) {
-				r.fail(ErrTruncated, "skeleton of %d x %d positions exceeds %d remaining bytes", m, numNodes, r.remaining())
-			}
-			b.KeyPos = make([][]int32, 0, m)
-			for j := 0; j < m && r.err == nil; j++ {
-				kp := make([]int32, numNodes)
-				for z := range kp {
-					kp[z] = r.u32i()
-				}
-				b.KeyPos = append(b.KeyPos, kp)
-			}
-			sub.Blocks = append(sub.Blocks, b)
-		}
-		state.Subs = append(state.Subs, sub)
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	stc, err := core.FromPartsParallel(cs, state, parallelism)
+	entries = append(entries, catalog.Entry{Key: catalog.PlusInf, Payload: catalog.NoPayload, NativeSucc: int32(count), Native: true})
+	c, err := catalog.FromEntries(entries)
 	if err != nil {
-		return nil, corruptf(ErrCorrupt, "%v", err)
+		r.fail(ErrCorrupt, "node %d: %v", v, err)
 	}
-	return stc, nil
+	return c
 }
 
 func encodeDynamic(w *writer, st dynamic.State) {
 	w.uint(st.Capacity)
 	w.u64(st.Generation)
-	w.uint(len(st.Keys))
-	for v := range st.Keys {
-		w.uint(len(st.Keys[v]))
-		for i := range st.Keys[v] {
-			w.i64(st.Keys[v][i])
-			w.i64(int64(st.Payloads[v][i]))
-		}
-	}
 	w.uint(len(st.Pending))
 	for _, np := range st.Pending {
 		w.u64(uint64(np.Node))
@@ -653,24 +589,13 @@ func encodeDynamic(w *writer, st dynamic.State) {
 	}
 }
 
-func decodeDynamic(stc *core.Structure, payload []byte) (*dynamic.Structure, error) {
+// decodeDynamic reads a dynamic shard's capacity, generation and pending
+// overlays; dynamic.FromParts validates them against the built shard.
+func decodeDynamic(payload []byte) (dynamic.State, error) {
 	r := &reader{buf: payload}
 	state := dynamic.State{
 		Capacity:   int(r.u32i()),
 		Generation: r.u64(),
-	}
-	n := r.count(1)
-	state.Keys = make([][]catalog.Key, n)
-	state.Payloads = make([][]int32, n)
-	for v := 0; v < n && r.err == nil; v++ {
-		count := r.count(2) // key + payload per entry
-		ks := make([]catalog.Key, count)
-		ps := make([]int32, count)
-		for i := 0; i < count; i++ {
-			ks[i] = r.i64()
-			ps[i] = r.i32()
-		}
-		state.Keys[v], state.Payloads[v] = ks, ps
 	}
 	pending := r.count(3) // node + two counts per overlay at minimum
 	for pi := 0; pi < pending && r.err == nil; pi++ {
@@ -686,11 +611,7 @@ func decodeDynamic(stc *core.Structure, payload []byte) (*dynamic.Structure, err
 		state.Pending = append(state.Pending, np)
 	}
 	if err := r.finish(); err != nil {
-		return nil, err
+		return dynamic.State{}, err
 	}
-	d, err := dynamic.FromParts(stc, state)
-	if err != nil {
-		return nil, corruptf(ErrCorrupt, "%v", err)
-	}
-	return d, nil
+	return state, nil
 }

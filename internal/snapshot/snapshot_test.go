@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -14,6 +15,7 @@ import (
 	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/dynamic"
+	"fraccascade/internal/flat"
 	"fraccascade/internal/tree"
 )
 
@@ -58,17 +60,47 @@ func buildStatic(tb testing.TB, leaves, perNode int, seed int64) *core.Structure
 	return st
 }
 
-// queryKeys returns a deterministic probe set spanning the key range.
+// queryKeys returns a deterministic probe set spanning the key range of
+// every test structure, [−2^31, 2^31).
 func queryKeys(rng *rand.Rand, n int) []catalog.Key {
 	out := make([]catalog.Key, n)
 	for i := range out {
-		out[i] = catalog.Key(rng.Int63n(1 << 31))
+		out[i] = catalog.Key(rng.Int63n(1<<32) - 1<<31)
 	}
 	return out
 }
 
+// assertIdentical requires got to be the structure want is: an equal
+// cascade, a T′ that freezes to the same bytes, and the same answers.
+func assertIdentical(tb testing.TB, want, got *core.Structure, seed int64) {
+	tb.Helper()
+	if !reflect.DeepEqual(want.Cascade(), got.Cascade()) {
+		tb.Fatalf("restored cascade differs from the saved one")
+	}
+	if !bytes.Equal(frozenBytes(tb, want), frozenBytes(tb, got)) {
+		tb.Fatalf("restored T' freezes to other bytes than the saved one")
+	}
+	assertSameAnswers(tb, want, got, seed)
+}
+
+// frozenBytes is the flat encoding of st: every array of T′ the served
+// layout holds.
+func frozenBytes(tb testing.TB, st *core.Structure) []byte {
+	tb.Helper()
+	f, err := flat.Freeze(st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := f.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // assertSameAnswers requires bit-identical results and step statistics
-// from both structures over seeded root-to-leaf queries.
+// from both structures over seeded root-to-leaf queries at p ∈ {1, 4,
+// 128, 4096}.
 func assertSameAnswers(tb testing.TB, want, got *core.Structure, seed int64) {
 	tb.Helper()
 	t := want.Tree()
@@ -79,8 +111,8 @@ func assertSameAnswers(tb testing.TB, want, got *core.Structure, seed int64) {
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	for _, p := range []int{4, 64, 1024} {
-		for _, y := range queryKeys(rng, 16) {
+	for _, p := range []int{1, 4, 128, 4096} {
+		for _, y := range queryKeys(rng, 8) {
 			path := t.RootPath(leaves[rng.Intn(len(leaves))])
 			wr, ws, err := want.SearchExplicit(y, path, p)
 			if err != nil {
@@ -126,7 +158,7 @@ func TestRoundTripStatic(t *testing.T) {
 	if !reflect.DeepEqual(st.SpaceReport(), restored.SpaceReport()) {
 		t.Fatalf("space reports diverge")
 	}
-	assertSameAnswers(t, st, restored, 2)
+	assertIdentical(t, st, restored, 2)
 }
 
 // churn makes a dynamic structure with committed history, an advanced
@@ -221,7 +253,7 @@ func TestRoundTripDynamic(t *testing.T) {
 			t.Fatalf("y=%d: answers diverge", y)
 		}
 	}
-	assertSameAnswers(t, d.Static(), rd.Static(), 5)
+	assertIdentical(t, d.Static(), rd.Static(), 5)
 }
 
 func TestRoundTripMultiShard(t *testing.T) {
@@ -242,8 +274,8 @@ func TestRoundTripMultiShard(t *testing.T) {
 	if len(got.Shards) != 2 || got.Shards[0].Static == nil || got.Shards[1].Dynamic == nil {
 		t.Fatalf("bad shards: %+v", got.Shards)
 	}
-	assertSameAnswers(t, st, got.Shards[0].Static, 13)
-	assertSameAnswers(t, d.Static(), got.Shards[1].Dynamic.Static(), 14)
+	assertIdentical(t, st, got.Shards[0].Static, 13)
+	assertIdentical(t, d.Static(), got.Shards[1].Dynamic.Static(), 14)
 }
 
 func TestSaveLoad(t *testing.T) {
@@ -322,6 +354,10 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	crc := crc32.Checksum(skew[:headerSize-4], castagnoli)
 	binary.LittleEndian.PutUint32(skew[headerSize-4:], crc)
 	check("version skew", skew, ErrVersion)
+	// Version 1 is refused the same way.
+	skew[len(magic)] = 1
+	binary.LittleEndian.PutUint32(skew[headerSize-4:], crc32.Checksum(skew[:headerSize-4], castagnoli))
+	check("version 1", skew, ErrVersion)
 
 	// Any single flipped bit must be caught. Sampling every few bytes
 	// keeps the test fast while covering header, framing, and payloads.
