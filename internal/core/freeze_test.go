@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"testing"
 
+	"fraccascade/internal/catalog"
 	"fraccascade/internal/core"
 	"fraccascade/internal/flat"
+	"fraccascade/internal/tree"
 )
 
 // TestParallelBuildStateIdentical pins the build pool's contract at the
@@ -44,4 +46,49 @@ func frozenBytes(tb testing.TB, st *core.Structure) []byte {
 		tb.Fatal(err)
 	}
 	return b
+}
+
+// TestExportStateRoundTrip pins the round trip a snapshot load makes at
+// this layer: a Structure's state is its Config plus its cascade's inputs
+// (the tree and each node's native catalog), and Build on them gives an
+// equal cascade, a T′ that freezes to the same bytes, and the same
+// answers and Stats, for default and non-default settings.
+func TestExportStateRoundTrip(t *testing.T) {
+	for _, cfg := range []core.Config{{}, {NoTruncation: true, MaxSubs: 2}, {CascadeStride: 6}} {
+		st, _, _ := core.BuildStructure(t, 16, 400, 17, cfg)
+		tr := st.Tree()
+		native := make([]catalog.Catalog, tr.N())
+		for v := range native {
+			native[v] = st.Cascade().Native(tree.NodeID(v))
+		}
+		got, err := core.Build(tr, native, st.Config())
+		if err != nil {
+			t.Fatalf("%+v: rebuild: %v", cfg, err)
+		}
+		if !reflect.DeepEqual(got.Cascade(), st.Cascade()) {
+			t.Fatalf("%+v: rebuilt cascade differs", cfg)
+		}
+		if !bytes.Equal(frozenBytes(t, got), frozenBytes(t, st)) {
+			t.Fatalf("%+v: rebuilt T' freezes to other bytes", cfg)
+		}
+		var leaf tree.NodeID
+		for v := 0; v < tr.N(); v++ {
+			if tr.IsLeaf(tree.NodeID(v)) {
+				leaf = tree.NodeID(v)
+			}
+		}
+		path := tr.RootPath(leaf)
+		for _, p := range []int{1, 4, 128} {
+			for y := catalog.Key(0); y < 1600; y += 97 {
+				wr, ws, err1 := st.SearchExplicit(y, path, p)
+				gr, gs, err2 := got.SearchExplicit(y, path, p)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("search: %v / %v", err1, err2)
+				}
+				if !reflect.DeepEqual(wr, gr) || ws != gs {
+					t.Fatalf("%+v p=%d y=%d: answers diverge", cfg, p, y)
+				}
+			}
+		}
+	}
 }
