@@ -117,13 +117,14 @@ bench-wall:
 # virtual executors produce identical results, step counts, work, conflict
 # verdicts, and fault skip counts — plus one short BenchmarkE17 run
 # comparing their wall clocks on the same end-to-end search program, and
-# three iterations of every E7 point-location benchmark, so their
-# per-query answer checks run, and one run each of coopserve's
-# catalog-cold shard build and snapshot load benchmarks.
+# three iterations of every E7 planar and E8 spatial point-location
+# benchmark, so their per-query answer checks run, and one run each of
+# coopserve's catalog-cold shard build and snapshot load benchmarks.
 bench-smoke:
 	$(GO) test -run='Executor' ./internal/pram ./internal/parallel ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkE17SearchPRAM$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^BenchmarkE7PointLocation$$' -benchtime=3x .
+	$(GO) test -run='^$$' -bench='^BenchmarkE8Spatial$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^Benchmark(BuildShards|LoadSnapshot)$$' -benchtime=1x ./cmd/coopserve
 
 # Observability smoke: the -metrics surfaces must run end to end and

@@ -325,9 +325,13 @@ func benchLocate(b *testing.B, pts []geom.Point, want []int, locate func(geom.Po
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
 
-// BenchmarkE8Spatial measures spatial point location (Theorem 5). Query
-// points and their brute-force cells are drawn before the timer starts;
-// every answer is checked.
+// BenchmarkE8Spatial measures spatial point location (Theorem 5): the
+// pointer locator at each p, its frozen twin (Locator.Freeze, then
+// LocateCoopInto) at the same p, and the frozen locator at coopserve's
+// served shape (the 8,192-tile complex drawn after the 8,192-region
+// subdivision from one stream seeded 3 ^ "geom") at coopserve's share,
+// p = 128. Query points and their brute-force cells are drawn before the
+// timer starts; every answer is checked.
 func BenchmarkE8Spatial(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c, err := spatial.Generate(400, 5, rng)
@@ -338,29 +342,76 @@ func BenchmarkE8Spatial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	type query struct{ x, y, z int64 }
-	qs, want := make([]query, 1024), make([]int, 1024)
+	fz, err := loc.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs, want := spatialQueries(c, rng)
+	servedRNG := rand.New(rand.NewSource(3 ^ 0x67656f6d))
+	if _, err := subdivision.Generate(8192, 24, servedRNG); err != nil {
+		b.Fatal(err)
+	}
+	served, err := spatial.Generate(8192, 4, servedRNG)
+	if err != nil {
+		b.Fatal(err)
+	}
+	servedLoc, err := spatial.NewLocator(served)
+	if err != nil {
+		b.Fatal(err)
+	}
+	servedFz, err := servedLoc.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	servedQs, servedWant := spatialQueries(served, rng)
+
+	for _, p := range []int{1, 256, 65536} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			benchSpatial(b, qs, want, func(q spatialQuery) (int, spatial.Stats, error) { return loc.LocateCoop(q.x, q.y, q.z, p) })
+		})
+	}
+	for _, p := range []int{1, 256, 65536} {
+		b.Run(fmt.Sprintf("frozen/p=%d", p), func(b *testing.B) {
+			sc := fz.NewScratch()
+			benchSpatial(b, qs, want, func(q spatialQuery) (int, spatial.Stats, error) { return fz.LocateCoopInto(q.x, q.y, q.z, p, sc) })
+		})
+	}
+	b.Run("frozen/served/p=128", func(b *testing.B) {
+		sc := servedFz.NewScratch()
+		benchSpatial(b, servedQs, servedWant, func(q spatialQuery) (int, spatial.Stats, error) {
+			return servedFz.LocateCoopInto(q.x, q.y, q.z, 128, sc)
+		})
+	})
+}
+
+// spatialQuery is one spatial point-location query point.
+type spatialQuery struct{ x, y, z int64 }
+
+// spatialQueries draws 1,024 interior points of c with their cells.
+func spatialQueries(c *spatial.Complex, rng *rand.Rand) ([]spatialQuery, []int) {
+	qs, want := make([]spatialQuery, 1024), make([]int, 1024)
 	for i := range qs {
 		qs[i].x, qs[i].y, qs[i].z, want[i] = c.RandomInteriorPoint(rng)
 	}
-	for _, p := range []int{1, 256, 65536} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var steps int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := i % len(qs)
-				got, stats, err := loc.LocateCoop(qs[j].x, qs[j].y, qs[j].z, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != want[j] {
-					b.Fatalf("wrong cell: %d vs %d", got, want[j])
-				}
-				steps += int64(stats.Steps)
-			}
-			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-		})
+	return qs, want
+}
+
+// benchSpatial is benchLocate for spatial queries.
+func benchSpatial(b *testing.B, qs []spatialQuery, want []int, locate func(spatialQuery) (int, spatial.Stats, error)) {
+	var steps int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(qs)
+		got, stats, err := locate(qs[j])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got != want[j] {
+			b.Fatalf("wrong cell: %d vs %d", got, want[j])
+		}
+		steps += int64(stats.Steps)
 	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
 
 // BenchmarkE9Retrieval measures the Theorem 6 retrieval structures.

@@ -450,13 +450,13 @@ func TestQueryBodyTooLarge(t *testing.T) {
 
 // queryHandlerAllocsBound is the measured allocation count of one warm
 // 32-query catalog POST /query through the handler, telemetry at its
-// defaults, with the test's request and recorder included: per query the
-// engine's result slice, per request the answer slice, the context, header
-// and request-id values and the recorder. Root paths are built into the
-// pooled request scratch; built with tree.RootPath, one per query, they
-// made it 98, and reflection decoding and encoding with the per-query
-// phase map made it 574.
-const queryHandlerAllocsBound = 66
+// defaults, with the test's request and recorder included: per request
+// the engine's answer slice and result buffer, the context, header and
+// request-id values and the recorder, and nothing per query. One result
+// slice per query made it 66; root paths built with tree.RootPath, one per
+// query, made it 98, and reflection decoding and encoding with the
+// per-query phase map made it 574.
+const queryHandlerAllocsBound = 35
 
 // queryHandlerGeometryAllocsBound is the measured allocation count of one
 // warm POST /query of 16 planar and 16 spatial queries through the same

@@ -6,16 +6,18 @@ import (
 )
 
 // executeBatchAllocsBound is the measured allocation count of one warm
-// 32-query catalog batch with nothing attached: the answer slice and the
-// one Run closure per batch, then one result slice per query. The phase
-// decomposition is a fixed array in the answer and the executor's
+// 32-query catalog batch with nothing attached: the answer slice, the one
+// Run closure and the one result buffer per batch, which every query's
+// results are carved from (one result slice per query made it 34). The
+// phase decomposition is a fixed array in the answer and the executor's
 // index-claim loop adds nothing per query.
-const executeBatchAllocsBound = 34
+const executeBatchAllocsBound = 3
 
 // executeGeometryBatchAllocsBound is the measured allocation count of one
 // warm 32-query planar+spatial batch: the answer slice and the Run closure.
-// The frozen locates allocate nothing once their pooled scratch is warm;
-// served from the pointer locators, the same batch made 530.
+// The frozen locates allocate nothing once the planar locator's pooled
+// scratch is warm, and the spatial one needs no scratch; served from the
+// pointer locators, the same batch made 530.
 const executeGeometryBatchAllocsBound = 2
 
 // TestExecuteBatchAllocs pins the engine's disabled-telemetry hot path: a
@@ -44,7 +46,7 @@ func TestExecuteBatchAllocs(t *testing.T) {
 	}
 
 	// Geometry: half planar, half spatial, served from the frozen
-	// locators with their scratch pooled per kind.
+	// locators, the planar one's scratch pooled.
 	if raceEnabled {
 		t.Skip("geometry allocation guard skipped under -race: sync.Pool drops items at random")
 	}

@@ -216,10 +216,9 @@ type Engine struct {
 	pl     *pointloc.Frozen
 	sp     *spatial.Frozen
 	pool   *workpool.Pool
-	// plScratch and spScratch pool the per-query scratch of the frozen
-	// locators across the executor's workers.
+	// plScratch pools the per-query scratch of the frozen planar locator
+	// across the executor's workers; a spatial locate needs none.
 	plScratch sync.Pool // *pointloc.Scratch
-	spScratch sync.Pool // *spatial.Scratch
 
 	mu      sync.Mutex
 	pending []Query
@@ -327,9 +326,6 @@ func NewFrozen(cfg Config, shards []*flat.Structure, pl *pointloc.Frozen, sp *sp
 	if pl != nil {
 		e.plScratch.New = func() any { return pl.NewScratch() }
 	}
-	if sp != nil {
-		e.spScratch.New = func() any { return sp.NewScratch() }
-	}
 	for i := range e.caches {
 		e.caches[i] = newEntryCache(cfg.CacheSize, cfg.Obs, i)
 	}
@@ -398,8 +394,8 @@ func (e *Engine) execute(ctx context.Context, qs []Query) ([]Answer, BatchReport
 	if pShare < 1 {
 		pShare = 1
 	}
-	answers := make([]Answer, len(qs))
-	e.pool.Run(len(qs), func(i int) { answers[i] = e.runQuery(ctx, qs[i], pShare, true) })
+	answers := newAnswers(qs)
+	e.pool.Run(len(qs), func(i int) { answers[i] = e.runQuery(ctx, qs[i], pShare, true, answers[i].Results) })
 	if reqID := obs.RequestIDFrom(ctx); reqID != "" {
 		for i := range answers {
 			answers[i].RequestID = reqID
@@ -528,10 +524,10 @@ func (e *Engine) ExecuteSequential(qs []Query) ([]Answer, int, error) {
 	if len(qs) == 0 {
 		return nil, 0, fmt.Errorf("engine: empty query list")
 	}
-	answers := make([]Answer, len(qs))
+	answers := newAnswers(qs)
 	total := 0
 	for i := range qs {
-		answers[i] = e.runQuery(nil, qs[i], e.cfg.Procs, false)
+		answers[i] = e.runQuery(nil, qs[i], e.cfg.Procs, false, answers[i].Results)
 		total += answers[i].Steps
 	}
 	return answers, total, nil
@@ -595,11 +591,35 @@ func spatialPhases(s spatial.Stats) (ph [len(PhaseLabels)]int) {
 	return ph
 }
 
-// runQuery executes one query with processor share p. useCache gates the
-// entry-point cache (the sequential baseline runs without it). A non-nil
-// ctx is checked up front; every search is a frozen one that runs in
-// microseconds host-side, so that check is the only one.
-func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a Answer) {
+// newAnswers returns a batch's answer slice. Each catalog query's answer
+// holds its own slice of one result buffer sized to the batch's paths,
+// capacity clipped, for runQuery to search into: one allocation per batch,
+// not one per query.
+func newAnswers(qs []Query) []Answer {
+	answers := make([]Answer, len(qs))
+	total := 0
+	for i := range qs {
+		if qs[i].Kind == KindCatalog {
+			total += len(qs[i].Path)
+		}
+	}
+	buf := make([]cascade.Result, total)
+	for i := range qs {
+		if qs[i].Kind == KindCatalog {
+			n := len(qs[i].Path)
+			answers[i].Results, buf = buf[:n:n], buf[n:]
+		}
+	}
+	return answers
+}
+
+// runQuery executes one query with processor share p; a catalog query
+// writes its results into out, which has one slot per path node, and
+// answers with it unless it fails. useCache gates the entry-point cache
+// (the sequential baseline runs without it). A non-nil ctx is checked up
+// front; every search is a frozen one that runs in microseconds
+// host-side, so that check is the only one.
+func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool, out []cascade.Result) (a Answer) {
 	a = Answer{Query: q, P: p}
 	// Per-query clock readings are paid only when a flight recorder wants
 	// the wall time; the uninstrumented path stays free of time syscalls.
@@ -615,7 +635,7 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 	}
 	switch q.Kind {
 	case KindCatalog:
-		e.runCatalog(&a, q, p, useCache)
+		e.runCatalog(&a, q, p, useCache, out)
 	case KindPoint:
 		if e.pl == nil {
 			a.Err = fmt.Errorf("engine: no point-location backend configured")
@@ -633,9 +653,7 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 			a.Err = fmt.Errorf("engine: no spatial backend configured")
 			return a
 		}
-		sc := e.spScratch.Get().(*spatial.Scratch)
-		cell, stats, err := e.sp.LocateCoopInto(q.SX, q.SY, q.SZ, p, sc)
-		e.spScratch.Put(sc)
+		cell, stats, err := e.sp.LocateCoop(q.SX, q.SY, q.SZ, p)
 		a.Cell, a.Steps, a.Rounds, a.Err = cell, stats.Steps, stats.DiscrimRounds, err
 		if err == nil {
 			a.PhaseSteps = spatialPhases(stats)
@@ -646,9 +664,9 @@ func (e *Engine) runQuery(ctx context.Context, q Query, p int, useCache bool) (a
 	return a
 }
 
-// runCatalog executes a catalog query, consulting and filling the shard's
-// entry cache.
-func (e *Engine) runCatalog(a *Answer, q Query, p int, useCache bool) {
+// runCatalog executes a catalog query into out, consulting and filling the
+// shard's entry cache.
+func (e *Engine) runCatalog(a *Answer, q Query, p int, useCache bool, out []cascade.Result) {
 	if q.Shard < 0 || q.Shard >= len(e.shards) {
 		a.Err = fmt.Errorf("engine: catalog shard %d out of range [0, %d)", q.Shard, len(e.shards))
 		return
@@ -661,10 +679,10 @@ func (e *Engine) runCatalog(a *Answer, q Query, p int, useCache bool) {
 	cache := e.caches[q.Shard]
 	if useCache {
 		if pos, ok := cache.lookup(q.Path[0], q.Key); ok {
-			results, stats, used, err := f.SearchExplicitWithEntry(q.Key, q.Path, p, pos)
-			a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
+			stats, used, err := f.SearchExplicitWithEntry(q.Key, q.Path, p, pos, out)
+			a.Steps, a.Rounds, a.Err = stats.Steps, stats.RootRounds, err
 			if err == nil {
-				a.PhaseSteps = catalogPhases(stats)
+				a.Results, a.PhaseSteps = out, catalogPhases(stats)
 			}
 			if used {
 				a.CacheHit = true
@@ -681,10 +699,10 @@ func (e *Engine) runCatalog(a *Answer, q Query, p int, useCache bool) {
 			return
 		}
 	}
-	results, stats, err := f.SearchExplicit(q.Key, q.Path, p)
-	a.Results, a.Steps, a.Rounds, a.Err = results, stats.Steps, stats.RootRounds, err
+	stats, err := f.SearchExplicitInto(q.Key, q.Path, p, out)
+	a.Steps, a.Rounds, a.Err = stats.Steps, stats.RootRounds, err
 	if err == nil {
-		a.PhaseSteps = catalogPhases(stats)
+		a.Results, a.PhaseSteps = out, catalogPhases(stats)
 		if useCache {
 			fillEntry(f, cache, q)
 		}

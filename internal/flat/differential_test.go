@@ -84,7 +84,8 @@ func runDifferentialCase(t *testing.T, c int, caseSeed int64) {
 		// against the pointer variant for results, stats, and the used flag.
 		for _, entryPos := range []int{f.EntryProbe(path[0], y), rng.Intn(2 * total)} {
 			wr, ws, wu, werr := st.SearchExplicitWithEntry(y, path, p, entryPos)
-			gr, gs, gu, gerr := f.SearchExplicitWithEntry(y, path, p, entryPos)
+			gr := make([]cascade.Result, len(path))
+			gs, gu, gerr := f.SearchExplicitWithEntry(y, path, p, entryPos, gr)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("case seed %d: WithEntry(pos=%d) err %v, want %v", caseSeed, entryPos, gerr, werr)
 			}

@@ -111,41 +111,32 @@ func (f *Structure) SearchExplicitInto(y catalog.Key, path []tree.NodeID, p int,
 	return stats, nil
 }
 
-// SearchExplicitWithEntry mirrors core.SearchExplicitWithEntry: a valid
+// SearchExplicitWithEntry mirrors core.SearchExplicitWithEntry into out,
+// which must have len(path) slots, as in SearchExplicitInto: a valid
 // cached entry position replaces the Step-1 cooperative rounds with one
 // verification step (used = true); an invalid hint falls back to the full
-// search (used = false). Answers always equal SearchExplicit's.
-func (f *Structure) SearchExplicitWithEntry(y catalog.Key, path []tree.NodeID, p, entryPos int) ([]cascade.Result, core.Stats, bool, error) {
+// search (used = false). Answers always equal SearchExplicit's. Zero heap
+// allocations.
+func (f *Structure) SearchExplicitWithEntry(y catalog.Key, path []tree.NodeID, p, entryPos int, out []cascade.Result) (core.Stats, bool, error) {
 	if err := f.validatePath(path); err != nil {
-		return nil, core.Stats{}, false, err
+		return core.Stats{}, false, err
 	}
 	if path[0] != f.root {
-		return nil, core.Stats{}, false, fmt.Errorf("flat: path must start at the root")
+		return core.Stats{}, false, fmt.Errorf("flat: path must start at the root")
+	}
+	if len(out) < len(path) {
+		return core.Stats{}, false, fmt.Errorf("flat: result buffer holds %d of %d path nodes", len(out), len(path))
+	}
+	if !f.ValidEntry(path[0], entryPos, y) {
+		stats, err := f.SearchExplicitInto(y, path, p, out)
+		return stats, false, err
 	}
 	if p < 1 {
 		p = 1
 	}
 	si := f.SelectSub(p)
-	stats := core.Stats{Sub: si, P: p}
-	out := make([]cascade.Result, len(path))
-	if !f.ValidEntry(path[0], entryPos, y) {
-		pos := f.succ(path[0], y)
-		rounds := parallel.CoopSearchSteps(f.catLen(path[0]), p)
-		stats.RootRounds += rounds
-		stats.Steps += rounds
-		err := f.descendFrom(si, y, path, pos, &stats, out)
-		if err != nil {
-			return nil, stats, false, err
-		}
-		return out, stats, false, nil
-	}
-	stats.RootRounds += entryHitSteps
-	stats.Steps += entryHitSteps
-	err := f.descendFrom(si, y, path, entryPos, &stats, out)
-	if err != nil {
-		return nil, stats, true, err
-	}
-	return out, stats, true, nil
+	stats := core.Stats{Sub: si, P: p, RootRounds: entryHitSteps, Steps: entryHitSteps}
+	return stats, true, f.descendFrom(si, y, path, entryPos, &stats, out)
 }
 
 // SelectSub is core.Structure.SelectSub on the flat layout: the index of

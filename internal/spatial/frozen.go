@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"fmt"
+	"slices"
 
 	"fraccascade/internal/flat"
 	"fraccascade/internal/parallel"
@@ -11,9 +12,10 @@ import (
 // Frozen is the flat SoA encoding of a Locator: the surface tree, the
 // per-node slab structures, and the facet geometry rebuilt as int32-indexed
 // arrays with no internal pointers, serialized through the shared
-// flat.Store codec. LocateCoopInto replicates the pointer locate hop for
-// hop — identical cells, identical Stats — at zero heap allocations per
-// query (pinned by the seeded differential and the alloc guards).
+// flat.Store codec. LocateCoopInto returns the pointer locate's cell,
+// Stats and error text at zero heap allocations per query (pinned by the
+// seeded differentials, FuzzFrozenSpatialLocate and the alloc guards), but
+// its hops search only their branch path and bound the rest (locateStep).
 type Frozen struct {
 	r, rPad, height, n   int32
 	xyMin, xyMax         int64
@@ -31,16 +33,17 @@ type Frozen struct {
 	nodeSlabBase   []int32
 	slabFacetStart []int32
 	slabFacets     []int32
+	// Derived by derive in Freeze and in decode, never stored: node v's
+	// largest slab holds maxSlab[v] facets; xBounds and yBounds are the
+	// sorted distinct slab boundaries and facet y bounds.
+	maxSlab          []int32
+	xBounds, yBounds []int64
 }
 
-// Scratch is the reusable per-goroutine state of a frozen locate: the
-// facet id each node of the current hop located, or −1, in the pointer
-// path's BFS order. It grows on first use to the hop's node count
-// 2^(h+1) − 1 and never with the tree. One scratch serves one query at a
-// time; concurrent queries need one scratch each.
-type Scratch struct {
-	ids []int32
-}
+// Scratch is the state a caller hands LocateCoopInto. The hop walks its
+// branch and keeps nothing per query, so a Scratch is empty and any number
+// of concurrent locates may share one.
+type Scratch struct{}
 
 // NewScratch returns an empty scratch for this structure.
 func (f *Frozen) NewScratch() *Scratch { return &Scratch{} }
@@ -63,6 +66,7 @@ func (l *Locator) Freeze() (*Frozen, error) {
 		f.fY1[i], f.fY2[i], f.fZ[i] = fc.Y1, fc.Y2, fc.Z
 	}
 	if l.r == 1 {
+		f.derive()
 		return f, nil // single cell: no tree, every query answers 1
 	}
 	n := l.t.N()
@@ -117,23 +121,57 @@ func (l *Locator) Freeze() (*Frozen, error) {
 	f.xsStart[n] = int32(xsOff)
 	f.nodeSlabBase[n] = int32(slabOff)
 	f.slabFacetStart[totalSlabs] = int32(sfOff)
+	f.derive()
 	return f, nil
+}
+
+// derive builds the tables the hop reads beside the stored arrays: each
+// node's largest slab, which bounds an off-path node's rounds, and the
+// sorted distinct slab boundaries and facet y bounds, which tell a query
+// on a bound (onBound). Freeze and the decoders call it, so the store
+// format does not carry them.
+func (f *Frozen) derive() {
+	f.maxSlab = make([]int32, f.n)
+	for v := range f.maxSlab {
+		for g := f.nodeSlabBase[v]; g < f.nodeSlabBase[v+1]; g++ {
+			f.maxSlab[v] = max(f.maxSlab[v], f.slabFacetStart[g+1]-f.slabFacetStart[g])
+		}
+	}
+	f.xBounds = sortedDistinct(f.xs)
+	f.yBounds = sortedDistinct(f.fY1, f.fY2)
+}
+
+// sortedDistinct returns the distinct values of the slices, sorted.
+func sortedDistinct(parts ...[]int64) []int64 {
+	var all []int64
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	slices.Sort(all)
+	return slices.Clone(slices.Compact(all))
+}
+
+// onBound reports whether x is a slab boundary of some node or y a facet's
+// Y1 or Y2: the queries whose hops search every node before they walk.
+func (f *Frozen) onBound(x, y int64) bool {
+	_, onX := slices.BinarySearch(f.xBounds, x)
+	_, onY := slices.BinarySearch(f.yBounds, y)
+	return onX || onY
 }
 
 // isLeaf reports whether node v has no children.
 func (f *Frozen) isLeaf(v int32) bool { return f.childStart[v+1] == f.childStart[v] }
 
-// nodeLocate is nodeLocator.locate on the flat layout: the proper facet
-// covering (x, y) in projection, or −1, with the identical cooperative
-// round count (two p-ary dictionary searches). Binary searches are
-// hand-rolled so the hot path allocates nothing.
-func (f *Frozen) nodeLocate(v int32, x, y int64, p int) (id int32, rounds int) {
+// slabOf is the x half of nodeLocate: the global index of node v's slab
+// holding x, or −1 when v has no slabs or x lies outside them, and node
+// v's rounds with p processors — both dictionary searches, though it
+// searches only the first.
+func (f *Frozen) slabOf(v int32, x int64, p int) (g, rounds int) {
 	xlo, xhi := int(f.xsStart[v]), int(f.xsStart[v+1])
-	k := xhi - xlo
-	if k == 0 {
+	if xlo == xhi {
 		return -1, 1
 	}
-	rounds = parallel.CoopSearchSteps(k, p)
+	rounds = parallel.CoopSearchSteps(xhi-xlo, p)
 	if x < f.xs[xlo] || x >= f.xs[xhi-1] {
 		return -1, rounds // outside every slab
 	}
@@ -148,9 +186,20 @@ func (f *Frozen) nodeLocate(v int32, x, y int64, p int) (id int32, rounds int) {
 			lo = mid + 1
 		}
 	}
-	g := int(f.nodeSlabBase[v]) + lo - xlo - 1
+	g = int(f.nodeSlabBase[v]) + lo - xlo - 1
+	return g, rounds + parallel.CoopSearchSteps(int(f.slabFacetStart[g+1]-f.slabFacetStart[g]), p)
+}
+
+// nodeLocate is nodeLocator.locate on the flat layout: the proper facet
+// covering (x, y) in projection, or −1, with the identical cooperative
+// round count (two p-ary dictionary searches). Binary searches are
+// hand-rolled so the hot path allocates nothing.
+func (f *Frozen) nodeLocate(v int32, x, y int64, p int) (id int32, rounds int) {
+	g, rounds := f.slabOf(v, x, p)
+	if g < 0 {
+		return -1, rounds
+	}
 	slo, shi := int(f.slabFacetStart[g]), int(f.slabFacetStart[g+1])
-	rounds += parallel.CoopSearchSteps(shi-slo, p)
 	// First facet in the y-sorted slab with Y2 ≥ y.
 	a, b := slo, shi
 	for a < b {
@@ -215,16 +264,16 @@ func (f *Frozen) hopHeight(p int) int {
 	return h
 }
 
-// LocateCoop is LocateCoopInto with a throwaway scratch, for callers that
-// do not care about steady-state allocations.
-func (f *Frozen) LocateCoop(x, y, z int64, p int) (int, Stats, error) {
-	return f.LocateCoopInto(x, y, z, p, f.NewScratch())
+// LocateCoopInto is LocateCoop; the scratch is not read, since a locate
+// needs none.
+func (f *Frozen) LocateCoopInto(x, y, z int64, p int, _ *Scratch) (int, Stats, error) {
+	return f.LocateCoop(x, y, z, p)
 }
 
-// LocateCoopInto performs the cooperative spatial search of Theorem 5 on
-// the frozen layout: bit-identical cells and Stats to Locator.LocateCoop,
-// zero heap allocations per query once the scratch has warmed up.
-func (f *Frozen) LocateCoopInto(x, y, z int64, p int, sc *Scratch) (int, Stats, error) {
+// LocateCoop performs the cooperative spatial search of Theorem 5 on the
+// frozen layout: identical cells, Stats and error text to
+// Locator.LocateCoop, at zero heap allocations per query.
+func (f *Frozen) LocateCoop(x, y, z int64, p int) (int, Stats, error) {
 	if p < 1 {
 		p = 1
 	}
@@ -237,10 +286,12 @@ func (f *Frozen) LocateCoopInto(x, y, z int64, p int, sc *Scratch) (int, Stats, 
 	}
 	h := f.hopHeight(p)
 	br := bracket{maxEL: 0, minER: f.r}
+	// Only a hop reads onBound: a sequential step searches its one node.
+	onBound := h > 1 && p > 1 && f.onBound(x, y)
 	v := int32(0) // root of the balanced surface tree
 	for !f.isLeaf(v) {
 		var err error
-		v, err = f.locateStep(v, x, y, z, p, h, &br, &stats, sc)
+		v, err = f.locateStep(v, x, y, z, p, h, onBound, &br, &stats)
 		if err != nil {
 			return 0, stats, err
 		}
@@ -256,9 +307,40 @@ func (f *Frozen) LocateCoopInto(x, y, z int64, p int, sc *Scratch) (int, Stats, 
 // discrimination when h == 1 or p == 1, otherwise one h-level hop. The
 // surface tree is a perfect heap (validate), node u's children are 2u+1
 // and 2u+2, so the hop's nodes at relative depth d are the ids
-// [(v+1)<<d − 1, (v+1)<<d − 1 + 1<<d): level by level, the pointer path's
-// BFS order.
-func (f *Frozen) locateStep(v int32, x, y, z int64, p, h int, br *bracket, stats *Stats, sc *Scratch) (int32, error) {
+// [(v+1)<<d − 1, (v+1)<<d − 1 + 1<<d).
+//
+// The pointer hop discriminates every node of the hop, down to relative
+// depth levels, with p/(2^(levels+1) − 1) processors each, folds every
+// located facet into the bracket, then descends: a node that located a
+// facet goes right iff z lies above it, a gap node iff its surface lies at
+// or below the bracket's maxEL. This hop walks its branch from the top
+// down instead: at each path node it locates the facet, folds it and
+// branches. The branch is the same whenever (x, y) lies on no slab
+// boundary and no facet's y bound (onBound is false), in a complex of
+// stacked cells over a tiling such as Generate builds:
+//
+//   - (x, y) then lies strictly inside one column, so a node locates that
+//     column's facet proper at it, or none; and the bracket of one
+//     column's facets stays consistent, so the pointer hop never fails.
+//   - The column's facets span every real surface, so at a gap node j
+//     (j < r) the column's facet of surface χ_j is proper at the LCA of
+//     its surface range: a path ancestor of j, folded before j. At or
+//     below it (z ≤ Z) the bracket has minER ≤ j, so j > maxEL under any
+//     consistent bracket; above it maxEL ≥ j, and folds only raise maxEL.
+//     A dummy surface j ≥ r lies above every maxEL.
+//
+// So facets off the path never change a branch, and later hops read the
+// same branches from a smaller bracket. Off-path nodes and the node the
+// walk lands on only count rounds: node u's are at most
+// CoopSearchSteps(k, share) + CoopSearchSteps(maxSlab[u], share), with k
+// its slab boundaries, so u's boundaries (never its facets) are searched
+// only when that bound passes the running maximum, which so ends at the
+// pointer's. A query on a bound first searches and folds every node of
+// the hop, as the pointer hop does: there a node may locate a facet of a
+// neighbouring column, which can move the bracket or make it
+// inconsistent. The walk after it then re-locates the path's facets,
+// which the fold already holds.
+func (f *Frozen) locateStep(v int32, x, y, z int64, p, h int, onBound bool, br *bracket, stats *Stats) (int32, error) {
 	if h == 1 || p == 1 {
 		goRight, rounds, err := f.discriminate(v, x, y, z, br, p)
 		if err != nil {
@@ -272,52 +354,94 @@ func (f *Frozen) locateStep(v int32, x, y, z int64, p, h int, br *bracket, stats
 		}
 		return 2*v + 1, nil
 	}
-	depth, height := int(f.depth[v]), int(f.height)
-	levels := min(h, height-depth)
-	count := 1<<(levels+1) - 1
-	if cap(sc.ids) < count {
-		sc.ids = make([]int32, 1<<(h+1)-1)
-	}
-	ids := sc.ids[:count]
-	pShare := max(p/count, 1)
+	root := v
+	levels := min(h, int(f.height-f.depth[v]))
+	share := max(p/(1<<(levels+1)-1), 1)
 	// v's own search takes at least one round, even of an empty
-	// dictionary, so a level of empty dictionaries adds none.
+	// dictionary, so a node with an empty dictionary never raises the
+	// maximum.
 	maxRounds := 1
-	for d := 0; d <= levels && depth+d < height; d++ {
-		first, w := (int(v)+1)<<d-1, 1<<d
-		row := ids[w-1 : 2*w-1]
-		if f.xsStart[first] == f.xsStart[first+w] {
-			// Every dictionary of the level is empty: no facet.
-			for i := range row {
-				row[i] = -1
-			}
-			continue
+	if onBound {
+		maxRounds = f.foldHop(root, levels, x, y, z, share, br)
+		if br.maxEL >= br.minER {
+			return v, fmt.Errorf("spatial: inconsistent bracket (%d, %d)", br.maxEL, br.minER)
 		}
-		for i := range row {
-			id, rounds := f.nodeLocate(int32(first+i), x, y, pShare)
-			row[i] = id
+	}
+	pos := 0 // v's index in its level of the hop
+	for d := 0; d < levels; d++ {
+		id, rounds := f.nodeLocate(v, x, y, share)
+		maxRounds = max(maxRounds, rounds)
+		var right bool
+		if id >= 0 {
+			right = f.fold(id, z, br)
+		} else {
+			right = f.sep[v] <= br.maxEL
+		}
+		ci := 0
+		if right {
+			ci = 1
+		}
+		v, pos = 2*v+1+int32(ci), 2*pos+ci
+	}
+	if !onBound {
+		maxRounds = f.offPathRounds(root, levels, pos, x, share, maxRounds)
+	}
+	stats.DiscrimRounds += maxRounds
+	stats.Steps += maxRounds + 2
+	stats.Hops++
+	return v, nil
+}
+
+// foldHop is the pre-pass of a hop whose query lies on a bound, the
+// pointer hop's first pass: it searches every node of the hop under root,
+// down to relative depth levels, folds each located facet into the
+// bracket and returns the slowest node's rounds.
+func (f *Frozen) foldHop(root int32, levels int, x, y, z int64, p int, br *bracket) int {
+	maxRounds := 1
+	for d := 0; d <= levels && int(f.depth[root])+d < int(f.height); d++ {
+		first, w := (int(root)+1)<<d-1, 1<<d
+		if f.xsStart[first] == f.xsStart[first+w] {
+			continue // every dictionary of the level is empty: no facet
+		}
+		for u := first; u < first+w; u++ {
+			id, rounds := f.nodeLocate(int32(u), x, y, p)
 			maxRounds = max(maxRounds, rounds)
 			if id >= 0 {
 				f.fold(id, z, br)
 			}
 		}
 	}
-	if br.maxEL >= br.minER {
-		return v, fmt.Errorf("spatial: inconsistent bracket (%d, %d)", br.maxEL, br.minER)
-	}
-	stats.DiscrimRounds += maxRounds
-	stats.Steps += maxRounds + 2
-	stats.Hops++
-	// Descend: a node that located a facet goes right iff z lies above
-	// it, a gap node iff its surface lies at or below the bracket's maxEL.
-	for d, pos := 0, 0; d < levels; d++ {
-		ci := 0
-		if id := ids[1<<d-1+pos]; id >= 0 && z > f.fZ[id] || id < 0 && f.sep[v] <= br.maxEL {
-			ci = 1
+	return maxRounds
+}
+
+// offPathRounds returns the hop's slowest discrimination, given maxRounds,
+// the slowest on its branch path: it counts the rounds of every other node
+// of the hop under root, down to relative depth levels, where pos is the
+// landing node's index in its level, so the path node of level d < levels
+// has index pos>>(levels−d). A node's slab boundaries are searched only
+// when its bound passes the running maximum.
+func (f *Frozen) offPathRounds(root int32, levels, pos int, x int64, p, maxRounds int) int {
+	for d := 1; d <= levels && int(f.depth[root])+d < int(f.height); d++ {
+		first, w := (int(root)+1)<<d-1, 1<<d
+		if f.xsStart[first] == f.xsStart[first+w] {
+			continue // every dictionary of the level is empty: one round each
 		}
-		v, pos = 2*v+1+int32(ci), 2*pos+ci
+		path := -1
+		if d < levels {
+			path = first + pos>>(levels-d)
+		}
+		for u := first; u < first+w; u++ {
+			k := int(f.xsStart[u+1] - f.xsStart[u])
+			if k == 0 || u == path {
+				continue
+			}
+			if parallel.CoopSearchSteps(k, p)+parallel.CoopSearchSteps(int(f.maxSlab[u]), p) > maxRounds {
+				_, rounds := f.slabOf(int32(u), x, p)
+				maxRounds = max(maxRounds, rounds)
+			}
+		}
 	}
-	return v, nil
+	return maxRounds
 }
 
 // MarshalBinary encodes the frozen locator as a spatial-kind store.
@@ -414,6 +538,7 @@ func decodeFrozen(st *flat.Store) (*Frozen, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
 	}
+	f.derive()
 	return &f, nil
 }
 

@@ -1,9 +1,9 @@
 package spatial
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -280,29 +280,150 @@ func TestDifferentialFrozenVsPointerServedShape(t *testing.T) {
 	}
 }
 
-// TestFrozenScratchBoundedByHop pins the scratch to the hop, not the tree:
-// on the served shape a fresh scratch and one locate at coopserve's share
-// (p = 128, 127 hop nodes) allocate under 4 KB, where a scratch sized to
-// the 65,535-node tree took about 590 KB.
+// TestFrozenScratchBoundedByHop pins the scratch to what a hop keeps per
+// query, which is nothing now that the hop walks its branch: on the
+// served shape a fresh scratch and one locate at coopserve's share
+// (p = 128, 127 hop nodes) allocate nothing. A scratch of the hop's facet
+// ids took 508 bytes, and one sized to the 65,535-node tree about 590 KB.
 func TestFrozenScratchBoundedByHop(t *testing.T) {
 	if os.Getenv("FRACCASCADE_GUARD") == "skip" {
 		t.Skip("allocation guard skipped via FRACCASCADE_GUARD=skip")
 	}
 	fx := mustServedShape(t)
 	x, y, z, want := fx.cx.RandomInteriorPoint(rand.New(rand.NewSource(5)))
-	if got, _, err := fx.f.LocateCoop(x, y, z, 128); err != nil || got != want {
-		t.Fatalf("LocateCoop = (%d, %v), want (%d, nil)", got, err, want)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, _, err := fx.f.LocateCoopInto(x, y, z, 128, fx.f.NewScratch()); err != nil || got != want {
+			t.Fatalf("LocateCoopInto = (%d, %v), want (%d, nil)", got, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("NewScratch and one locate allocate %.1f times, want 0", allocs)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sc := fx.f.NewScratch()
-	got, _, err := fx.f.LocateCoopInto(x, y, z, 128, sc)
-	runtime.ReadMemStats(&after)
-	if err != nil || got != want {
-		t.Fatalf("LocateCoopInto = (%d, %v), want (%d, nil)", got, err, want)
+}
+
+// TestDifferentialFrozenVsPointerNearBounds holds the branch walk to the
+// pointer locator where the two hops differ most: at the served shape,
+// one step off a facet's edges, where the neighbouring columns' facets lie
+// in the same slabs of the hop's off-path nodes, and at interior points.
+// Every such query takes the walk (its x and y are odd; every bound is
+// even), so the off-path facets it never folds must not change a branch,
+// and its bounded round counts must give the same Stats. The facet is
+// proper at a uniformly drawn node with slabs, as in the served-shape
+// differential; compared are the cell, every Stats field and the error
+// text, directly, after UnmarshalFrozen and after OpenFrozen.
+func TestDifferentialFrozenVsPointerNearBounds(t *testing.T) {
+	fx := mustServedShape(t)
+	cx, f := fx.cx, fx.f
+	blob, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 4096 {
-		t.Errorf("NewScratch and one locate allocated %d bytes, want under 4096", n)
+	decoded, err := UnmarshalFrozen(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, _, err := OpenFrozen(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var homes []int32
+	for v := int32(0); v < f.n; v++ {
+		if f.nodeSlabBase[v+1] > f.nodeSlabBase[v] {
+			homes = append(homes, v)
+		}
+	}
+	rng := rand.New(rand.NewSource(30))
+	pick := func(vs ...int64) int64 { return vs[rng.Intn(len(vs))] }
+	for q := 0; q < 240; q++ {
+		x, y, z, _ := cx.RandomInteriorPoint(rng)
+		if q%4 != 0 {
+			v := homes[rng.Intn(len(homes))]
+			lo, hi := f.slabFacetStart[f.nodeSlabBase[v]], f.slabFacetStart[f.nodeSlabBase[v+1]]
+			fc := cx.Facets[f.slabFacets[lo+rng.Int31n(hi-lo)]]
+			x = pick(fc.X1-1, fc.X1+1, fc.X2-1, fc.X2+1)
+			y = pick(fc.Y1-1, fc.Y1+1, fc.Y2-1, fc.Y2+1)
+			z = pick(fc.Z-1, fc.Z, fc.Z+1)
+		}
+		if f.onBound(x, y) {
+			t.Fatalf("query (%d,%d,%d) lies on a bound; this test holds the walk", x, y, z)
+		}
+		for _, p := range []int{2, 3, 16, 125, 127, 128, 129, 4096, 1 << 17} {
+			checkFrozenSpatial(t, "frozen", fx.l, f, nil, x, y, z, p)
+			checkFrozenSpatial(t, "decoded", fx.l, decoded, nil, x, y, z, p)
+			checkFrozenSpatial(t, "opened", fx.l, opened, nil, x, y, z, p)
+		}
+	}
+}
+
+// TestWalkTakesServedQueries: which queries a hop walks and which search
+// every node first. Every bound of the served complex is even, so every
+// RandomInteriorPoint, whose coordinates are odd, takes the walk (10,000
+// drawn are checked too); a point on a node's slab boundary, or on a
+// facet's Y1 or Y2, takes the pre-pass.
+func TestWalkTakesServedQueries(t *testing.T) {
+	fx := mustServedShape(t)
+	f := fx.f
+	for _, b := range [][]int64{f.xBounds, f.yBounds} {
+		for _, v := range b {
+			if v%2 != 0 {
+				t.Fatalf("served bound %d is odd", v)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 10000; i++ {
+		x, y, _, _ := fx.cx.RandomInteriorPoint(rng)
+		if f.onBound(x, y) {
+			t.Fatalf("RandomInteriorPoint (%d, %d) takes the pre-pass", x, y)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		x, y, _, _ := fx.cx.RandomInteriorPoint(rng)
+		xb := f.xs[rng.Intn(len(f.xs))]
+		id := rng.Intn(len(f.fY1))
+		for _, pt := range [][2]int64{{xb, y}, {x, f.fY1[id]}, {x, f.fY2[id]}} {
+			if !f.onBound(pt[0], pt[1]) {
+				t.Fatalf("(%d, %d) lies on a bound but takes the walk", pt[0], pt[1])
+			}
+		}
+	}
+}
+
+// TestDifferentialFrozenVsPointerSmallComplexes holds the walk to the
+// pointer locator over 500 seeded small complexes (1–150 tiles, stacks of
+// 1–6) at odd coordinates, which take the walk: interior points, points
+// one step off a facet's edges and points anywhere in the complex's box
+// widened by one, at processor counts whose hops span 2 to 10 levels.
+func TestDifferentialFrozenVsPointerSmallComplexes(t *testing.T) {
+	for c := 0; c < 500; c++ {
+		rng := rand.New(rand.NewSource(int64(0x5A11_0000 + c)))
+		cx := mustGen(t, 1+rng.Intn(150), 1+rng.Intn(6), rng)
+		l, err := NewLocator(cx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := l.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		odd := func(lo, hi int64) int64 { return lo - 1 + 2*rng.Int63n((hi-lo)/2+2) }
+		for q := 0; q < 12; q++ {
+			x, y, z, _ := cx.RandomInteriorPoint(rng)
+			switch q % 3 {
+			case 1:
+				fc := cx.Facets[rng.Intn(len(cx.Facets))]
+				x = []int64{fc.X1 - 1, fc.X1 + 1, fc.X2 - 1, fc.X2 + 1}[rng.Intn(4)]
+				y = []int64{fc.Y1 - 1, fc.Y1 + 1, fc.Y2 - 1, fc.Y2 + 1}[rng.Intn(4)]
+			case 2:
+				x, y, z = odd(cx.XYMin, cx.XYMax), odd(cx.XYMin, cx.XYMax), odd(cx.ZMin, cx.ZMax)
+			}
+			if f.onBound(x, y) {
+				t.Fatalf("case %d: query (%d,%d,%d) lies on a bound; this test holds the walk", c, x, y, z)
+			}
+			for _, p := range []int{2, 7, 15, 31, 128, 4096} {
+				checkFrozenSpatial(t, fmt.Sprintf("case %d", c), l, f, nil, x, y, z, p)
+			}
+		}
 	}
 }
 
@@ -353,6 +474,32 @@ func FuzzFrozenSpatialLocate(f *testing.F) {
 	f.Add(int64(2), uint8(0), uint8(0), int64(-7), int64(0), int64(0), uint32(1))
 	f.Add(int64(3), uint8(149), uint8(5), int64(1<<40), int64(-1), int64(1<<33), uint32(1<<17))
 	f.Add(int64(4), uint8(63), uint8(2), int64(0), int64(1<<62), int64(-5), uint32(7))
+	// Points on a node's slab boundary and on a facet's Y1 or Y2, whose
+	// hops search every node before they walk.
+	for _, sd := range []struct {
+		seed         int64
+		tiles, stack uint8
+		p            uint32
+	}{{5, 40, 3, 128}, {6, 149, 5, 4096}, {7, 90, 1, 31}, {8, 120, 4, 1 << 17}} {
+		rng := rand.New(rand.NewSource(sd.seed))
+		cx := mustGen(f, 1+int(sd.tiles)%150, 1+int(sd.stack)%6, rng)
+		l, err := NewLocator(cx)
+		if err != nil {
+			f.Fatal(err)
+		}
+		fz, err := l.Freeze()
+		if err != nil {
+			f.Fatal(err)
+		}
+		// The fuzz body folds a coordinate v of the box [0, hi] to v − 64
+		// when 0 ≤ v ≤ hi + 128.
+		const margin = 64
+		x, y, z, _ := cx.RandomInteriorPoint(rng)
+		xb, fc := fz.xs[rng.Intn(len(fz.xs))], cx.Facets[rng.Intn(len(cx.Facets))]
+		f.Add(sd.seed, sd.tiles, sd.stack, xb+margin, y+margin, z+margin, sd.p)
+		f.Add(sd.seed, sd.tiles, sd.stack, x+margin, fc.Y1+margin, fc.Z+margin, sd.p)
+		f.Add(sd.seed, sd.tiles, sd.stack, fc.X2+margin, fc.Y2+margin, z+margin, sd.p)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, tiles, stack uint8, x, y, z int64, p uint32) {
 		rng := rand.New(rand.NewSource(seed))
 		cx := mustGen(t, 1+int(tiles)%150, 1+int(stack)%6, rng)
