@@ -119,13 +119,14 @@ bench-wall:
 # comparing their wall clocks on the same end-to-end search program, and
 # three iterations of every E7 planar and E8 spatial point-location
 # benchmark, so their per-query answer checks run, and one run each of
-# coopserve's catalog-cold shard build and snapshot load benchmarks.
+# coopserve's catalog-cold shard build and snapshot load benchmarks and of
+# its geo-mixed geometry build.
 bench-smoke:
 	$(GO) test -run='Executor' ./internal/pram ./internal/parallel ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkE17SearchPRAM$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^BenchmarkE7PointLocation$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^BenchmarkE8Spatial$$' -benchtime=3x .
-	$(GO) test -run='^$$' -bench='^Benchmark(BuildShards|LoadSnapshot)$$' -benchtime=1x ./cmd/coopserve
+	$(GO) test -run='^$$' -bench='^Benchmark(BuildShards|LoadSnapshot|BuildGeometry)$$' -benchtime=1x ./cmd/coopserve
 
 # Observability smoke: the -metrics surfaces must run end to end and
 # print the counters the dashboards key on (engine batch counters from

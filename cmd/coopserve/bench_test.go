@@ -38,6 +38,23 @@ func BenchmarkBuildShards(b *testing.B) {
 	b.ReportMetric(float64(fi.Size()), "snap_bytes")
 }
 
+// BenchmarkBuildGeometry times a boot's geometry work at the geo-mixed
+// shape (seed 3, 8,192 regions, 8,192 tiles): draw the subdivision, build
+// and freeze the planar locator, then draw the complex, build and freeze
+// the spatial locator, with the boot's collection rule between them.
+func BenchmarkBuildGeometry(b *testing.B) {
+	cfg := defaultServerConfig()
+	cfg.Seed, cfg.Regions, cfg.Tiles = 3, 8192, 8192
+	s := newServerShell(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.buildGeometry(newCollector()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLoadSnapshot times snapshot.LoadParallel at parallelism 0 (all
 // cores) and 1 on the snapshot a catalog-cold build boot writes: what
 // bench/e2e's oracle pays to load the server's snapshot. No served path

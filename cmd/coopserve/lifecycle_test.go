@@ -222,6 +222,27 @@ func TestServedShardsPinned(t *testing.T) {
 	}
 }
 
+// TestServedGeometryPinned: the geo-mixed shape's frozen spatial store —
+// seed 3, 8,192 regions and 8,192 tiles — is the same bytes on every
+// build. A change to the generators' draws, the spatial build or the
+// freeze changes its checksum and fails here.
+func TestServedGeometryPinned(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.Seed, cfg.Regions, cfg.Tiles = 3, 8192, 8192
+	_, sp, err := newServerShell(cfg).buildGeometry(newCollector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantCRC, wantSize = 0x824c3004, 7343204
+	if crc, n := crc32.ChecksumIEEE(b), len(b); crc != wantCRC || n != wantSize {
+		t.Fatalf("frozen spatial store: %d bytes, CRC-32 %#08x; want %d bytes, %#08x", n, crc, wantSize, wantCRC)
+	}
+}
+
 // TestServedCatalogsPinned: the default shape's catalog shards, built with
 // a snapshot path, encode to the same snapshot bytes on every build. Any
 // change to the generator's draw order, the catalogs it draws or the

@@ -687,7 +687,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// X-Request-ID honored, minted otherwise) that every span and flight
 	// record of this request will carry.
 	reqID := s.requestID(r)
-	w.Header().Set("X-Request-ID", reqID)
+	// One two-slot allocation carries this request's X-Request-Id header
+	// and, once the body is encoded, its Content-Length. It is never
+	// pooled: net/http writes a short body's headers after the handler
+	// returns.
+	hdr, vals := w.Header(), make([]string, 2)
+	vals[0] = reqID
+	hdr["X-Request-Id"] = vals[:1:1]
 	ctx := obs.WithRequestID(r.Context(), reqID)
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -722,10 +728,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sc.answers = append(sc.answers, answers)
 	}
 	sc.out = appendQueryResponse(sc.out[:0], reqID, sc.reports, sc.answers)
-	w.Header().Set("Content-Type", "application/json")
+	// A Content-Length keeps a body past net/http's 2,048-byte buffer from
+	// going out chunked, which costs a write for the terminating chunk.
+	vals[1] = strconv.Itoa(len(sc.out))
+	hdr["Content-Type"] = jsonContentType
+	hdr["Content-Length"] = vals[1:2:2]
 	// A failed write means the client is gone; there is nobody to tell.
 	_, _ = w.Write(sc.out)
 }
+
+// jsonContentType is the Content-Type of every /query response, shared
+// read-only by their header maps; its capacity is 1, so a Header.Add
+// copies it.
+var jsonContentType = []string{"application/json"}
 
 // toEngineQuery validates and converts one wire query. A catalog query's
 // root path is appended to the request scratch, so it lives only as long

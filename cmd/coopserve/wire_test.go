@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -464,6 +465,41 @@ const queryHandlerAllocsBound = 35
 // query, since the frozen locators allocate nothing. Served from the
 // pointer locators, the same request made 515.
 const queryHandlerGeometryAllocsBound = 35
+
+// TestQueryContentLength: a /query response carries a Content-Length
+// equal to its body's length and is not chunked, both for a 32-query
+// catalog response past net/http's 2,048-byte buffer and for a 1-query
+// one that fits in it.
+func TestQueryContentLength(t *testing.T) {
+	ts := httptest.NewServer(testServer(t, nil).handler())
+	defer ts.Close()
+	for _, n := range []int{32, 1} {
+		var req queryRequest
+		for i := 0; i < n; i++ {
+			req.Queries = append(req.Queries, wireQuery{Kind: "catalog", Shard: i % 2, Key: int64(100 + 13*i), Leaf: int64(15 + i%16)})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d queries: POST /query = %d (%v): %s", n, resp.StatusCode, err, out)
+		}
+		if n == 32 && len(out) <= 2048 {
+			t.Fatalf("32-query response is %d bytes, want more than net/http's 2,048-byte buffer", len(out))
+		}
+		if resp.ContentLength != int64(len(out)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%d queries: Content-Length %d, Transfer-Encoding %q for a %d-byte body; want %d and none",
+				n, resp.ContentLength, resp.TransferEncoding, len(out), len(out))
+		}
+	}
+}
 
 // TestQueryHandlerAllocs pins the serving path's allocations per warm
 // 32-query catalog request.

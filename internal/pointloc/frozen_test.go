@@ -1,6 +1,7 @@
 package pointloc
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"fraccascade/internal/core"
 	"fraccascade/internal/geom"
 	"fraccascade/internal/subdivision"
+	"fraccascade/internal/tree"
 )
 
 // frozenBaseSeed anchors the differential: case c runs with seed
@@ -310,4 +312,43 @@ func FuzzFrozenLocate(f *testing.F) {
 		}
 		checkFrozenLocate(t, seed, l, fz, fz.NewScratch(), q, int(p))
 	})
+}
+
+// lcaByParentWalk is the reference LCA: lift the deeper node to the
+// other's depth, then lift both until they meet.
+func lcaByParentWalk(t *tree.Tree, u, v tree.NodeID) tree.NodeID {
+	for t.Depth(u) > t.Depth(v) {
+		u = t.Parent(u)
+	}
+	for t.Depth(v) > t.Depth(u) {
+		v = t.Parent(v)
+	}
+	for u != v {
+		u, v = t.Parent(u), t.Parent(v)
+	}
+	return u
+}
+
+// TestServedShapeHomes: at coopserve's 8,192-region shape every edge is
+// homed at the LCA a parent walk finds from its two region leaves, and
+// the frozen planar structure built over those homes is the one pinned by
+// its flat store's CRC-32 and length.
+func TestServedShapeHomes(t *testing.T) {
+	fx := mustServedShape(t)
+	l := fx.l
+	for ei, e := range fx.s.Edges {
+		left := tree.NodeID(l.fPad - 1 + int(e.Left) - 1)
+		right := tree.NodeID(l.fPad - 1 + int(e.Right) - 1)
+		if got, want := l.homeOf(e), lcaByParentWalk(l.t, left, right); got != want {
+			t.Fatalf("edge %d (regions %d, %d) homed at node %d, want %d", ei, e.Left, e.Right, got, want)
+		}
+	}
+	blob, err := fx.fz.st.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantCRC, wantSize = 0x72c57be6, 5105028
+	if crc, n := crc32.ChecksumIEEE(blob), len(blob); crc != wantCRC || n != wantSize {
+		t.Fatalf("frozen planar store: %d bytes, CRC-32 %#08x; want %d bytes, %#08x", n, crc, wantSize, wantCRC)
+	}
 }

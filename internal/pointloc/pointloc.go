@@ -56,7 +56,6 @@ type Locator struct {
 	region []int32
 	// sepNode[j] is the internal node of separator j.
 	sepNode []tree.NodeID
-	lca     *tree.LCAIndex
 
 	// Debug enables exhaustive uniqueness checks of the Step-3 active
 	// pair; tests turn it on.
@@ -98,14 +97,10 @@ func Build(s *subdivision.Subdivision, cfg core.Config) (*Locator, error) {
 		}
 	}
 	// Proper-edge assignment: home(e) = LCA of the leaves of e's two
-	// incident regions. Leaves in left-to-right order are the last fPad
-	// nodes of the level-order numbering.
-	leafNode := func(r int32) tree.NodeID { return tree.NodeID(fPad - 1 + int(r) - 1) }
-	lca := tree.NewLCA(t)
-	l.lca = lca
+	// incident regions (homeOf).
 	perNode := make([][]int, t.N()) // edge indices per separator node
 	for ei, e := range s.Edges {
-		home := lca.LCA(leafNode(e.Left), leafNode(e.Right))
+		home := l.homeOf(e)
 		if t.IsLeaf(home) {
 			return nil, fmt.Errorf("pointloc: edge %d homed at a leaf", ei)
 		}
@@ -158,11 +153,13 @@ func Build(s *subdivision.Subdivision, cfg core.Config) (*Locator, error) {
 func (l *Locator) Structure() *core.Structure { return l.st }
 
 // homeOf returns the separator-tree node at which edge e is stored as a
-// proper edge: the LCA of its two incident region leaves.
+// proper edge: the LCA of its two incident region leaves. Leaves in
+// left-to-right order are the last fPad nodes of the level-order (heap)
+// numbering.
 func (l *Locator) homeOf(e subdivision.Edge) tree.NodeID {
 	left := tree.NodeID(l.fPad - 1 + int(e.Left) - 1)
 	right := tree.NodeID(l.fPad - 1 + int(e.Right) - 1)
-	return l.lca.LCA(left, right)
+	return tree.HeapLCA(left, right)
 }
 
 // lrState tracks the last discriminations: q is right of every separator

@@ -1,7 +1,9 @@
 package spatial
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"fraccascade/internal/tree"
 	"fraccascade/internal/workpool"
@@ -77,8 +79,9 @@ func NewLocatorParallel(c *Complex, parallelism int) (*Locator, error) {
 			l.sep[v] = (inorder[v] + 1) / 2
 		}
 	}
+	// A facet's home is the LCA of the leaves bounding its surface range,
+	// the common prefix of their heap numbers.
 	leafNode := func(idx int32) tree.NodeID { return tree.NodeID(rPad - 1 + int(idx) - 1) }
-	lca := tree.NewLCA(t)
 	perNode := make([][]int32, t.N())
 	for fi, f := range c.Facets {
 		// Surface range [lo, hi] clipped to real surfaces 1..r−1.
@@ -92,7 +95,7 @@ func NewLocatorParallel(c *Complex, parallelism int) (*Locator, error) {
 		if lo > hi {
 			continue // facet crossed by no real surface
 		}
-		home := lca.LCA(leafNode(lo), leafNode(hi+1))
+		home := tree.HeapLCA(leafNode(lo), leafNode(hi+1))
 		if t.IsLeaf(home) {
 			return nil, fmt.Errorf("spatial: facet %d homed at a leaf", fi)
 		}
@@ -103,12 +106,25 @@ func NewLocatorParallel(c *Complex, parallelism int) (*Locator, error) {
 	}
 	// Each surface's planar structure depends only on its own facet list
 	// (writes confined to l.locs[v]), so the builds fan out over the
-	// shared host executor.
-	l.locs = make([]nodeLocator, t.N())
-	workpool.ForEach(parallelism, t.N(), 16, func(loI, hiI int) {
-		for v := loI; v < hiI; v++ {
-			l.locs[v] = buildNodeLocator(c.Facets, perNode[v])
+	// shared host executor, one surface per index, heaviest first: the top
+	// of the heap holds most of the facets, so chunks of consecutive nodes
+	// would hand one worker nearly all of them.
+	var order []tree.NodeID
+	for v, ids := range perNode {
+		if len(ids) > 0 {
+			order = append(order, tree.NodeID(v))
 		}
+	}
+	slices.SortFunc(order, func(a, b tree.NodeID) int {
+		if c := cmp.Compare(len(perNode[b]), len(perNode[a])); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	l.locs = make([]nodeLocator, t.N())
+	workpool.New(parallelism).Run(len(order), func(i int) {
+		v := order[i]
+		l.locs[v] = buildNodeLocator(c.Facets, perNode[v])
 	})
 	return l, nil
 }

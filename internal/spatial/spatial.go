@@ -28,8 +28,11 @@
 package spatial
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fraccascade/internal/parallel"
@@ -64,28 +67,36 @@ type Complex struct {
 	XYMin, XYMax, ZMin, ZMax int64
 }
 
+// span is the extent of the tiling and of every column. It is even, and
+// Generate puts every facet bound on an even coordinate, so queries use
+// odd ones.
+const span = int64(1 << 20)
+
+// maxStackLimit is the largest maxStack Generate accepts: a column draws its
+// k−1 distinct interior cuts from the span/2−2 even values 2, 4, …,
+// span−4, so it holds at most span/2−1 cells.
+const maxStackLimit = int(span/2 - 1)
+
 // Generate builds a random complex: a guillotine tiling of the xy-square
 // into `tiles` rectangles, each carrying a stack of 1..maxStack boxes.
-// It returns an error for invalid parameters (tiles < 1 or maxStack < 1).
+// It returns an error for invalid parameters (tiles < 1, or maxStack
+// outside [1, 524287], past which a column cannot draw distinct cuts).
+//
+// Each step splits the rectangle of largest area that still has room,
+// the lowest index among equals; a max-heap keyed on (area, index) finds
+// it in O(log tiles), so the tiling takes O(tiles log tiles) and the same
+// rng draws as a scan over every rectangle.
 func Generate(tiles, maxStack int, rng *rand.Rand) (*Complex, error) {
 	if tiles < 1 || maxStack < 1 {
 		return nil, fmt.Errorf("spatial: invalid parameters tiles=%d maxStack=%d (both must be ≥ 1)", tiles, maxStack)
 	}
-	const span = int64(1 << 20) // even extent; queries use odd coordinates
-	type rect struct{ x1, x2, y1, y2 int64 }
+	if maxStack > maxStackLimit {
+		return nil, fmt.Errorf("spatial: invalid parameter maxStack=%d (a column holds at most %d cells)", maxStack, maxStackLimit)
+	}
 	rects := []rect{{0, span, 0, span}}
-	for len(rects) < tiles {
-		// Split the largest-area rectangle that still has room.
-		best, bestArea := -1, int64(0)
-		for i, r := range rects {
-			area := (r.x2 - r.x1) * (r.y2 - r.y1)
-			if area > bestArea && (r.x2-r.x1 >= 4 || r.y2-r.y1 >= 4) {
-				best, bestArea = i, area
-			}
-		}
-		if best < 0 {
-			break
-		}
+	todo := splitHeap{{area: span * span, i: 0}}
+	for len(rects) < tiles && len(todo) > 0 {
+		best := todo[0].i
 		r := rects[best]
 		splitX := r.x2-r.x1 >= r.y2-r.y1
 		if splitX && r.x2-r.x1 < 4 {
@@ -94,83 +105,125 @@ func Generate(tiles, maxStack int, rng *rand.Rand) (*Complex, error) {
 		if !splitX && r.y2-r.y1 < 4 {
 			splitX = true
 		}
+		var next rect
 		if splitX {
 			cut := r.x1 + 2 + 2*rng.Int63n((r.x2-r.x1-2)/2)
-			rects[best] = rect{r.x1, cut, r.y1, r.y2}
-			rects = append(rects, rect{cut, r.x2, r.y1, r.y2})
+			rects[best], next = rect{r.x1, cut, r.y1, r.y2}, rect{cut, r.x2, r.y1, r.y2}
 		} else {
 			cut := r.y1 + 2 + 2*rng.Int63n((r.y2-r.y1-2)/2)
-			rects[best] = rect{r.x1, r.x2, r.y1, cut}
-			rects = append(rects, rect{r.x1, r.x2, cut, r.y2})
+			rects[best], next = rect{r.x1, r.x2, r.y1, cut}, rect{r.x1, r.x2, cut, r.y2}
+		}
+		rects = append(rects, next)
+		if rects[best].splittable() {
+			todo[0].area = rects[best].area()
+			heap.Fix(&todo, 0)
+		} else {
+			heap.Pop(&todo)
+		}
+		if next.splittable() {
+			heap.Push(&todo, splitEntry{area: next.area(), i: len(rects) - 1})
 		}
 	}
-	const zSpan = int64(1 << 20)
-	c := &Complex{XYMin: 0, XYMax: span, ZMin: 0, ZMax: zSpan}
-	type col struct {
-		r    rect
-		cuts []int64 // interior z cuts, even
-	}
-	cols := make([]col, len(rects))
-	for i, r := range rects {
+	c := &Complex{XYMin: 0, XYMax: span, ZMin: 0, ZMax: span}
+	// bounds[i] is column i's z bounds bottom-up: ZMin, its k−1 distinct
+	// even interior cuts, ZMax.
+	bounds := make([][]int64, len(rects))
+	for i := range rects {
 		k := 1 + rng.Intn(maxStack)
-		cutSet := map[int64]bool{}
-		for len(cutSet) < k-1 {
-			cutSet[2+2*rng.Int63n(zSpan/2-2)] = true
+		b := make([]int64, 1, k+1)
+		for drawn := map[int64]bool{}; len(b) < k; {
+			if z := 2 + 2*rng.Int63n(span/2-2); !drawn[z] {
+				drawn[z] = true
+				b = append(b, z)
+			}
 		}
-		cuts := make([]int64, 0, k-1)
-		for z := range cutSet {
-			cuts = append(cuts, z)
-		}
-		sort.Slice(cuts, func(a, b int) bool { return cuts[a] < cuts[b] })
-		cols[i] = col{r: r, cuts: cuts}
+		slices.Sort(b[1:])
+		bounds[i] = append(b, c.ZMax)
 	}
-	// Cells: all boxes, topologically ordered by bottom z (ties broken by
-	// column — dominance is intra-column only, so any z1-sorted order is
-	// topological).
+	// Cells: all boxes, topologically ordered by bottom z, ties broken by
+	// column (dominance is intra-column only, so any z1-sorted order is
+	// topological). Z1 is distinct within a column, so (Z1, column) is a
+	// total order and any sort yields the same cells.
 	type protoCell struct {
 		box Box
 		col int
 	}
 	var proto []protoCell
-	for ci, cl := range cols {
-		bounds := append(append([]int64{c.ZMin}, cl.cuts...), c.ZMax)
-		for k := 0; k+1 < len(bounds); k++ {
+	for ci, r := range rects {
+		b := bounds[ci]
+		for k := 0; k+1 < len(b); k++ {
 			proto = append(proto, protoCell{
-				box: Box{X1: cl.r.x1, X2: cl.r.x2, Y1: cl.r.y1, Y2: cl.r.y2, Z1: bounds[k], Z2: bounds[k+1]},
+				box: Box{X1: r.x1, X2: r.x2, Y1: r.y1, Y2: r.y2, Z1: b[k], Z2: b[k+1]},
 				col: ci,
 			})
 		}
 	}
-	sort.SliceStable(proto, func(a, b int) bool {
-		if proto[a].box.Z1 != proto[b].box.Z1 {
-			return proto[a].box.Z1 < proto[b].box.Z1
+	slices.SortFunc(proto, func(a, b protoCell) int {
+		if c := cmp.Compare(a.box.Z1, b.box.Z1); c != 0 {
+			return c
 		}
-		return proto[a].col < proto[b].col
+		return cmp.Compare(a.col, b.col)
 	})
 	c.Cells = make([]Box, len(proto))
-	idxInCol := make(map[int][]int32) // column -> cell indices bottom-up
+	idxInCol := make([][]int32, len(rects)) // column -> cell indices bottom-up
 	for i, pc := range proto {
 		c.Cells[i] = pc.box
 		idxInCol[pc.col] = append(idxInCol[pc.col], int32(i+1))
 	}
 	r := int32(len(c.Cells))
 	// Facets: between consecutive boxes of a column, plus sentinels.
-	for ci, cl := range cols {
-		ids := idxInCol[ci]
-		bounds := append(append([]int64{c.ZMin}, cl.cuts...), c.ZMax)
+	c.Facets = make([]Facet, 0, len(proto)+len(rects))
+	for ci, cr := range rects {
+		ids, b := idxInCol[ci], bounds[ci]
 		mk := func(z int64, below, above int32) {
 			c.Facets = append(c.Facets, Facet{
-				X1: cl.r.x1, X2: cl.r.x2, Y1: cl.r.y1, Y2: cl.r.y2,
+				X1: cr.x1, X2: cr.x2, Y1: cr.y1, Y2: cr.y2,
 				Z: z, Below: below, Above: above,
 			})
 		}
 		mk(c.ZMin, 0, ids[0])
 		for k := 0; k+1 < len(ids); k++ {
-			mk(bounds[k+1], ids[k], ids[k+1])
+			mk(b[k+1], ids[k], ids[k+1])
 		}
 		mk(c.ZMax, ids[len(ids)-1], r+1)
 	}
 	return c, nil
+}
+
+// rect is a tile of Generate's tiling.
+type rect struct{ x1, x2, y1, y2 int64 }
+
+func (r rect) area() int64 { return (r.x2 - r.x1) * (r.y2 - r.y1) }
+
+// splittable reports whether a cut on even coordinates leaves both halves
+// non-empty along some axis.
+func (r rect) splittable() bool { return r.x2-r.x1 >= 4 || r.y2-r.y1 >= 4 }
+
+// splitEntry is a splittable rectangle in Generate's heap: its index in
+// the tiling and its area.
+type splitEntry struct {
+	area int64
+	i    int
+}
+
+// splitHeap is a container/heap max-heap of the splittable rectangles,
+// the largest area first and the lowest index among equal areas.
+type splitHeap []splitEntry
+
+func (h splitHeap) Len() int { return len(h) }
+func (h splitHeap) Less(a, b int) bool {
+	if h[a].area != h[b].area {
+		return h[a].area > h[b].area
+	}
+	return h[a].i < h[b].i
+}
+func (h splitHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *splitHeap) Push(x any)   { *h = append(*h, x.(splitEntry)) }
+func (h *splitHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // LocateBrute returns the 1-based index of the cell containing the query
@@ -229,36 +282,49 @@ type nodeLocator struct {
 	slabs [][]int32 // facet ids per slab, sorted by Y1
 }
 
+// buildNodeLocator builds the slab structure over the proper facets ids.
+// A surface's facets are disjoint in projection, so the facets crossing
+// one slab have distinct Y1: ids are sorted by Y1 once and swept into
+// slabs sized beforehand, and each slab comes out in Y1 order.
 func buildNodeLocator(facets []Facet, ids []int32) nodeLocator {
 	var nl nodeLocator
 	if len(ids) == 0 {
 		return nl
 	}
-	seen := map[int64]bool{}
+	xs := make([]int64, 0, 2*len(ids))
 	for _, id := range ids {
-		f := facets[id]
-		if !seen[f.X1] {
-			seen[f.X1] = true
-			nl.xs = append(nl.xs, f.X1)
-		}
-		if !seen[f.X2] {
-			seen[f.X2] = true
-			nl.xs = append(nl.xs, f.X2)
+		xs = append(xs, facets[id].X1, facets[id].X2)
+	}
+	slices.Sort(xs)
+	nl.xs = slices.Compact(xs)
+	byY1 := slices.Clone(ids)
+	slices.SortFunc(byY1, func(a, b int32) int { return cmp.Compare(facets[a].Y1, facets[b].Y1) })
+	// Facet id spans slabs [lo, hi): the slabs between its x bounds.
+	slabsOf := func(id int32) (lo, hi int) {
+		lo, _ = slices.BinarySearch(nl.xs, facets[id].X1)
+		hi, _ = slices.BinarySearch(nl.xs, facets[id].X2)
+		return lo, hi
+	}
+	start := make([]int, len(nl.xs))
+	for _, id := range ids {
+		lo, hi := slabsOf(id)
+		for s := lo; s < hi; s++ {
+			start[s+1]++
 		}
 	}
-	sort.Slice(nl.xs, func(a, b int) bool { return nl.xs[a] < nl.xs[b] })
+	for s := 1; s < len(start); s++ {
+		start[s] += start[s-1]
+	}
+	all := make([]int32, start[len(start)-1])
 	nl.slabs = make([][]int32, len(nl.xs)-1)
-	for _, id := range ids {
-		f := facets[id]
-		lo := sort.Search(len(nl.xs), func(i int) bool { return nl.xs[i] >= f.X1 })
-		hi := sort.Search(len(nl.xs), func(i int) bool { return nl.xs[i] >= f.X2 })
+	for s := range nl.slabs {
+		nl.slabs[s] = all[start[s]:start[s]:start[s+1]]
+	}
+	for _, id := range byY1 {
+		lo, hi := slabsOf(id)
 		for s := lo; s < hi; s++ {
 			nl.slabs[s] = append(nl.slabs[s], id)
 		}
-	}
-	for s := range nl.slabs {
-		slab := nl.slabs[s]
-		sort.Slice(slab, func(a, b int) bool { return facets[slab[a]].Y1 < facets[slab[b]].Y1 })
 	}
 	return nl
 }

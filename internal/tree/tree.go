@@ -1,16 +1,15 @@
 // Package tree provides the rooted ordered trees underlying fractional
 // cascaded data structures: balanced binary trees for the Theorem 1
 // machinery, bounded-degree and degree-d trees for Theorems 2–3, level and
-// inorder numbering, LCA queries, and partitions into height-h blocks.
+// inorder numbering, the heap LCA, and partitions into height-h blocks.
 package tree
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
-
-	"fraccascade/internal/parallel"
 )
 
 // NodeID identifies a node; IDs are dense in [0, N).
@@ -311,97 +310,20 @@ func (t *Tree) SubtreeSpan() (lo, hi []int32, err error) {
 	return lo, hi, nil
 }
 
-// LCAIndex answers lowest-common-ancestor queries in O(1) after O(n log n)
-// preprocessing, via an Euler tour and a sparse table of depth minima.
-type LCAIndex struct {
-	t      *Tree
-	first  []int32   // first occurrence of node in tour
-	tour   []NodeID  // Euler tour nodes
-	table  [][]int32 // sparse table over tour positions, by depth
-	logTbl []int8
-}
-
-// NewLCA builds an LCA index for t.
-func NewLCA(t *Tree) *LCAIndex {
-	n := t.N()
-	idx := &LCAIndex{t: t, first: make([]int32, n)}
-	for i := range idx.first {
-		idx.first[i] = -1
+// HeapLCA returns the lowest common ancestor of u and v in a tree
+// numbered as NewBalancedBinary numbers it: the root is 0 and node v has
+// children 2v+1 and 2v+2. In 1-based numbers (v+1) a node's children are
+// its number followed by one more bit, so an ancestor's number is a binary
+// prefix of its descendant's, and the LCA is the longest common prefix of
+// the two numbers once the deeper one is cut to the other's length.
+func HeapLCA(u, v NodeID) NodeID {
+	a, b := uint32(u)+1, uint32(v)+1
+	if d := bits.Len32(a) - bits.Len32(b); d > 0 {
+		a >>= d
+	} else {
+		b >>= -d
 	}
-	// Iterative Euler tour.
-	type frame struct {
-		v  NodeID
-		ci int
-	}
-	stack := []frame{{t.root, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.ci == 0 {
-			if idx.first[f.v] == -1 {
-				idx.first[f.v] = int32(len(idx.tour))
-			}
-			idx.tour = append(idx.tour, f.v)
-		}
-		ch := t.children[f.v]
-		if f.ci < len(ch) {
-			c := ch[f.ci]
-			f.ci++
-			stack = append(stack, frame{c, 0})
-		} else {
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				idx.tour = append(idx.tour, stack[len(stack)-1].v)
-			}
-		}
-	}
-	m := len(idx.tour)
-	levels := parallel.FloorLog2(m) + 1
-	idx.table = make([][]int32, levels)
-	base := make([]int32, m)
-	for i, v := range idx.tour {
-		base[i] = int32(i)
-		_ = v
-	}
-	idx.table[0] = base
-	depthAt := func(pos int32) int32 { return int32(t.Depth(idx.tour[pos])) }
-	for k := 1; k < levels; k++ {
-		half := 1 << (k - 1)
-		size := m - (1 << k) + 1
-		row := make([]int32, size)
-		prev := idx.table[k-1]
-		for i := 0; i < size; i++ {
-			a, b := prev[i], prev[i+half]
-			if depthAt(a) <= depthAt(b) {
-				row[i] = a
-			} else {
-				row[i] = b
-			}
-		}
-		idx.table[k] = row
-	}
-	idx.logTbl = make([]int8, m+1)
-	for i := 2; i <= m; i++ {
-		idx.logTbl[i] = idx.logTbl[i/2] + 1
-	}
-	return idx
-}
-
-// LCA returns the lowest common ancestor of u and v.
-func (l *LCAIndex) LCA(u, v NodeID) NodeID {
-	a, b := l.first[u], l.first[v]
-	if a > b {
-		a, b = b, a
-	}
-	span := int(b - a + 1)
-	k := int(l.logTbl[span])
-	p1 := l.table[k][a]
-	p2 := l.table[k][int(b)-(1<<k)+1]
-	d1 := l.t.Depth(l.tour[p1])
-	d2 := l.t.Depth(l.tour[p2])
-	if d1 <= d2 {
-		return l.tour[p1]
-	}
-	return l.tour[p2]
+	return NodeID(a>>bits.Len32(a^b)) - 1
 }
 
 // ExpandDegree converts a degree-d tree into a binary tree by replacing

@@ -180,52 +180,49 @@ func TestSubtreeSpan(t *testing.T) {
 	}
 }
 
-func lcaBrute(t *Tree, u, v NodeID) NodeID {
-	anc := map[NodeID]bool{}
-	for x := u; x != Nil; x = t.Parent(x) {
-		anc[x] = true
+// lcaByParentWalk is the reference LCA: lift the deeper node to the
+// other's depth, then lift both until they meet.
+func lcaByParentWalk(t *Tree, u, v NodeID) NodeID {
+	for t.Depth(u) > t.Depth(v) {
+		u = t.Parent(u)
 	}
-	for x := v; x != Nil; x = t.Parent(x) {
-		if anc[x] {
-			return x
-		}
+	for t.Depth(v) > t.Depth(u) {
+		v = t.Parent(v)
 	}
-	return Nil
+	for u != v {
+		u, v = t.Parent(u), t.Parent(v)
+	}
+	return u
 }
 
-func TestLCAMatchesBruteForce(t *testing.T) {
+// TestHeapLCA holds HeapLCA to the parent walk: every node pair of the
+// balanced trees up to 2^8 leaves, and sampled pairs up to 2^15.
+func TestHeapLCA(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 10; trial++ {
-		tr, err := NewRandom(2+rng.Intn(300), 1+rng.Intn(4), rng)
+	for leaves := 1; leaves <= 1<<15; leaves *= 2 {
+		bt, err := NewBalancedBinary(leaves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := NewLCA(tr)
-		for q := 0; q < 100; q++ {
-			u := NodeID(rng.Intn(tr.N()))
-			v := NodeID(rng.Intn(tr.N()))
-			want := lcaBrute(tr, u, v)
-			if got := idx.LCA(u, v); got != want {
-				t.Fatalf("LCA(%d,%d) = %d, want %d", u, v, got, want)
+		check := func(u, v NodeID) {
+			if got, want := HeapLCA(u, v), lcaByParentWalk(bt, u, v); got != want {
+				t.Fatalf("%d leaves: HeapLCA(%d, %d) = %d, want %d", leaves, u, v, got, want)
 			}
 		}
-	}
-}
-
-func TestLCAOnBinaryTree(t *testing.T) {
-	bt, _ := NewBalancedBinary(8)
-	idx := NewLCA(bt)
-	if got := idx.LCA(7, 8); got != 3 {
-		t.Errorf("LCA(7,8) = %d, want 3", got)
-	}
-	if got := idx.LCA(7, 14); got != 0 {
-		t.Errorf("LCA(7,14) = %d, want 0", got)
-	}
-	if got := idx.LCA(5, 5); got != 5 {
-		t.Errorf("LCA(v,v) = %d, want 5", got)
-	}
-	if got := idx.LCA(1, 8); got != 1 {
-		t.Errorf("LCA(ancestor,desc) = %d, want 1", got)
+		if leaves <= 1<<8 {
+			for u := NodeID(0); int(u) < bt.N(); u++ {
+				for v := NodeID(0); int(v) < bt.N(); v++ {
+					check(u, v)
+				}
+			}
+			continue
+		}
+		for q := 0; q < 20000; q++ {
+			u, v := NodeID(rng.Intn(bt.N())), NodeID(rng.Intn(bt.N()))
+			check(u, v)
+			// Two leaves, the pairs the locators ask about.
+			check(NodeID(leaves-1+rng.Intn(leaves)), NodeID(leaves-1+rng.Intn(leaves)))
+		}
 	}
 }
 
